@@ -302,7 +302,7 @@ def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
                                     alpha_fallback=alpha_fallback,
                                     pade_order=pade_order)
 
-        sweep = eigenloci_sweep(netN, agents, contour)
+        sweep = verdict.sweep or eigenloci_sweep(netN, agents, contour)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         _write_loci_csv(out / "loci.csv", sweep, markers=_marker_list(scn))

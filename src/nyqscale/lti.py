@@ -12,7 +12,6 @@ Numerical contracts (module constants below):
 
 * root residuals: every root r returned by :func:`poly_roots` satisfies
   |p(r)| <= ROOT_RESIDUAL_RTOL * sum_k |c_k| max(1, |r|)^k,
-* exact common-factor cancellation uses CANCEL_RTOL relative agreement,
 * right-half-plane pole/zero near-cancellations within RHP_CANCEL_BAND
   (relative) are rejected with an error instead of silently cancelled,
 * a pole whose modulus falls within BOUNDARY_BAND * r of the contour radius
@@ -54,7 +53,6 @@ __all__ = [
 ]
 
 ROOT_RESIDUAL_RTOL = 1e-8
-CANCEL_RTOL = 1e-12
 RHP_CANCEL_BAND = 1e-6
 BOUNDARY_BAND = 1e-6
 AXIS_RTOL = 1e-9
@@ -434,32 +432,3 @@ def rhp_poles_in_region(g: TransferFunction, r: float) -> list[complex]:
         if abs(p) >= r:
             selected.append(p)
     return selected
-
-
-def cancel_common_factors(g: TransferFunction, rel_tol: float = CANCEL_RTOL) -> TransferFunction:
-    """Cancel num/den root pairs that agree to ``rel_tol`` (exact-coefficient
-    cancellations only; the default band is deliberately tight). Pairs in the
-    closed RHP are refused: near-cancellations there invalidate the criteria.
-    """
-    if g.delay_s != 0.0 or g.num.is_zero or g.num.degree == 0 or g.den.degree == 0:
-        return g
-    zeros = list(poly_roots(g.num))
-    poles = list(poly_roots(g.den))
-    kept_z = []
-    for z in zeros:
-        hit = None
-        for i, p in enumerate(poles):
-            if abs(z - p) <= rel_tol * (1.0 + abs(z)):
-                hit = i
-                break
-        if hit is None:
-            kept_z.append(z)
-        else:
-            if z.real > -AXIS_RTOL * (1.0 + abs(z)):
-                raise RhpCancellationError(
-                    f"refusing to cancel closed-RHP pair at {z:.6g}"
-                )
-            poles.pop(hit)
-    num = npp.polyfromroots(kept_z) * g.num.leading
-    den = npp.polyfromroots(poles) * g.den.leading
-    return TransferFunction(Polynomial(num.real), Polynomial(den.real))

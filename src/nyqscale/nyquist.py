@@ -10,18 +10,18 @@ points are conjugates for real-coefficient systems). Frequency-domain
 evaluation of delays is exact; only pole *counting* for delayed agents goes
 through the Pade-rationalized form, at the caller-visible ``pade_order``.
 
-Sweep evaluation across contour samples is embarrassingly parallel; setting
-the environment variable ``NYQSCALE_THREADS`` > 1 chunks the batched
-eigenvalue evaluation across that many threads (branch matching stays a
-sequential post-pass, so results are deterministic).
+The eigenloci taken together encircle -1 as often as the scalar curve
+det(I + Q(s)) = prod_k (1 + lambda_k(s)) encircles 0, so the theorem-1 and
+lossy windings, and the sweep's refinement, use the summed argument of the
+per-sample eigenvalues in solver order. Eigenvalues are matched into
+continuous branches only for export and plots.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -260,22 +260,20 @@ def winding_number(closed_curve: Sequence[complex], point: complex) -> int:
     """Signed winding number of a sampled closed curve about a point,
     anticlockwise positive, by accumulated argument increments.
 
-    The curve must be closed (first == last within tolerance) and stay off
-    the point; a per-step argument increment of >= pi means the polyline
-    cannot be disambiguated and is reported as undersampled.
+    The curve must be closed (first == last within 1e-9 of the endpoints'
+    magnitude) and stay off the point (no sample within
+    1e-9*max(1, |point|) of it); a per-step argument increment of >= pi
+    means the polyline cannot be disambiguated and is reported as
+    undersampled. Both tolerances are local, so a curve that reaches 1e10
+    elsewhere still resolves a pass at 1e-4 from the point.
     """
     z = np.asarray(closed_curve, dtype=complex)
     if len(z) < 3:
         raise InvalidInputError("need at least 3 samples")
-    scale = max(1.0, float(np.abs(z).max()))
-    if abs(z[0] - z[-1]) > 1e-9 * scale:
+    if abs(z[0] - z[-1]) > 1e-9 * max(1.0, abs(z[0]), abs(z[-1])):
         raise InvalidInputError("curve is not closed (first != last)")
     rel = z - point
-    dist = np.abs(rel)
-    if dist.min() <= POINT_ON_CURVE_RTOL * scale:
-        raise MarginalStabilityError(
-            f"point {point} lies on the curve (distance {dist.min():.3g})"
-        )
+    _checked_distance(rel, point)
     steps = np.angle(rel[1:] / rel[:-1])
     if np.abs(steps).max() >= math.pi * (1 - 1e-12):
         raise UndersampledContourError(
@@ -290,34 +288,22 @@ def winding_number(closed_curve: Sequence[complex], point: complex) -> int:
     return int(w)
 
 
-def _accumulate_matched_winding(values: np.ndarray, point: complex) -> tuple[float, float]:
-    """Sum of matched-branch argument increments (rad) about ``point`` over a
-    closed multi-branch curve, plus the closest approach distance.
-
-    values: (m, k) complex, rows = loop samples in order (closed: first and
-    last rows describe the same contour point set).
-    """
-    m, k = values.shape
-    rel = values - point
-    dist = np.abs(rel)
-    closest = float(dist.min())
-    scale = max(1.0, float(np.abs(values).max()))
-    if closest <= POINT_ON_CURVE_RTOL * scale:
+def _checked_distance(rel: np.ndarray, point: complex) -> float:
+    """Smallest |value - point| given ``rel`` = values - point; raises
+    MarginalStabilityError when it is within 1e-9*max(1, |point|)."""
+    closest = float(np.abs(rel).min())
+    if closest <= POINT_ON_CURVE_RTOL * max(1.0, abs(point)):
         raise MarginalStabilityError(
-            f"loci touch the point {point} (distance {closest:.3g})"
+            f"point {point} lies on the curve (distance {closest:.3g})"
         )
-    total = 0.0
-    cur = rel[0]
-    for i in range(1, m):
-        nxt = rel[i][_match_indices(cur, rel[i])]
-        steps = np.angle(nxt / cur)
-        if np.abs(steps).max() >= math.pi * (1 - 1e-12):
-            raise UndersampledContourError(
-                "matched-branch argument increment >= pi; refinement exhausted"
-            )
-        total += float(steps.sum())
-        cur = nxt
-    return total, closest
+    return closest
+
+
+def _det_arg_steps(eigs: np.ndarray) -> np.ndarray:
+    """|argument increment| of det(I + Q) = prod_k (1 + lambda_k) between
+    consecutive rows of per-sample eigenvalues."""
+    phase = np.angle(eigs + 1.0).sum(axis=1)
+    return np.abs(np.angle(np.exp(1j * np.diff(phase))))
 
 
 def _match_indices(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
@@ -363,15 +349,17 @@ class LociSweep:
     """Eigenloci and vertex trajectories along a contour.
 
     Upper-chain arrays are stored; the full closed loop is derived by
-    conjugate mirroring. ``branches`` are matched into continuous curves
-    (the matching is a bijection between consecutive samples); ``flagged``
-    marks samples where the assignment was ambiguous at the 1e-12 level and
-    densification could not separate the branches further.
+    conjugate mirroring. ``eigs_upper`` holds each sample's loop eigenvalues
+    in solver order; windings come from their summed argument, which needs
+    no branch identity. ``branches_upper`` matches them into continuous
+    curves (a bijection between consecutive samples) on first use, for
+    export and plots only. ``flagged`` lists the samples whose determinant
+    argument step still reaches pi/2 when refinement stops.
     """
 
     contour: Contour
     s_upper: np.ndarray
-    branches_upper: np.ndarray  # (m, k)
+    eigs_upper: np.ndarray  # (m, k)
     vertices_upper: np.ndarray  # (m, n)
     flagged: tuple[int, ...] = ()
 
@@ -381,10 +369,17 @@ class LociSweep:
 
     @property
     def s_full(self) -> np.ndarray:
-        return np.concatenate([self.s_upper, np.conj(self.s_upper[-2::-1])])
+        return self._mirror(self.s_upper)
 
     def _mirror(self, arr: np.ndarray) -> np.ndarray:
-        return np.concatenate([arr, np.conj(arr[-2::-1, :])], axis=0)
+        return np.concatenate([arr, np.conj(arr[-2::-1])], axis=0)
+
+    @cached_property
+    def branches_upper(self) -> np.ndarray:
+        matched = self.eigs_upper.copy()
+        for i in range(1, matched.shape[0]):
+            matched[i] = matched[i][_match_indices(matched[i - 1], matched[i])]
+        return matched
 
     @property
     def branches_full(self) -> np.ndarray:
@@ -395,23 +390,24 @@ class LociSweep:
         return self._mirror(self.vertices_upper)
 
     def total_winding(self, point: complex = -1.0 + 0.0j) -> tuple[int, float]:
-        """(summed anticlockwise winding of all branches about the point,
-        closest approach distance)."""
-        total, closest = _accumulate_matched_winding(self.branches_full, point)
-        w = total / (2 * math.pi)
-        wi = round(w)
-        if abs(w - wi) > WINDING_INTEGER_TOL:
-            raise UndersampledContourError(
-                f"summed branch winding {w:.3e} is not an integer"
-            )
-        return int(wi), closest
+        """(summed anticlockwise winding of all eigenloci about the point,
+        closest approach distance).
+
+        The summed winding equals that of det(Q(s) - point*I) about 0, so
+        it is taken from the unit phasor of sum_k arg(lambda_k - point) per
+        sample (MacFarlane & Postlethwaite 1977).
+        """
+        rel = self._mirror(self.eigs_upper) - point
+        closest = _checked_distance(rel, point)
+        phasor = np.exp(1j * np.angle(rel).sum(axis=1))
+        return winding_number(phasor, 0.0), closest
 
     def closest_approach(self, point: complex = -1.0 + 0.0j):
-        """(distance, s, locus value) of the branch point nearest ``point``."""
-        rel = np.abs(self.branches_upper - point)
+        """(distance, s, locus value) of the eigenvalue nearest ``point``."""
+        rel = np.abs(self.eigs_upper - point)
         i, j = np.unravel_index(int(np.argmin(rel)), rel.shape)
         return float(rel[i, j]), complex(self.s_upper[i]), complex(
-            self.branches_upper[i, j]
+            self.eigs_upper[i, j]
         )
 
 
@@ -428,33 +424,12 @@ def _vertex_evaluator(agents: Sequence, gamma: np.ndarray) -> Callable:
     return evaluate
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("NYQSCALE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _batched_eigvals(mats: np.ndarray) -> np.ndarray:
-    workers = _thread_count()
-    if workers == 1 or mats.shape[0] < 4 * workers:
-        return np.linalg.eigvals(mats)
-    chunks = np.array_split(np.arange(mats.shape[0]), workers)
-    out = np.empty(mats.shape[:2], dtype=complex)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(np.linalg.eigvals, mats[idx]) for idx in chunks]
-        for idx, fut in zip(chunks, futures):
-            out[idx] = fut.result()
-    return out
-
-
 def eigenloci_sweep(
     netN: NormalizedNetwork,
     agents: Sequence,
     contour: Contour,
     mode: str = "interarea",
     epsilon: float = 0.0,
-    refine: bool = True,
 ) -> LociSweep:
     """Eigenvalue trajectories of the loop matrix along the contour.
 
@@ -464,8 +439,9 @@ def eigenloci_sweep(
     U^T G'(s) U diag(mu + epsilon).
 
     Vertex values gamma_i g_i(s) are recorded at every sample. Consecutive
-    samples whose matched eigenvalue argument about -1 jumps by >= pi/2 are
-    densified (up to 12 levels, bisecting along the contour's own geometry).
+    samples whose argument of det(I + Q(s)) = prod_k (1 + lambda_k(s))
+    steps by >= pi/2 are bisected along the contour's own geometry, up to
+    12 levels; each level evaluates only the inserted samples.
     """
     if len(agents) != netN.n:
         raise InvalidInputError("agent count must match network size")
@@ -489,66 +465,36 @@ def eigenloci_sweep(
             ) from None
         # Uhat^T diag(v) Uhat, batched over samples, columns scaled by mu
         mats = np.einsum("ji,mj,jl->mil", U, verts, U) * weights[None, None, :]
-        eigs = _batched_eigvals(mats)
-        return eigs, verts
+        return np.linalg.eigvals(mats), verts
 
-    nodes = list(contour.nodes)
-    pts = contour.upper_points(nodes)
+    seg = np.array([k for k, _ in contour.nodes])
+    t = np.array([t for _, t in contour.nodes])
+    pts = contour.upper_points()
     eigs, verts = evaluate(pts)
-    flagged: set[tuple[int, float]] = set()
-
-    if refine:
-        for _level in range(MAX_REFINE_LEVELS):
-            rel = eigs - (-1.0 + 0.0j)
-            new_nodes: list[tuple[int, float]] = []
-            insert_after: list[int] = []
-            cur = rel[0]
-            for i in range(1, len(nodes)):
-                nxt = rel[i][_match_indices(cur, rel[i])]
-                jump = np.abs(np.angle(nxt / cur)).max()
-                if jump >= REFINE_JUMP:
-                    sa, ta = nodes[i - 1]
-                    sb, tb = nodes[i]
-                    if sa == sb and abs(tb - ta) > 1e-12:
-                        insert_after.append(i - 1)
-                        new_nodes.append((sa, 0.5 * (ta + tb)))
-                cur = nxt
-            if not new_nodes:
-                break
-            merged_nodes = []
-            merged_idx = 0
-            inserts = dict(zip(insert_after, new_nodes))
-            for i, nd in enumerate(nodes):
-                merged_nodes.append(nd)
-                if i in inserts:
-                    merged_nodes.append(inserts[i])
-            nodes = merged_nodes
-            pts = contour.upper_points(nodes)
-            eigs, verts = evaluate(pts)
-        else:
-            # levels exhausted; the winding accumulation will raise if the
-            # remaining jumps are actually ambiguous (>= pi)
-            pass
-
-    # ambiguity flag: nearly coincident eigenvalues make matching arbitrary
-    if eigs.shape[1] > 1:
-        for i in range(eigs.shape[0]):
-            row = eigs[i]
-            d = np.abs(row[:, None] - row[None, :]) + np.eye(len(row))
-            if d.min() <= 1e-12 * max(1.0, np.abs(row).max()):
-                flagged.add(i)
-
-    # build matched continuous branches for diagnostics/export
-    matched = eigs.copy()
-    for i in range(1, matched.shape[0]):
-        matched[i] = matched[i][_match_indices(matched[i - 1] - (-1), matched[i] - (-1))]
+    jumps = _det_arg_steps(eigs)
+    for _level in range(MAX_REFINE_LEVELS):
+        split = np.flatnonzero(
+            (jumps >= REFINE_JUMP) & (seg[1:] == seg[:-1]) & (np.abs(np.diff(t)) > 1e-12)
+        )
+        if not split.size:
+            break
+        new_t = 0.5 * (t[split] + t[split + 1])
+        new_pts = contour.upper_points(zip(seg[split].tolist(), new_t.tolist()))
+        new_eigs, new_verts = evaluate(new_pts)
+        at = split + 1
+        seg = np.insert(seg, at, seg[split])
+        t = np.insert(t, at, new_t)
+        pts = np.insert(pts, at, new_pts)
+        eigs = np.insert(eigs, at, new_eigs, axis=0)
+        verts = np.insert(verts, at, new_verts, axis=0)
+        jumps = _det_arg_steps(eigs)
 
     return LociSweep(
-        contour=contour.with_nodes(nodes),
+        contour=contour.with_nodes(zip(seg.tolist(), t.tolist())),
         s_upper=pts,
-        branches_upper=matched,
+        eigs_upper=eigs,
         vertices_upper=verts,
-        flagged=tuple(sorted(int(i) for i in flagged)),
+        flagged=tuple(int(i) + 1 for i in np.flatnonzero(jumps >= REFINE_JUMP)),
     )
 
 
@@ -572,7 +518,8 @@ class Verdict:
     violated; for the sufficient checks this means stability is not
     certified and the analysis suggests instability), or "inconclusive"
     (marginal/touching case). ``winding_count``/``n_required`` hold the
-    generalized-Nyquist accounting where applicable.
+    generalized-Nyquist accounting where applicable. ``sweep`` is the
+    interarea sweep the check ran on, if it ran one (not serialized).
     """
 
     result: str
@@ -580,6 +527,7 @@ class Verdict:
     n_required: int | None = None
     violated_conditions: tuple[Violation, ...] = ()
     diagnostics: dict = field(default_factory=dict)
+    sweep: LociSweep | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.result not in ("stable", "unstable", "inconclusive"):
@@ -643,9 +591,11 @@ def _agent_axis_poles(agents, pade_order: int) -> list[float]:
 
 
 def _count_unstable_loop_poles(
-    agents, gamma: np.ndarray, U: np.ndarray, pade_order: int
+    agents, gamma: np.ndarray, U: np.ndarray, pade_order: int, r: float
 ) -> tuple[int, list[str]]:
-    """Smith-McMillan RHP pole count of the projected loop U^T G' U X.
+    """Smith-McMillan count of the projected loop U^T G' U X's poles inside
+    the contour's region: strict-RHP poles with modulus >= r (r = 0 for the
+    full D-contour).
 
     Per-agent distinct poles contribute their multiplicity; a simple pole
     shared across agents contributes rank(sum res_i u_i u_i^T) (for
@@ -656,7 +606,7 @@ def _count_unstable_loop_poles(
     per_agent: list[list[complex]] = []
     for a in agents:
         g = _agent_rational(a, pade_order)
-        per_agent.append(list(rhp_poles_in_region(g, 0.0)))
+        per_agent.append(list(rhp_poles_in_region(g, r)))
     clusters: list[list[tuple[int, complex]]] = []
     for idx, poles in enumerate(per_agent):
         for p in poles:
@@ -748,9 +698,10 @@ def theorem1_check(
     """
     if contour is None:
         contour = _default_contour(netN, agents, "full-D", 0.0, None, density, pade_order)
-    N, notes = _count_unstable_loop_poles(agents, netN.gamma, netN.U_hat, pade_order)
+    N, notes = _count_unstable_loop_poles(agents, netN.gamma, netN.U_hat, pade_order,
+                                          contour.inner_radius)
     sweep = eigenloci_sweep(netN, agents, contour, mode="interarea")
-    return _winding_verdict(sweep, N, notes, check="theorem1")
+    return replace(_winding_verdict(sweep, N, notes, check="theorem1"), sweep=sweep)
 
 
 def lossy_exponential_check(
@@ -768,7 +719,8 @@ def lossy_exponential_check(
                                 "theorem1_check for the lossless network")
     if contour is None:
         contour = _default_contour(netN, agents, "full-D", 0.0, None, density, pade_order)
-    N, notes = _count_unstable_loop_poles(agents, netN.gamma, netN.U, pade_order)
+    N, notes = _count_unstable_loop_poles(agents, netN.gamma, netN.U, pade_order,
+                                          contour.inner_radius)
     sweep = eigenloci_sweep(netN, agents, contour, mode="full", epsilon=epsilon)
     return _winding_verdict(sweep, N, notes, check="lossy")
 
@@ -776,13 +728,13 @@ def lossy_exponential_check(
 def _winding_verdict(sweep: LociSweep, N: int, notes: list[str], check: str) -> Verdict:
     roles = np.array(sweep.contour.node_roles())
     closure = roles == "closure"
-    closure_mag = float(np.abs(sweep.branches_upper[closure]).max()) if closure.any() else 0.0
+    closure_mag = float(np.abs(sweep.eigs_upper[closure]).max()) if closure.any() else 0.0
     if closure_mag >= CLOSURE_LOCI_BOUND:
         raise ContourError(
             f"loci reach {closure_mag:.3g} on the closure arc; increase the "
             "outer radius R"
         )
-    max_loci = float(np.abs(sweep.branches_upper).max())
+    max_loci = float(np.abs(sweep.eigs_upper).max())
     diagnostics = {
         "check": check,
         "max_loci_magnitude": max_loci,
@@ -806,7 +758,6 @@ def _winding_verdict(sweep: LociSweep, N: int, notes: list[str], check: str) -> 
         "s": complex(s_at),
         "value": complex(val),
     }
-    diagnostics["real_axis_crossings"] = _branch_axis_crossings(sweep)
     try:
         winding, _ = sweep.total_winding(-1.0)
     except MarginalStabilityError:
@@ -839,31 +790,6 @@ def _winding_verdict(sweep: LociSweep, N: int, notes: list[str], check: str) -> 
         ),
         diagnostics=diagnostics,
     )
-
-
-def _branch_axis_crossings(sweep: LociSweep) -> list[dict]:
-    """Interpolated real-axis crossings of the matched branches (upper
-    chain), reported as (frequency, crossing abscissa)."""
-    out = []
-    s_im = sweep.s_upper.imag
-    br = sweep.branches_upper
-    for k in range(br.shape[1]):
-        im = br[:, k].imag
-        re = br[:, k].real
-        sign_change = np.where(np.diff(np.signbit(im)))[0]
-        for i in sign_change:
-            denom = im[i + 1] - im[i]
-            if denom == 0:
-                continue
-            t = -im[i] / denom
-            out.append(
-                {
-                    "branch": k,
-                    "omega_rad_s": float(s_im[i] + t * (s_im[i + 1] - s_im[i])),
-                    "re": float(re[i] + t * (re[i + 1] - re[i])),
-                }
-            )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -976,12 +902,14 @@ def fov_check(
                 result="inconclusive",
                 violated_conditions=tuple(violations),
                 diagnostics=diagnostics,
+                sweep=sweep,
             )
     if violations:
         return Verdict(
             result="unstable",
             violated_conditions=tuple(violations),
             diagnostics=diagnostics,
+            sweep=sweep,
         )
     if marginal:
         return Verdict(
@@ -990,8 +918,9 @@ def fov_check(
                 Violation("fov-ray-marginal", diagnostics["worst_frequency_rad_s"], worst),
             ),
             diagnostics=diagnostics,
+            sweep=sweep,
         )
-    return Verdict(result="stable", diagnostics=diagnostics)
+    return Verdict(result="stable", diagnostics=diagnostics, sweep=sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -1142,20 +1071,19 @@ def vertex_axis_crossings(
     sign changes of Im on a log grid, refined by root bracketing on the
     exact evaluator. Returns [{omega_rad_s, re}] sorted by frequency."""
 
+    g = agent.g_value if isinstance(agent, Agent) else agent
+
     def im_vertex(w: float) -> float:
-        s = 1j * w
-        val = agent.g_value(s) if isinstance(agent, Agent) else agent(s)
-        return float(np.imag(gamma * val))
+        return float(np.imag(gamma * g(1j * w)))
 
     grid = np.geomspace(omega_lo, omega_hi, max(64, int(density * math.log10(omega_hi / omega_lo))))
-    vals = np.array([im_vertex(w) for w in grid])
+    vals = np.imag(gamma * g(1j * grid))
     out = []
     for i in np.where(np.diff(np.signbit(vals)))[0]:
         try:
             w_star = brentq(im_vertex, grid[i], grid[i + 1], xtol=1e-12, rtol=1e-12)
         except ValueError:
             continue
-        s = 1j * w_star
-        val = agent.g_value(s) if isinstance(agent, Agent) else agent(s)
+        val = g(1j * w_star)
         out.append({"omega_rad_s": float(w_star), "re": float(np.real(gamma * val))})
     return out

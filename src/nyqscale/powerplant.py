@@ -272,12 +272,6 @@ class Agent:
     def has_delay(self) -> bool:
         return any(f.delay_s > 0 for f in self.f_parts)
 
-    @property
-    def freq_actuator(self) -> TransferFunction:
-        """Single-TF view of the frequency actuator; only available when all
-        parts share one delay (use ``f_parts`` otherwise)."""
-        return self.freq_actuator_rational(None)
-
     def freq_actuator_rational(self, pade_order: int | None = None) -> TransferFunction:
         """Sum of the F parts as one rational function. Delayed parts demand
         a ``pade_order``; with ``None`` only exactly-equal delays combine."""
@@ -339,9 +333,6 @@ class Agent:
         if den.is_zero:
             raise AssemblyError("agent has no dynamics (algebraic node)")
         return TransferFunction(num, den)
-
-    def rational_poles(self, pade_order: int | None = 3) -> tuple[complex, ...]:
-        return self.g_rational(pade_order).poles
 
 
 def assemble_agent(

@@ -16,6 +16,7 @@ from nyqscale.nyquist import (
     make_contour,
     theorem1_check,
     vertex_axis_crossings,
+    _default_contour,
 )
 from nyqscale.powerplant import (
     HydroParams,
@@ -27,6 +28,7 @@ from nyqscale.powerplant import (
     make_hydro_turbine,
     make_wind_turbine,
 )
+from nyqscale.scenario import bundled_scenario_path, load_scenario
 from nyqscale.simkit import realize_state_space
 
 from util import (
@@ -149,6 +151,64 @@ def test_lossy_detects_unstable_closed_loop():
     worst_root = max(3.0 * netN.gamma[0] * (mu + 0.4) - 1.0 for mu in netN.mu)
     assert worst_root > 0
     assert v_lossy.result == "unstable"
+
+
+# ------------------------------------------------- bundled N5 vs the oracle
+def _n5(name):
+    scn = load_scenario(bundled_scenario_path(name))
+    return scn, normalize(scn.network), list(scn.agents)
+
+
+def _oracle_unstable_count(scn, r=0.0, epsilon=None):
+    """Closed-loop eigenvalues of the state-space oracle with Re > 0 in the
+    contour's region (|lambda| >= r; off the origin for the full D). With
+    ``epsilon`` the lossy interconnection L + eps*Gamma: A - B eps Gamma C_delta."""
+    model = realize_state_space(scn.network, list(scn.agents))
+    A = model.A
+    if epsilon is not None:
+        gamma = normalize(scn.network).gamma
+        A = A - model.B @ (epsilon * np.diag(gamma)) @ model.delta_rows
+    ev = np.linalg.eigvals(A)
+    mod = np.abs(ev)
+    assert not np.any((np.abs(ev.real) <= 1e-9) & (mod > 1e-6)), "oracle is marginal"
+    return int(np.sum((ev.real > 1e-9) & (mod >= max(r, 1e-6))))
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("n5_hydro_d0", "unstable"),
+    ("n5_hydro_loads", "stable"),
+    ("n5_hydro_wind", "stable"),
+])
+def test_theorem1_bundled_full_d_matches_oracle(name, expected):
+    # type-1 agents drive the loci to ~1e10 on the origin indentation; the
+    # winding must still resolve a pass of -1 at 1e-4
+    scn, netN, agents = _n5(name)
+    v = theorem1_check(netN, agents)
+    Z = _oracle_unstable_count(scn)
+    assert v.result == expected == ("stable" if Z == 0 else "unstable")
+    assert v.winding_count == v.n_required - Z
+    assert v.sweep is not None and v.sweep.eigs_upper.shape[1] == netN.n - 1
+
+
+def test_lossy_d0_full_d_matches_oracle():
+    scn, netN, agents = _n5("n5_hydro_d0")
+    v = lossy_exponential_check(netN, agents, 0.01)
+    Z = _oracle_unstable_count(scn, epsilon=0.01)
+    assert (v.result, v.n_required, Z) == ("unstable", 4, 10)
+    assert v.winding_count == v.n_required - Z
+
+
+@pytest.mark.parametrize("r", [0.75, 5.0, 10.0])
+def test_theorem1_d0_dr_counts_poles_in_contour_region(r):
+    # N and Z both count only poles with |p| >= r: the d0 agents' RHP poles
+    # sit at modulus 0.35, inside every one of these discs
+    scn, netN, agents = _n5("n5_hydro_d0")
+    contour = _default_contour(netN, agents, "D_r", r, None, 200, 3)
+    v = theorem1_check(netN, agents, contour)
+    Z = _oracle_unstable_count(scn, r=r)
+    assert v.n_required == 0
+    assert v.winding_count == v.n_required - Z
+    assert v.result == ("stable" if Z == 0 else "unstable")
 
 
 # ---------------------------------------------------------------- fov

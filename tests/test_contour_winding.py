@@ -17,8 +17,10 @@ from nyqscale.nyquist import (
     eigenloci_sweep,
     make_contour,
     winding_number,
+    _default_contour,
 )
 from nyqscale.powerplant import assemble_agent
+from nyqscale.scenario import bundled_scenario_path, load_scenario
 
 from util import network_from_laplacian, ray_crossing_winding
 
@@ -118,6 +120,25 @@ def test_winding_undersampled_rejected():
     square = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j])
     with pytest.raises(InvalidInputError):
         winding_number(square[:-1], 0.0)  # not closed
+
+
+def test_winding_tolerance_is_local_to_the_point():
+    # damped copies of the n5_hydro_wind inertia agents at buses 4-5 on the
+    # scenario's full-D contour: they pass -1 at 8.2e-3 and 3.9e-4 while the
+    # origin indentation drives them to ~3e10
+    scn = load_scenario(bundled_scenario_path("n5_hydro_wind"))
+    netN = normalize(scn.network)
+    agents = list(scn.agents)
+    s = _default_contour(netN, agents, "full-D", 0.0, None, scn.contour_density, 3).samples
+    for i in (3, 4):
+        damped = assemble_agent(agents[i].inertia, load_damping_mw_per_hz=0.01)
+        curve = netN.gamma[i] * damped.g_value(s)
+        assert np.abs(curve).max() > 1e10 and np.abs(curve + 1).min() < 1e-2
+        assert winding_number(curve, -1.0) == ray_crossing_winding(curve, -1.0) == 0
+        # undamped, the vertex -gamma/(M w^2) runs along the negative real
+        # axis through -1 itself: no winding exists
+        with pytest.raises((MarginalStabilityError, UndersampledContourError)):
+            winding_number(netN.gamma[i] * agents[i].g_value(s), -1.0)
 
 
 def test_winding_integerness_random_loops():
