@@ -47,23 +47,56 @@ _VERDICT_EXIT = {
 }
 
 
-def _parse_omega(text):
-    """Accept '0.75' or '0.37*2pi' style frequencies."""
-    if text is None:
-        return None
-    t = str(text).strip().lower().replace(" ", "")
-    if t.endswith("*2pi"):
-        return float(t[:-4]) * 2.0 * math.pi
-    if t.endswith("*pi"):
-        return float(t[:-3]) * math.pi
-    return float(t)
+class _Omega(click.ParamType):
+    """A frequency in rad/s: '0.75', '0.37*2pi' or '0.5*pi'."""
+
+    name = "omega"
+
+    def convert(self, value, param, ctx):
+        t = str(value).strip().lower().replace(" ", "")
+        try:
+            if t.endswith("*2pi"):
+                return float(t[:-4]) * 2.0 * math.pi
+            if t.endswith("*pi"):
+                return float(t[:-3]) * math.pi
+            return float(t)
+        except ValueError:
+            self.fail(f"{value!r} is not a frequency like 0.75 or 0.37*2pi",
+                      param, ctx)
 
 
-def _parse_hyperplane(text):
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != 4:
-        raise click.BadParameter("expected re,im,nre,nim")
-    return complex(parts[0], parts[1]), complex(parts[2], parts[3])
+class _Hyperplane(click.ParamType):
+    """A hyperplane point and normal as four numbers: re,im,nre,nim."""
+
+    name = "re,im,nre,nim"
+
+    def convert(self, value, param, ctx):
+        try:
+            parts = [float(x) for x in str(value).split(",")]
+        except ValueError:
+            parts = []
+        if len(parts) != 4:
+            self.fail(f"{value!r} is not four numbers re,im,nre,nim", param, ctx)
+        return complex(parts[0], parts[1]), complex(parts[2], parts[3])
+
+
+class _Cli(click.Group):
+    """Click exits 2 on a usage error, such as an option value that does not
+    parse; here 2 means inconclusive, so usage errors exit 3 instead."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_INPUT_ERROR
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_INPUT_ERROR
+            raise
 
 
 def _echo_verdict(name: str, verdict: Verdict):
@@ -80,9 +113,37 @@ def _write_report(out_dir: Path, payload: dict):
     click.echo(f"report: {path}")
 
 
+# rows formatted per block: larger blocks are no faster and raise peak RSS
+_CSV_BLOCK_ROWS = 32
+
+
+def _write_csv(path: Path, header, columns, formats, tags=None):
+    """Write ``columns`` (equal-length 1-D arrays, or 2-D blocks of them)
+    side by side, each cell printf-formatted by its entry in ``formats``;
+    a complex column gives two cells, re then im. The text column ``tags``
+    goes last if given. Line ends and the header are csv.writer's. Rows are
+    formatted a block at a time with one % per row."""
+    fmt = ",".join(formats) + (",%s" if tags is not None else "") + "\r\n"
+    n_rows = len(columns[0])
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
+            hi = min(lo + _CSV_BLOCK_ROWS, n_rows)
+            parts = []
+            for col in columns:
+                part = np.asarray(col[lo:hi]).reshape(hi - lo, -1)
+                if np.iscomplexobj(part):
+                    part = np.stack([part.real, part.imag], axis=-1).reshape(hi - lo, -1)
+                parts.append(part)
+            rows = np.hstack(parts).tolist()
+            if tags is not None:
+                rows = [[*row, tag] for row, tag in zip(rows, tags[lo:hi])]
+            fh.writelines(fmt % tuple(row) for row in rows)
+
+
 def _write_loci_csv(path: Path, sweep: LociSweep, markers=()):
     """CSV contract: omega_rad_s, branch_k_re/im, vertex_i_re/im [, marker]."""
-    s = sweep.s_full
+    omega = sweep.s_full.imag
     br = sweep.branches_full
     vx = sweep.vertices_full
     header = ["omega_rad_s"]
@@ -90,26 +151,38 @@ def _write_loci_csv(path: Path, sweep: LociSweep, markers=()):
         header += [f"branch_{k + 1}_re", f"branch_{k + 1}_im"]
     for i in range(vx.shape[1]):
         header += [f"vertex_{i + 1}_re", f"vertex_{i + 1}_im"]
+    tags = None
     if markers:
         header.append("marker")
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in range(len(s)):
-            omega = s[row].imag
-            cells = [f"{omega:.12g}"]
-            for k in range(br.shape[1]):
-                cells += [f"{br[row, k].real:.12g}", f"{br[row, k].imag:.12g}"]
-            for i in range(vx.shape[1]):
-                cells += [f"{vx[row, i].real:.12g}", f"{vx[row, i].imag:.12g}"]
-            if markers:
-                tag = ""
-                for name, w_mark in markers:
-                    if abs(omega - w_mark) <= 1e-9 * max(1.0, w_mark):
-                        tag = name
-                cells.append(tag)
-            w.writerow(cells)
+        tags = [""] * len(omega)
+        for name, w_mark in markers:
+            for row in np.flatnonzero(np.abs(omega - w_mark) <= 1e-9 * max(1.0, w_mark)):
+                tags[row] = name
+    _write_csv(path, header, [omega, br, vx], ["%.12g"] * (len(header) - bool(markers)),
+               tags)
     click.echo(f"loci: {path}")
+
+
+def _write_traces_csv(path: Path, bus_ids, result):
+    """CSV contract: time_s, f_busB_Hz, tie_busB_MW, actuator injections,
+    omega_avg_Hz, omega_coi_Hz."""
+    act_names = list(result.actuator_mw)
+    header = (
+        ["time_s"]
+        + [f"f_bus{b}_Hz" for b in bus_ids]
+        + [f"tie_bus{b}_MW" for b in bus_ids]
+        + act_names
+        + ["omega_avg_Hz", "omega_coi_Hz"]
+    )
+    columns = [
+        result.time_s,
+        result.frequency_hz.T,
+        result.tie_flow_mw.T,
+        *(result.actuator_mw[nm] for nm in act_names),
+        result.omega_avg_hz,
+        result.omega_coi_hz,
+    ]
+    _write_csv(path, header, columns, ["%.6f"] + ["%.9g"] * (len(header) - 1))
 
 
 def _write_loci_svg(path: Path, sweep: LociSweep, policy=None, markers=()):
@@ -219,7 +292,7 @@ def _marker_list(scn: Scenario):
     return [("pi_over_2tau", math.pi / (2 * t)) for t in taus]
 
 
-@click.group()
+@click.group(cls=_Cli)
 def main():
     """Scalable Nyquist stability analysis for Laplacian-coupled agents."""
 
@@ -230,11 +303,12 @@ def main():
               type=click.Choice(["theorem1", "fov", "decentralized", "lossy"]),
               default="fov", show_default=True)
 @click.option("--contour-kind", type=click.Choice(["full-D", "D_r"]), default=None)
-@click.option("--contour-r", default=None, help="D_r radius [rad/s]; accepts 0.37*2pi")
+@click.option("--contour-r", type=_Omega(), default=None,
+              help="D_r radius [rad/s]; accepts 0.37*2pi")
 @click.option("--contour-R", "contour_R", type=float, default=None)
 @click.option("--density", type=int, default=None, help="samples per decade")
 @click.option("--tau-max", type=float, default=None)
-@click.option("--hyperplane", default=None, help="re,im,nre,nim")
+@click.option("--hyperplane", type=_Hyperplane(), default=None)
 @click.option("--pade-order", type=int, default=3, show_default=True)
 @click.option("--epsilon", type=float, default=0.01, show_default=True,
               help="Laplacian shift for --check lossy")
@@ -247,15 +321,13 @@ def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
     """Run a stability check on a scenario and emit report + loci CSV."""
     try:
         scn = load_scenario(scenario_path)
-        r_override = _parse_omega(contour_r)
-        hp_override = _parse_hyperplane(hyperplane) if hyperplane else None
-        dens = density or scn.contour_density
+        dens = scn.contour_density if density is None else density
         netN = normalize(scn.network)
         agents = list(scn.agents)
 
         per_agent = None
         if check_name == "decentralized":
-            policy = _scenario_policy(scn, r_override, contour_R, tau_max, hp_override)
+            policy = _scenario_policy(scn, contour_r, contour_R, tau_max, hyperplane)
             per_agent = [
                 decentralized_check(a, float(g), policy, density=dens,
                                     pade_order=pade_order)
@@ -281,9 +353,9 @@ def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
             )
         else:
             kind = contour_kind or scn.contour_kind
-            if r_override is not None:
+            if contour_r is not None:
                 kind = "D_r"
-            r = r_override if r_override is not None else scn.contour_r
+            r = contour_r if contour_r is not None else scn.contour_r
             R = contour_R if contour_R is not None else scn.contour_R
             if kind == "full-D":
                 r = 0.0
@@ -333,7 +405,10 @@ def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
 
 @main.command()
 @click.argument("scenario_path", type=str)
-@click.option("--dt", type=float, default=None, help="integration step [s]")
+@click.option("--dt", type=float, default=None,
+              help="time grid step [s]; traces are recorded every "
+                   "record_decimation steps. It is the integration step "
+                   "only with --rate-limiter.")
 @click.option("--t-end", type=float, default=None)
 @click.option("--pade-order", type=int, default=3, show_default=True)
 @click.option("--rate-limiter/--no-rate-limiter", default=False,
@@ -343,7 +418,7 @@ def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
 @click.option("--out-dir", type=str, default="out", show_default=True)
 def simulate(scenario_path, dt, t_end, pade_order, rate_limiter,
              pulse_duration, out_dir):
-    """Integrate the scenario's disturbance and emit traces CSV + summary."""
+    """Simulate the scenario's disturbance and emit traces CSV + summary."""
     out = Path(out_dir)
     try:
         scn = load_scenario(scenario_path)
@@ -377,24 +452,7 @@ def simulate(scenario_path, dt, t_end, pade_order, rate_limiter,
 
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "traces.csv"
-    with csv_path.open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        n = scn.n
-        act_names = list(result.actuator_mw)
-        w.writerow(
-            ["time_s"]
-            + [f"f_bus{b}_Hz" for b in scn.bus_ids]
-            + [f"tie_bus{b}_MW" for b in scn.bus_ids]
-            + act_names
-            + ["omega_avg_Hz", "omega_coi_Hz"]
-        )
-        for k in range(len(result.time_s)):
-            row = [f"{result.time_s[k]:.6f}"]
-            row += [f"{result.frequency_hz[i, k]:.9g}" for i in range(n)]
-            row += [f"{result.tie_flow_mw[i, k]:.9g}" for i in range(n)]
-            row += [f"{result.actuator_mw[nm][k]:.9g}" for nm in act_names]
-            row += [f"{result.omega_avg_hz[k]:.9g}", f"{result.omega_coi_hz[k]:.9g}"]
-            w.writerow(row)
+    _write_traces_csv(csv_path, scn.bus_ids, result)
     summary = {"scenario": scn.name, **result.summary_dict()}
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     click.echo(f"traces: {csv_path}")
@@ -409,7 +467,8 @@ def simulate(scenario_path, dt, t_end, pade_order, rate_limiter,
 @main.command("export-loci")
 @click.argument("scenario_path", type=str)
 @click.option("--contour-kind", type=click.Choice(["full-D", "D_r"]), default=None)
-@click.option("--contour-r", default=None, help="accepts 0.75 or 0.37*2pi")
+@click.option("--contour-r", type=_Omega(), default=None,
+              help="accepts 0.75 or 0.37*2pi")
 @click.option("--contour-R", "contour_R", type=float, default=None)
 @click.option("--density", type=int, default=None)
 @click.option("--pade-order", type=int, default=3, show_default=True)
@@ -424,7 +483,7 @@ def export_loci(scenario_path, contour_kind, contour_r, contour_R, density,
         netN = normalize(scn.network)
         agents = list(scn.agents)
         kind = contour_kind or scn.contour_kind
-        r = _parse_omega(contour_r)
+        r = contour_r
         if r is not None:
             kind = "D_r"
         else:
@@ -433,7 +492,7 @@ def export_loci(scenario_path, contour_kind, contour_r, contour_R, density,
         markers = _marker_list(scn)
         contour = _default_contour(
             netN, agents, kind, 0.0 if kind == "full-D" else r, R,
-            density or scn.contour_density, pade_order,
+            scn.contour_density if density is None else density, pade_order,
             extra=[w for _, w in markers],
         )
         sweep = eigenloci_sweep(netN, agents, contour)

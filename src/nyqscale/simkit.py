@@ -1,7 +1,12 @@
 """Independent time-domain and eigenvalue oracle: finite-dimensional
 state-space realization of the closed-loop network (delays rationalized by
-Pade), fixed-step RK4 simulation, and the average/center-of-inertia
-frequency aggregates.
+Pade), simulation, and the average/center-of-inertia frequency aggregates.
+
+Simulation is exact on the linear path: the disturbances are piecewise
+constant, so a zero-order-hold step built from the Van Loan block
+exponential advances the state from record to record, with the pulse edges
+as extra breakpoints. Fixed-step RK4 remains only for the nonlinear hydro
+rate clamp.
 
 This module deliberately shares no frequency-domain machinery with the
 nyquist checks; agreement between the two routes is what the acceptance
@@ -10,11 +15,13 @@ suite certifies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.linalg import expm
 
 from .errors import (
     DivergenceError,
@@ -467,15 +474,34 @@ def simulate(
     rate_limits_mw_per_s: Mapping[int, float] | None = None,
     record_decimation: int = 1,
 ) -> SimulationResult:
-    """Classical fixed-step RK4 integration of the closed loop.
+    """Simulate the closed loop from ``x0`` (default zero) under ``disturbance``.
 
-    Preconditions: dt <= 0.1/|lambda_max(A)| (explicit stability margin).
-    The optional hydro servo rate limiter clamps the named actuator blocks'
-    state derivatives so the actuator output rate stays within the per-bus
-    MW/s bound; it is off in all oracle comparisons.
+    States are recorded at t = j*dt for every multiple j of
+    ``record_decimation`` and at the last step, j = round(t_end/dt).
+
+    Without a binding rate limit (``rate_limiter`` off, or no hydro bound
+    given) the system is linear and the pulses piecewise constant, so the
+    records are the exact zero-order-hold solution: each step between
+    records, split at the pulse edges, applies x <- Phi x + Gamma d with
+    [[Phi, Gamma], [0, I]] = expm([[A h, B h], [0, 0]]) (Van Loan 1978),
+    computed once per distinct step length h. ``dt`` then only sets the
+    record grid.
+
+    With the hydro servo rate limiter the named actuator blocks' state
+    derivatives are clamped so the actuator output rate stays within the
+    per-bus MW/s bound. That is nonlinear, and classical fixed-step RK4 at
+    ``dt`` integrates it, with the disturbance taken at each step's midpoint.
+    The clamp is off in all oracle comparisons.
+
+    Preconditions on both paths: dt <= 0.1/|lambda_max(A)| (the explicit
+    integrator's stability margin), else IntegratorConfigError. A state that
+    stops being finite raises DivergenceError: on the linear path at the
+    first such record, under the clamp within 200 steps.
     """
-    if t_end <= 0 or dt <= 0:
-        raise InvalidInputError("need positive t_end and dt")
+    if not (0 < t_end < math.inf and 0 < dt < math.inf) or record_decimation < 1:
+        raise InvalidInputError(
+            "need finite positive t_end and dt, and record_decimation >= 1"
+        )
     lam_max = float(np.abs(model.eigenvalues).max())
     if lam_max > 0 and dt > 0.1 / lam_max:
         raise IntegratorConfigError(
@@ -503,44 +529,24 @@ def simulate(
             if bound is not None and blk.name == "hydro":
                 limits.append((blk.state_slice, blk.c_local, float(bound)))
 
-    A, B = model.A, model.B
-
-    def deriv(t: float, x: np.ndarray) -> np.ndarray:
-        dx = A @ x + B @ d_of(t)
-        for sl, c_loc, bound in limits:
-            rate = float(c_loc @ dx[sl])
-            if abs(rate) > bound:
-                dx[sl] *= bound / abs(rate)
-        return dx
-
     steps = int(round(t_end / dt))
     x = np.zeros(model.n_states) if x0 is None else np.asarray(x0, dtype=float).copy()
     if x.shape != (model.n_states,):
         raise InvalidInputError("x0 has wrong dimension")
 
-    rec_t = [0.0]
-    rec_x = [x.copy()]
-    rec_d = [d_of(0.0)]
-    t = 0.0
-    for k in range(steps):
-        k1 = deriv(t, x)
-        k2 = deriv(t + dt / 2, x + dt / 2 * k1)
-        k3 = deriv(t + dt / 2, x + dt / 2 * k2)
-        k4 = deriv(t + dt, x + dt * k3)
-        x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = (k + 1) * dt
-        if (k % 200 == 0 or k == steps - 1) and not np.all(np.isfinite(x)):
-            raise DivergenceError(t)
-        if (k + 1) % record_decimation == 0 or k == steps - 1:
-            rec_t.append(t)
-            rec_x.append(x.copy())
-            rec_d.append(d_of(t))
-    if not np.all(np.isfinite(x)):
-        raise DivergenceError(t)
+    idx = np.arange(0, steps + 1, record_decimation)
+    if idx[-1] != steps:
+        idx = np.append(idx, steps)
+    T = idx * dt
+    if limits:
+        X = _rk4_records(model, x, d_of, limits, dt, idx)
+    else:
+        edges = {p.t_start_s for p in disturbance}
+        edges |= {p.t_end_s for p in disturbance if p.t_end_s is not None}
+        X = _zoh_records(model, x, d_of, dt, T, edges)
 
-    T = np.array(rec_t)
-    X = np.array(rec_x).T  # (n_states, T)
-    Dm = np.array(rec_d).T  # (n, T)
+    X = X.T  # (n_states, T)
+    Dm = np.array([d_of(t) for t in T.tolist()]).T  # (n, T)
     delta = model.delta_rows @ X
     freq = model.omega_rows @ X + model.omega_feedthrough @ Dm
     tie = model.laplacian @ delta
@@ -558,6 +564,76 @@ def simulate(
         omega_avg_hz=avg,
         omega_coi_hz=coi,
     )
+
+
+def _zoh_step(A: np.ndarray, B: np.ndarray, h: float):
+    """(Phi, Gamma) of the exact zero-order-hold step over h."""
+    n_x, n_u = B.shape
+    blk = np.zeros((n_x + n_u, n_x + n_u))
+    blk[:n_x, :n_x] = A * h
+    blk[:n_x, n_x:] = B * h
+    E = expm(blk)
+    return E[:n_x, :n_x].copy(), E[:n_x, n_x:].copy()
+
+
+def _zoh_records(model, x, d_of, dt, T, edges) -> np.ndarray:
+    """States at the record times T, stepped exactly with the pulse edges
+    inside (0, T[-1]) as breakpoints; DivergenceError at the first record
+    that is not finite."""
+    grid = np.union1d(T, [e for e in edges if 0 < e < T[-1]])
+    # in units of dt the step lengths between records differ only in their
+    # last bits, so rounding leaves one expm per distinct length
+    units, which = np.unique(np.round(np.diff(grid) / dt, 9), return_inverse=True)
+    steps = [_zoh_step(model.A, model.B, u * dt) for u in units]
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    is_record = np.isin(grid[1:], T)
+    X = np.empty((len(T), len(x)))
+    X[0] = x
+    r = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, t, rec in zip(which.tolist(), mids.tolist(), is_record.tolist()):
+            phi, gam = steps[k]
+            x = phi @ x + gam @ d_of(t)
+            if rec:
+                X[r] = x
+                r += 1
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        raise DivergenceError(float(T[np.argmax(bad)]))
+    return X
+
+
+def _rk4_records(model, x, d_of, limits, dt, idx) -> np.ndarray:
+    """Classical RK4 with the rate clamp, states at the steps in idx."""
+    A, B = model.A, model.B
+
+    def deriv(x: np.ndarray, bd: np.ndarray) -> np.ndarray:
+        dx = A @ x + bd
+        for sl, c_loc, bound in limits:
+            rate = float(c_loc @ dx[sl])
+            if abs(rate) > bound:
+                dx[sl] *= bound / abs(rate)
+        return dx
+
+    steps = int(idx[-1])
+    record = set(idx.tolist())
+    X = [x.copy()]
+    t = 0.0
+    for k in range(steps):
+        bd = B @ d_of((k + 0.5) * dt)
+        k1 = deriv(x, bd)
+        k2 = deriv(x + dt / 2 * k1, bd)
+        k3 = deriv(x + dt / 2 * k2, bd)
+        k4 = deriv(x + dt * k3, bd)
+        x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = (k + 1) * dt
+        if k % 200 == 0 and not np.all(np.isfinite(x)):
+            raise DivergenceError(t)
+        if k + 1 in record:
+            X.append(x.copy())
+    if not np.all(np.isfinite(x)):
+        raise DivergenceError(t)
+    return np.array(X)
 
 
 def _aggregate(freq: np.ndarray, inertia: np.ndarray):

@@ -112,6 +112,21 @@ def test_winding_point_on_curve_rejected():
         winding_number(curve, -1.0)
 
 
+def test_ray_crossing_oracle_rejects_curve_through_point():
+    # boundary of the upper half disc about -1: out along the real axis
+    # through -1 (no sample on it), back over the arc. Counting crossings
+    # alone would call this +1, though no winding exists.
+    line = np.linspace(-3.0, 1.0, 10) - 0.0j
+    arc = -1.0 + 2.0 * np.exp(1j * np.linspace(0.0, math.pi, 50))
+    curve = np.concatenate([line, arc[1:-1], line[:1]])
+    assert not np.any(curve == -1.0)
+    with pytest.raises(ValueError):
+        ray_crossing_winding(curve, -1.0)
+    with pytest.raises(ValueError):
+        ray_crossing_winding(np.array([1j, -1.0, -1j, 1j]), -1.0)
+    assert ray_crossing_winding(curve, -1.0 + 0.5j) == 1
+
+
 def test_winding_undersampled_rejected():
     # antipodal step: the chord passes through the point, arg jump = pi
     degenerate = np.array([1.0 + 0j, -1.0 + 0j, 1.0 + 0j])
@@ -137,8 +152,11 @@ def test_winding_tolerance_is_local_to_the_point():
         assert winding_number(curve, -1.0) == ray_crossing_winding(curve, -1.0) == 0
         # undamped, the vertex -gamma/(M w^2) runs along the negative real
         # axis through -1 itself: no winding exists
+        undamped = netN.gamma[i] * agents[i].g_value(s)
         with pytest.raises((MarginalStabilityError, UndersampledContourError)):
-            winding_number(netN.gamma[i] * agents[i].g_value(s), -1.0)
+            winding_number(undamped, -1.0)
+        with pytest.raises(ValueError):
+            ray_crossing_winding(undamped, -1.0)
 
 
 def test_winding_integerness_random_loops():

@@ -1,15 +1,20 @@
 """Scenario ingestion, round-trips, CLI exit codes and artifacts."""
 
+import csv
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nyqscale.cli import main
+from nyqscale.cli import _write_loci_csv, _write_traces_csv, main
 from nyqscale.errors import ScenarioError
 from nyqscale.scenario import bundled_scenario_path, load_scenario, loads_scenario
+from nyqscale.simkit import SimulationResult
+
+from util import diverging_scenario_doc
 
 
 @pytest.fixture(scope="module")
@@ -233,3 +238,135 @@ def test_cli_export_loci_empty_agents_exit_3(loads_path, tmp_path):
     runner = CliRunner()
     res = runner.invoke(main, ["export-loci", str(p), "--out-dir", str(tmp_path)])
     assert res.exit_code == 3
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("simulate", "--dt", "abc"),
+        ("simulate", "--dt", "nan"),
+        ("simulate", "--dt", "-1e-3"),
+        ("simulate", "--t-end", "abc"),
+        ("simulate", "--t-end", "inf"),
+        ("simulate", "--t-end", "0"),
+        ("simulate", "--pade-order", "x"),
+        ("simulate", "--pade-order", "0"),
+        ("analyze", "--pade-order", "x"),
+        ("analyze", "--contour-r", "abc"),
+        ("analyze", "--contour-r", "0.5*tau"),
+        ("analyze", "--contour-r", "-1"),
+        ("analyze", "--hyperplane", "1,2,3"),
+        ("analyze", "--hyperplane", "a,b,c,d"),
+        ("analyze", "--hyperplane", "0,0,0,0"),
+        ("analyze", "--density", "abc"),
+        ("analyze", "--density", "0"),
+        ("analyze", "--density", "99"),
+        ("export-loci", "--contour-r", "abc"),
+        ("export-loci", "--density", "0"),
+    ],
+)
+def test_cli_malformed_option_exit_3(wind_path, tmp_path, command, option, value):
+    argv = [command, str(wind_path), option, value, "--out-dir", str(tmp_path)]
+    if command == "simulate":
+        argv += ["--t-end", "1"] if option != "--t-end" else []
+    if option == "--hyperplane":
+        argv += ["--check", "decentralized"]
+    res = CliRunner().invoke(main, argv)
+    assert res.exit_code == 3, res.output
+
+
+def test_cli_unknown_option_and_command_exit_3(wind_path):
+    runner = CliRunner()
+    assert runner.invoke(main, ["analyze", str(wind_path), "--bogus"]).exit_code == 3
+    assert runner.invoke(main, ["bogus"]).exit_code == 3
+
+
+def test_cli_simulate_divergence_exit_4(tmp_path):
+    p = tmp_path / "diverging.json"
+    p.write_text(json.dumps(diverging_scenario_doc()))
+    res = CliRunner().invoke(main, ["simulate", str(p), "--out-dir", str(tmp_path)])
+    assert res.exit_code == 4, res.output
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert 1.0 < summary["diverged_at_s"] < 60.0
+    assert not (tmp_path / "traces.csv").exists()
+
+
+def per_cell_csv(path, header, rows):
+    """The per-cell csv.writer formatting the CSV writers replaced."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow(row)
+
+
+TRICKY = np.array([0.0, -0.0, 1.0 / 3.0, -2.5e-7, 123456789.123, 1e300, -7.0, 4e-320])
+
+
+def test_write_traces_csv_matches_per_cell_formatting(tmp_path):
+    # more rows than the writer formats in one block
+    rng = np.random.default_rng(5)
+    tricky = np.tile(TRICKY, 140)
+    T = len(tricky)
+    freq = np.vstack([tricky, rng.normal(size=T)])
+    tie = np.vstack([rng.normal(scale=1e3, size=T), tricky[::-1]])
+    act = {"p_hydro_bus1": rng.normal(size=T), "p_wind_bus2": tricky * 3}
+    result = SimulationResult(
+        time_s=np.arange(T) * 0.01 + 1e-7, frequency_hz=freq, tie_flow_mw=tie,
+        actuator_mw=act, omega_avg_hz=freq.mean(axis=0), omega_coi_hz=freq[1],
+    )
+    bus_ids = (3, 7)
+    _write_traces_csv(tmp_path / "new.csv", bus_ids, result)
+    names = list(act)
+    header = (["time_s"] + [f"f_bus{b}_Hz" for b in bus_ids]
+              + [f"tie_bus{b}_MW" for b in bus_ids] + names
+              + ["omega_avg_Hz", "omega_coi_Hz"])
+    rows = []
+    for k in range(T):
+        row = [f"{result.time_s[k]:.6f}"]
+        row += [f"{freq[i, k]:.9g}" for i in range(2)]
+        row += [f"{tie[i, k]:.9g}" for i in range(2)]
+        row += [f"{act[nm][k]:.9g}" for nm in names]
+        row += [f"{result.omega_avg_hz[k]:.9g}", f"{result.omega_coi_hz[k]:.9g}"]
+        rows.append(row)
+    per_cell_csv(tmp_path / "old.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_loci_csv_matches_per_cell_formatting(tmp_path):
+    # more rows than the writer formats in one block
+    rng = np.random.default_rng(6)
+    omega = np.concatenate([[0.5, 1.0, math.pi / 0.2, 2.0, 7.5, 10.0, 1e3, 2e3],
+                            np.linspace(20.0, 900.0, 40)])
+    m = len(omega)
+    tricky = np.tile(TRICKY, 6)
+    sweep = SimpleNamespace(
+        s_full=1j * omega,
+        branches_full=(tricky + 1j * tricky[::-1])[:, None]
+        * np.array([1.0, -1.0 + 1j]),
+        vertices_full=rng.normal(size=(m, 3)) + 1j * rng.normal(size=(m, 3)),
+    )
+    markers = [("pi_over_2tau", math.pi / 0.2), ("second", 1e3)]
+    _write_loci_csv(tmp_path / "new.csv", sweep, markers=markers)
+    br, vx = sweep.branches_full, sweep.vertices_full
+    header = ["omega_rad_s"]
+    header += [f"branch_{k + 1}_{part}" for k in range(2) for part in ("re", "im")]
+    header += [f"vertex_{i + 1}_{part}" for i in range(3) for part in ("re", "im")]
+    header.append("marker")
+    rows = []
+    for row in range(m):
+        w = sweep.s_full[row].imag
+        cells = [f"{w:.12g}"]
+        for k in range(2):
+            cells += [f"{br[row, k].real:.12g}", f"{br[row, k].imag:.12g}"]
+        for i in range(3):
+            cells += [f"{vx[row, i].real:.12g}", f"{vx[row, i].imag:.12g}"]
+        tag = ""
+        for name, w_mark in markers:
+            if abs(w - w_mark) <= 1e-9 * max(1.0, w_mark):
+                tag = name
+        rows.append(cells + [tag])
+    per_cell_csv(tmp_path / "old.csv", header, rows)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert new.count(b"pi_over_2tau") == 1 and new.count(b"second") == 1

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from nyqscale.errors import (
+    DivergenceError,
     IntegratorConfigError,
     InvalidInputError,
     RealizationError,
@@ -18,6 +20,7 @@ from nyqscale.powerplant import (
     make_fdes,
     make_hydro_turbine,
 )
+from nyqscale.scenario import bundled_scenario_path, load_scenario, loads_scenario
 from nyqscale.simkit import (
     Pulse,
     compute_aggregates,
@@ -28,6 +31,7 @@ from nyqscale.simkit import (
 
 from util import (
     closed_loop_charpoly,
+    diverging_scenario_doc,
     network_from_laplacian,
     random_connected_laplacian,
     random_stable_proper_tf,
@@ -233,6 +237,88 @@ def test_simulate_pulse_returns_to_nominal():
     )
     assert res.peak_avg_deviation_hz > 0.3
     assert abs(res.omega_avg_hz[-1]) < 0.05
+
+
+def van_loan_gamma(model, tau):
+    """Input-to-state map of a constant input held for tau: the top-right
+    block of expm([[A tau, B tau], [0, 0]])."""
+    n_x, n_u = model.B.shape
+    blk = np.zeros((n_x + n_u, n_x + n_u))
+    blk[:n_x, :n_x] = model.A * tau
+    blk[:n_x, n_x:] = model.B * tau
+    return expm(blk)[:n_x, n_x:]
+
+
+@pytest.mark.parametrize(
+    "name, pulses",
+    [
+        ("n5_hydro_loads", None),
+        ("n5_hydro_wind", None),
+        # edges between records, one inside a 1 ms step
+        ("n5_hydro_loads", (Pulse(1, -1400.0, 0.5037, 3.21115), Pulse(3, 500.0, 2.0))),
+    ],
+    ids=["loads", "wind", "loads-edges-between-records"],
+)
+def test_simulate_linear_path_matches_van_loan_reference(name, pulses):
+    # reference by superposition from t = 0 at each checked record, so it
+    # shares no stepping with simulate: x(t) = sum over pulse edges of
+    # +-amplitude * Gamma(t - edge) e_bus
+    scn = load_scenario(bundled_scenario_path(name))
+    model = realize_state_space(scn.network, list(scn.agents))
+    pulses = scn.disturbance if pulses is None else pulses
+    dt, dec = scn.dt_s, scn.record_decimation
+    res = simulate(model, list(pulses), t_end=scn.t_end_s, dt=dt,
+                   record_decimation=dec)
+    steps = int(round(scn.t_end_s / dt))
+    want_t = [0.0] + [(k + 1) * dt for k in range(steps)
+                      if (k + 1) % dec == 0 or k == steps - 1]
+    assert res.time_s.tolist() == want_t
+    n = model.n_buses
+    for k in [*range(0, len(want_t), 97), len(want_t) - 1]:
+        t = want_t[k]
+        x = np.zeros(model.n_states)
+        d = np.zeros(n)
+        for p in pulses:
+            for edge, sign in ((p.t_start_s, 1.0), (p.t_end_s, -1.0)):
+                if edge is not None and t > edge:
+                    x += sign * p.amplitude_mw * van_loan_gamma(model, t - edge)[:, p.bus]
+            if t >= p.t_start_s and (p.t_end_s is None or t < p.t_end_s):
+                d[p.bus] += p.amplitude_mw
+        freq = model.omega_rows @ x + model.omega_feedthrough @ d
+        tie = model.laplacian @ (model.delta_rows @ x)
+        assert np.abs(res.frequency_hz[:, k] - freq).max() <= 1e-9
+        assert np.abs(res.tie_flow_mw[:, k] - tie).max() <= 1e-6
+
+
+def test_simulate_rk4_path_matches_zoh_when_clamp_never_binds():
+    # bounds far above any reachable rate: the RK4 path runs but never
+    # clamps, and pulse edges on the dt grid are seen by all four stages
+    model = n5_model(include_loads=True)
+    pulses = [Pulse(bus=1, amplitude_mw=-1400.0, t_start_s=0.5, t_end_s=5.5)]
+    zoh = simulate(model, pulses, t_end=8.0, dt=1e-3, record_decimation=20)
+    rk4 = simulate(model, pulses, t_end=8.0, dt=1e-3, record_decimation=20,
+                   rate_limiter=True,
+                   rate_limits_mw_per_s={0: 1e12, 1: 1e12, 2: 1e12})
+    assert np.array_equal(zoh.time_s, rk4.time_s)
+    assert np.abs(zoh.frequency_hz - rk4.frequency_hz).max() <= 1e-8
+
+
+def test_simulate_divergence_raises_at_first_nonfinite_record():
+    scn = loads_scenario(diverging_scenario_doc())
+    model = realize_state_space(scn.network, list(scn.agents))
+    assert model.eigenvalues.real.max() > 40
+    with pytest.raises(DivergenceError) as err:
+        simulate(model, list(scn.disturbance), t_end=scn.t_end_s, dt=scn.dt_s,
+                 record_decimation=scn.record_decimation)
+    t = err.value.t
+    assert 1.0 < t < scn.t_end_s
+    # up to the record before, the state is still finite (the outputs of
+    # such a state may overflow)
+    prev = t - scn.dt_s * scn.record_decimation
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = simulate(model, list(scn.disturbance), t_end=prev, dt=scn.dt_s,
+                       record_decimation=scn.record_decimation)
+    assert res.time_s[-1] == pytest.approx(prev)
 
 
 def test_simulate_dt_gate():

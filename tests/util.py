@@ -7,6 +7,7 @@ from numpy.polynomial import polynomial as npp
 
 from nyqscale.lti import TransferFunction
 from nyqscale.network import PowerNetwork
+from nyqscale.scenario import bundled_scenario_path, load_scenario
 
 
 def random_connected_laplacian(rng, n: int) -> np.ndarray:
@@ -83,10 +84,18 @@ def _perm_sign(perm) -> float:
 def ray_crossing_winding(curve, point) -> int:
     """Independent winding oracle: signed count of crossings of the
     rightward horizontal ray from ``point`` (anticlockwise positive).
-    The curve must not start on the ray."""
-    z = np.asarray(curve, dtype=complex)
-    x = z.real - np.real(point)
-    y = z.imag - np.imag(point)
+    The curve must not start on the ray. Raises ValueError when a sample
+    or a segment of the curve hits the point: the winding is undefined."""
+    z = np.asarray(curve, dtype=complex) - point
+    a, d = z[:-1], np.diff(z)
+    d2 = np.abs(d) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(-(np.conj(a) * d).real / d2, 0.0, 1.0)
+    gap = min(np.abs(z).min(), np.abs(a + np.where(d2 > 0, t, 0.0) * d).min(initial=np.inf))
+    if gap <= 1e-12 * max(1.0, abs(point)):
+        raise ValueError(f"curve passes within {gap:.3g} of the point")
+    x = z.real
+    y = z.imag
     crossings = 0
     for k in range(len(z) - 1):
         ya, yb = y[k], y[k + 1]
@@ -100,3 +109,14 @@ def ray_crossing_winding(curve, point) -> int:
 
 def network_from_laplacian(L) -> PowerNetwork:
     return PowerNetwork.from_laplacian(np.asarray(L, dtype=float))
+
+
+def diverging_scenario_doc():
+    """n5_hydro_d0 with 1e4 x the FCR design gain. The hydro actuators'
+    negative high-frequency gain then gives a real RHP mode near +49 1/s,
+    which overflows within the 60 s run, while |lambda_max| ~ 53 keeps
+    dt = 1 ms inside the integrator gate."""
+    doc = load_scenario(bundled_scenario_path("n5_hydro_d0")).to_json_dict()
+    doc["name"] = "n5_fcr_gain_1e4"
+    doc["agents"]["fcr_design_k_MW_per_Hz"] *= 1e4
+    return doc
