@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import DivergenceError, NyqscaleError
 from .network import normalize
+# default_outer_radius and make_contour are unused here but stay module
+# attributes: perfbench/spans.py wraps cli's copies of them by name
 from .nyquist import (
     DecentralizedPolicy,
     LociSweep,
@@ -45,6 +47,9 @@ _VERDICT_EXIT = {
     "unstable": EXIT_UNSTABLE,
     "inconclusive": EXIT_INCONCLUSIVE,
 }
+
+# decentralized_check diagnostics copied into each report.json per_agent entry
+_AGENT_DIAGNOSTICS = ("min_hyperplane_margin", "pi_over_2tau", "vertex_axis_crossings")
 
 
 class _Omega(click.ParamType):
@@ -346,10 +351,9 @@ def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
                 diagnostics={"check": "decentralized",
                              "per_agent": [v.result for v in per_agent]},
             )
-            contour = make_contour(
-                "D_r", policy.r,
-                policy.R or default_outer_radius(agents, netN.gamma, pade_order),
-                density=dens,
+            contour = _default_contour(
+                netN, agents, "D_r", policy.r, policy.R, dens, pade_order,
+                extra=[w for _, w in _marker_list(scn)],
             )
         else:
             kind = contour_kind or scn.contour_kind
@@ -392,7 +396,8 @@ def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
         }
         if per_agent is not None:
             payload["per_agent"] = [
-                {"bus": scn.bus_ids[i], **v.to_json_dict()}
+                {"bus": scn.bus_ids[i], **v.to_json_dict(),
+                 **{key: v.diagnostics.get(key) for key in _AGENT_DIAGNOSTICS}}
                 for i, v in enumerate(per_agent)
             ]
         _write_report(out, payload)

@@ -14,7 +14,12 @@ The eigenloci taken together encircle -1 as often as the scalar curve
 det(I + Q(s)) = prod_k (1 + lambda_k(s)) encircles 0, so the theorem-1 and
 lossy windings, and the sweep's refinement, use the summed argument of the
 per-sample eigenvalues in solver order. Eigenvalues are matched into
-continuous branches only for export and plots.
+continuous branches only for export and plots: every consecutive pair of
+samples is matched at once by its row-wise nearest neighbours, and only
+where those are not a strict permutation does the greedy/Hungarian
+assignment run, so the branches equal a sample-by-sample matching exactly.
+The vertex's real-axis crossings are refined by vectorised Illinois regula
+falsi, one vertex evaluation per iteration for all brackets.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     BoundaryAmbiguityError,
@@ -63,6 +67,12 @@ CLOSURE_LOCI_BOUND = 1e-3
 REFINE_JUMP = math.pi / 2
 MAX_REFINE_LEVELS = 12
 DEGENERATE_LOCI = 1e-12
+# bytes of each block of k x k distance matrices in the batched matching
+_MATCH_BLOCK_BYTES = 1 << 22
+# vertex_axis_crossings stops a bracket at width <= XTOL + RTOL * omega
+CROSSING_XTOL = 1e-12
+CROSSING_RTOL = 1e-12
+CROSSING_MAX_ITER = 100
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +349,43 @@ def _match_indices(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
     return assign
 
 
+def _match_branches(eigs: np.ndarray) -> np.ndarray:
+    """Rows of ``eigs`` reordered into continuous branches: row i is
+    matched to the already matched row i-1 by ``_match_indices``.
+
+    Where the nearest neighbours of the raw row i-1 in row i form a
+    permutation and every row minimum of the distances is strict, greedy
+    matching returns that permutation without reaching its fallback, and
+    it does so for any reordering of row i-1; such transitions are found
+    for all samples at once and only composed along the contour. The other
+    transitions call ``_match_indices`` on the matched row itself, so the
+    result equals the sample-by-sample matching exactly.
+    """
+    m, k = eigs.shape
+    if k <= 1:
+        return eigs.copy()
+    nearest = np.zeros((m, k), dtype=np.intp)
+    strict = np.zeros(m, dtype=bool)
+    rows = max(1, _MATCH_BLOCK_BYTES // (16 * k * k))
+    for lo in range(1, m, rows):
+        hi = min(lo + rows, m)
+        D = np.abs(eigs[lo - 1:hi - 1, :, None] - eigs[lo:hi, None, :])
+        a = D.argmin(axis=2)
+        d_min = np.take_along_axis(D, a[:, :, None], axis=2)
+        unique_min = ((D <= d_min).sum(axis=2) == 1).all(axis=1)
+        is_perm = (np.sort(a, axis=1) == np.arange(k)).all(axis=1)
+        nearest[lo:hi] = a
+        strict[lo:hi] = unique_min & is_perm
+    order = np.empty((m, k), dtype=np.intp)
+    order[0] = np.arange(k)
+    for i in range(1, m):
+        if strict[i]:
+            order[i] = nearest[i][order[i - 1]]
+        else:
+            order[i] = _match_indices(eigs[i - 1][order[i - 1]], eigs[i])
+    return np.take_along_axis(eigs, order, axis=1)
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
@@ -353,8 +400,12 @@ class LociSweep:
     in solver order; windings come from their summed argument, which needs
     no branch identity. ``branches_upper`` matches them into continuous
     curves (a bijection between consecutive samples) on first use, for
-    export and plots only. ``flagged`` lists the samples whose determinant
-    argument step still reaches pi/2 when refinement stops.
+    export and plots only: the nearest-neighbour assignments of all
+    consecutive samples are taken in one batched pass, and the greedy /
+    Hungarian ``_match_indices`` runs only where those are not a strict
+    permutation, so the result is the sample-by-sample matching exactly.
+    ``flagged`` lists the samples whose determinant argument step still
+    reaches pi/2 when refinement stops.
     """
 
     contour: Contour
@@ -376,10 +427,7 @@ class LociSweep:
 
     @cached_property
     def branches_upper(self) -> np.ndarray:
-        matched = self.eigs_upper.copy()
-        for i in range(1, matched.shape[0]):
-            matched[i] = matched[i][_match_indices(matched[i - 1], matched[i])]
-        return matched
+        return _match_branches(self.eigs_upper)
 
     @property
     def branches_full(self) -> np.ndarray:
@@ -801,7 +849,7 @@ def _hull_ray_min_x(points: np.ndarray) -> float:
     """Leftmost abscissa where the convex hull of the points meets the real
     axis (+inf when it does not). Exact segment/axis intersections over all
     opposite-side pairs; the extremes are attained on hull edges, which are
-    a subset of those pairs."""
+    a subset of those pairs, all taken in one outer product."""
     re, im = points.real, points.imag
     tol = 1e-12 * (1.0 + float(np.abs(points).max()))
     best = math.inf
@@ -811,11 +859,11 @@ def _hull_ray_min_x(points: np.ndarray) -> float:
     up = im > tol
     dn = im < -tol
     if up.any() and dn.any():
-        for i in np.where(up)[0]:
-            for j in np.where(dn)[0]:
-                t = im[i] / (im[i] - im[j])
-                x = re[i] + t * (re[j] - re[i])
-                best = min(best, float(x))
+        re_i, im_i = re[up][:, None], im[up][:, None]
+        re_j, im_j = re[dn][None, :], im[dn][None, :]
+        t = im_i / (im_i - im_j)
+        x = re_i + t * (re_j - re_i)
+        best = min(best, float(x.min()))
     return best
 
 
@@ -1068,22 +1116,42 @@ def vertex_axis_crossings(
     density: int = 400,
 ) -> list[dict]:
     """Real-axis crossings of the vertex gamma*g(jw) for w in [lo, hi]:
-    sign changes of Im on a log grid, refined by root bracketing on the
-    exact evaluator. Returns [{omega_rad_s, re}] sorted by frequency."""
+    sign changes of Im on a log grid, refined on the exact evaluator by
+    Illinois regula falsi, vectorised over all brackets (one evaluation per
+    iteration), until each bracket is at most 1e-12 + 1e-12*w wide. A
+    bracket whose ends do not have opposite signs (a NaN end) is skipped;
+    one with a zero end resolves to that end. Returns [{omega_rad_s, re}] sorted by
+    frequency."""
 
     g = agent.g_value if isinstance(agent, Agent) else agent
 
-    def im_vertex(w: float) -> float:
-        return float(np.imag(gamma * g(1j * w)))
+    def im_vertex(w: np.ndarray) -> np.ndarray:
+        return np.imag(gamma * g(1j * w))
 
     grid = np.geomspace(omega_lo, omega_hi, max(64, int(density * math.log10(omega_hi / omega_lo))))
-    vals = np.imag(gamma * g(1j * grid))
-    out = []
-    for i in np.where(np.diff(np.signbit(vals)))[0]:
-        try:
-            w_star = brentq(im_vertex, grid[i], grid[i + 1], xtol=1e-12, rtol=1e-12)
-        except ValueError:
-            continue
-        val = g(1j * w_star)
-        out.append({"omega_rad_s": float(w_star), "re": float(np.real(gamma * val))})
-    return out
+    vals = im_vertex(grid)
+    i = np.flatnonzero(np.diff(np.signbit(vals)))
+    a, b = grid[i], grid[i + 1]
+    fa, fb = vals[i], vals[i + 1]
+    keep = fa * fb <= 0
+    a, b, fa, fb = a[keep], b[keep], fa[keep], fb[keep]
+    active = np.flatnonzero((fa != 0) & (fb != 0))
+    b[fa == 0] = a[fa == 0]
+    # b is each bracket's latest estimate, a its other end
+    for _ in range(CROSSING_MAX_ITER):
+        if not active.size:
+            break
+        xa, xb, ya, yb = a[active], b[active], fa[active], fb[active]
+        c = xb - yb * (xb - xa) / (yb - ya)
+        fc = im_vertex(c)
+        flip = fc * yb < 0
+        # Illinois: the end that stays gets its value halved
+        a[active] = np.where(flip, xb, xa)
+        fa[active] = np.where(flip, yb, 0.5 * ya)
+        b[active], fb[active] = c, fc
+        done = (fc == 0) | (np.abs(c - a[active]) <= CROSSING_XTOL + CROSSING_RTOL * c)
+        active = active[~done]
+    if not b.size:
+        return []
+    re = np.real(gamma * g(1j * b))
+    return [{"omega_rad_s": float(w), "re": float(x)} for w, x in zip(b, re)]

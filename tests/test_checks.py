@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from nyqscale.errors import InvalidInputError
 from nyqscale.lti import TransferFunction, poly_roots
@@ -11,6 +12,7 @@ from nyqscale.network import normalize
 from nyqscale.nyquist import (
     DecentralizedPolicy,
     decentralized_check,
+    default_outer_radius,
     fov_check,
     lossy_exponential_check,
     make_contour,
@@ -312,6 +314,41 @@ def test_decentralized_wind_delay_crossing_at_pi_over_2tau():
     w0 = crossings[0]["omega_rad_s"]
     assert abs(w0 - math.pi / (2 * tau)) / (math.pi / (2 * tau)) < 1e-9
     assert crossings[0]["re"] > -1.0  # crosses right of -1 for this gamma
+
+
+def _brentq_crossings(agent, gamma, omega_lo, omega_hi, density=400):
+    """Reference: one scalar brentq per sign change of Im on the same grid."""
+    def im_vertex(w):
+        return float(np.imag(gamma * agent.g_value(1j * w)))
+
+    grid = np.geomspace(omega_lo, omega_hi,
+                        max(64, int(density * math.log10(omega_hi / omega_lo))))
+    vals = np.imag(gamma * agent.g_value(1j * grid))
+    out = []
+    for i in np.flatnonzero(np.diff(np.signbit(vals))):
+        try:
+            out.append(brentq(im_vertex, grid[i], grid[i + 1], xtol=1e-12, rtol=1e-12))
+        except ValueError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("name", ["n5_hydro_loads", "n5_hydro_wind", "n5_hydro_d0"])
+def test_vertex_axis_crossings_match_brentq_on_bundled_agents(name):
+    scn = load_scenario(bundled_scenario_path(name))
+    netN = normalize(scn.network)
+    total = 0
+    for agent, gamma in zip(scn.agents, netN.gamma):
+        R = max(default_outer_radius([agent], [gamma]), 75.0, 4.0 * math.pi / 0.2)
+        got = vertex_axis_crossings(agent, float(gamma), 0.75, R)
+        ref = _brentq_crossings(agent, float(gamma), 0.75, R)
+        assert len(got) == len(ref)
+        for c, w in zip(got, ref):
+            assert abs(c["omega_rad_s"] - w) <= 1e-10 * w
+            assert c["re"] == pytest.approx(float(np.real(gamma * agent.g_value(1j * w))),
+                                            rel=1e-8, abs=1e-12)
+        total += len(ref)
+    assert total == {"n5_hydro_loads": 4, "n5_hydro_wind": 502, "n5_hydro_d0": 0}[name]
 
 
 def test_decentralized_unstable_pole_inside_region_fails():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nyqscale import nyquist
 from nyqscale.errors import (
     ContourError,
     InvalidInputError,
@@ -14,6 +15,7 @@ from nyqscale.errors import (
 from nyqscale.lti import TransferFunction
 from nyqscale.network import normalize
 from nyqscale.nyquist import (
+    _hull_ray_min_x,
     eigenloci_sweep,
     make_contour,
     winding_number,
@@ -22,7 +24,12 @@ from nyqscale.nyquist import (
 from nyqscale.powerplant import assemble_agent
 from nyqscale.scenario import bundled_scenario_path, load_scenario
 
-from util import network_from_laplacian, ray_crossing_winding
+from util import (
+    hull_ray_min_x_loops,
+    network_from_laplacian,
+    ray_crossing_winding,
+    sequential_branches,
+)
 
 TF = TransferFunction.from_coeffs
 
@@ -265,3 +272,102 @@ def _in_hull(point, verts, tol=1e-7):
         if (p * d.conjugate()).real > support + tol * scale:
             return False
     return True
+
+
+# ------------------------------------------------- branch matching, hull
+BUNDLED = ("n5_hydro_loads", "n5_hydro_wind", "n5_hydro_d0")
+
+
+@pytest.fixture(scope="module")
+def bundled_sweeps():
+    """Interarea sweeps of the bundled scenarios on their own contour and
+    on the full D-contour."""
+    sweeps = {}
+    for name in BUNDLED:
+        scn = load_scenario(bundled_scenario_path(name))
+        netN = normalize(scn.network)
+        agents = list(scn.agents)
+        for kind in (scn.contour_kind, "full-D"):
+            r = 0.0 if kind == "full-D" else scn.contour_r
+            contour = _default_contour(netN, agents, kind, r, scn.contour_R,
+                                       scn.contour_density, 3)
+            sweeps[name, kind] = eigenloci_sweep(netN, agents, contour)
+    return sweeps
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+    original = nyquist._match_indices
+
+    def counted(prev, cur):
+        calls.append(1)
+        return original(prev, cur)
+
+    monkeypatch.setattr(nyquist, "_match_indices", counted)
+    return calls
+
+
+def test_branches_equal_sequential_matching_bundled(bundled_sweeps):
+    assert {kind for _, kind in bundled_sweeps} == {"D_r", "full-D"}
+    for key, sweep in bundled_sweeps.items():
+        ref = sequential_branches(sweep.eigs_upper)
+        assert np.array_equal(sweep.branches_upper, ref), key
+
+
+def test_branches_equal_sequential_matching_ring16(monkeypatch):
+    # a 16-bus ring of the n5_hydro_d0 agents: its loop eigenvalues come in
+    # near-degenerate pairs, which the nearest-neighbour pass cannot match
+    scn = load_scenario(bundled_scenario_path("n5_hydro_d0"))
+    n = 16
+    L = np.zeros((n, n))
+    for i in range(n):
+        j = (i + 1) % n
+        L[[i, j], [j, i]] -= 1e4
+        L[[i, j], [i, j]] += 1e4
+    netN = normalize(network_from_laplacian(L))
+    agents = [scn.agents[i % 5] for i in range(n)]
+    contour = _default_contour(netN, agents, "D_r", 0.75, None, 100, 3)
+    sweep = eigenloci_sweep(netN, agents, contour)
+    ref = sequential_branches(sweep.eigs_upper)
+    calls = _count_fallbacks(monkeypatch)
+    assert np.array_equal(sweep.branches_upper, ref)
+    assert len(calls) > len(sweep.s_upper) // 2
+
+
+def test_branches_equal_sequential_matching_near_tie(monkeypatch):
+    # two branches crossing 1e-9 apart, in a shuffled solver order, with
+    # rows of exact ties (equal eigenvalues, equidistant neighbours)
+    rng = np.random.default_rng(11)
+    t = np.linspace(-1.0, 1.0, 41)
+    eigs = np.stack([t + 1e-9j, -t - 1e-9j, 3.0 + 0.1 * t, 3.0 - 0.1 * t], axis=1)
+    eigs[5] = [0.5, 0.5, 3.0, 3.0]
+    eigs[6] = [0.0, 1.0, 2.9, 3.1]
+    for row in eigs:
+        rng.shuffle(row)
+    ref = sequential_branches(eigs)
+    calls = _count_fallbacks(monkeypatch)
+    got = nyquist._match_branches(eigs)
+    assert np.array_equal(got, ref)
+    assert 0 < len(calls) < len(eigs) - 1
+    # eigenvalues on an integer lattice: distances tie across and within rows
+    rng = np.random.default_rng(40)
+    lattice = (rng.integers(-2, 3, (6, 5)) + 1j * rng.integers(-2, 3, (6, 5))).astype(complex)
+    assert np.array_equal(nyquist._match_branches(lattice), sequential_branches(lattice))
+
+
+def test_hull_ray_min_x_equals_double_loop():
+    rng = np.random.default_rng(3)
+    for trial in range(200):
+        k = int(rng.integers(1, 12))
+        pts = rng.normal(size=k) + 1j * rng.normal(size=k)
+        if trial % 3 == 0:
+            pts[rng.integers(k)] = rng.normal()  # a point on the axis
+        if trial % 5 == 0:
+            pts.imag = np.abs(pts.imag)  # all on one side
+        assert _hull_ray_min_x(pts) == hull_ray_min_x_loops(pts)
+
+
+def test_hull_ray_min_x_equals_double_loop_on_bundled_sweeps(bundled_sweeps):
+    for key, sweep in bundled_sweeps.items():
+        for verts in sweep.vertices_upper:
+            assert _hull_ray_min_x(verts) == hull_ray_min_x_loops(verts), key

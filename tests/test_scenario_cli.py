@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +19,8 @@ from nyqscale.scenario import bundled_scenario_path, load_scenario, loads_scenar
 from nyqscale.simkit import SimulationResult
 
 from util import diverging_scenario_doc
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(scope="module")
@@ -138,11 +144,32 @@ def test_cli_analyze_decentralized_wind_stable_exit_0(wind_path, tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["result"] == "stable"
     assert len(report["per_agent"]) == 5
-    # loci CSV honors the column contract
-    header = (tmp_path / "loci.csv").read_text().splitlines()[0].split(",")
+    # each agent's decentralized diagnostics are in the report
+    for entry in report["per_agent"]:
+        assert entry["pi_over_2tau"] == pytest.approx(math.pi / 0.2, rel=1e-12)
+        assert entry["min_hyperplane_margin"] > 0.0
+        for c in entry["vertex_axis_crossings"]:
+            assert set(c) == {"omega_rad_s", "re"}
+    wind_bus = report["per_agent"][0]["vertex_axis_crossings"]
+    assert wind_bus and wind_bus[0]["omega_rad_s"] > 0.75
+    # loci CSV honors the column contract, with the pi/(2 tau) marker row
+    rows = (tmp_path / "loci.csv").read_text().splitlines()
+    header = rows[0].split(",")
     assert header[0] == "omega_rad_s"
     assert "branch_1_re" in header and "vertex_5_im" in header
     assert header[-1] == "marker"
+    marked = [r for r in rows[1:] if r.endswith("pi_over_2tau")]
+    assert len(marked) == 1, "no marker row at pi/(2 tau)"
+    assert float(marked[0].split(",")[0]) == pytest.approx(math.pi / 0.2, rel=1e-9)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    code = ("import sys, nyqscale.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert res.returncode == 0
 
 
 def test_cli_analyze_fov_paper_radius_passes(loads_path, tmp_path):

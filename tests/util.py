@@ -1,12 +1,14 @@
 """Shared generators and independent oracles for the test suite."""
 
 import itertools
+import math
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from nyqscale.lti import TransferFunction
 from nyqscale.network import PowerNetwork
+from nyqscale.nyquist import _match_indices
 from nyqscale.scenario import bundled_scenario_path, load_scenario
 
 
@@ -105,6 +107,37 @@ def ray_crossing_winding(curve, point) -> int:
             if xc > 0:
                 crossings += 1 if yb > ya else -1
     return crossings
+
+
+def sequential_branches(eigs) -> np.ndarray:
+    """Reference branch matching: each sample's eigenvalues reordered by
+    ``_match_indices`` against the previous, already matched, sample."""
+    matched = np.array(eigs, dtype=complex)
+    for i in range(1, matched.shape[0]):
+        matched[i] = matched[i][_match_indices(matched[i - 1], matched[i])]
+    return matched
+
+
+def hull_ray_min_x_loops(points) -> float:
+    """Reference for the leftmost real-axis crossing of the points' convex
+    hull: the same per-pair arithmetic in a double loop over the
+    (above-axis, below-axis) pairs."""
+    points = np.asarray(points, dtype=complex)
+    re, im = points.real, points.imag
+    tol = 1e-12 * (1.0 + float(np.abs(points).max()))
+    best = math.inf
+    on_axis = np.abs(im) <= tol
+    if on_axis.any():
+        best = float(re[on_axis].min())
+    up = im > tol
+    dn = im < -tol
+    if up.any() and dn.any():
+        for i in np.where(up)[0]:
+            for j in np.where(dn)[0]:
+                t = im[i] / (im[i] - im[j])
+                x = re[i] + t * (re[j] - re[i])
+                best = min(best, float(x))
+    return best
 
 
 def network_from_laplacian(L) -> PowerNetwork:
