@@ -17,15 +17,12 @@ from .lti import (
 )
 from .network import (
     Line,
-    ModalSystem,
     NormalizedNetwork,
     OperatingPoint,
     PowerNetwork,
     average_model,
     build_laplacian,
     kron_reduce,
-    modal_decomposition,
-    modal_siso_tf,
     normalize,
 )
 from .nyquist import (

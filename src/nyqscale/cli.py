@@ -297,6 +297,18 @@ def _marker_list(scn: Scenario):
     return [("pi_over_2tau", math.pi / (2 * t)) for t in taus]
 
 
+def _resolve_contour(scn, netN, agents, kind, r, R, density, pade_order, markers):
+    """The contour of a command's options: an explicit ``r`` means D_r,
+    unset options fall back to the scenario, and full-D means r = 0."""
+    if r is not None:
+        kind = "D_r"
+    kind = kind or scn.contour_kind
+    r = scn.contour_r if r is None else r
+    R = scn.contour_R if R is None else R
+    return _default_contour(netN, agents, kind, 0.0 if kind == "full-D" else r, R,
+                            density, pade_order, extra=[w for _, w in markers])
+
+
 @click.group(cls=_Cli)
 def main():
     """Scalable Nyquist stability analysis for Laplacian-coupled agents."""
@@ -329,6 +341,7 @@ def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
         dens = scn.contour_density if density is None else density
         netN = normalize(scn.network)
         agents = list(scn.agents)
+        markers = _marker_list(scn)
 
         per_agent = None
         if check_name == "decentralized":
@@ -351,22 +364,12 @@ def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
                 diagnostics={"check": "decentralized",
                              "per_agent": [v.result for v in per_agent]},
             )
-            contour = _default_contour(
-                netN, agents, "D_r", policy.r, policy.R, dens, pade_order,
-                extra=[w for _, w in _marker_list(scn)],
-            )
+            contour = _resolve_contour(scn, netN, agents, "D_r", policy.r,
+                                       policy.R, dens, pade_order, markers)
         else:
-            kind = contour_kind or scn.contour_kind
-            if contour_r is not None:
-                kind = "D_r"
-            r = contour_r if contour_r is not None else scn.contour_r
-            R = contour_R if contour_R is not None else scn.contour_R
-            if kind == "full-D":
-                r = 0.0
-            contour = _default_contour(
-                netN, agents, kind, r, R, dens, pade_order,
-                extra=[w for _, w in _marker_list(scn)],
-            )
+            contour = _resolve_contour(scn, netN, agents, contour_kind,
+                                       contour_r, contour_R, dens, pade_order,
+                                       markers)
             if check_name == "theorem1":
                 verdict = theorem1_check(netN, agents, contour,
                                          pade_order=pade_order)
@@ -381,7 +384,7 @@ def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
         sweep = verdict.sweep or eigenloci_sweep(netN, agents, contour)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_loci_csv(out / "loci.csv", sweep, markers=_marker_list(scn))
+        _write_loci_csv(out / "loci.csv", sweep, markers=markers)
         payload = {
             "scenario": scn.name,
             "check": check_name,
@@ -487,18 +490,11 @@ def export_loci(scenario_path, contour_kind, contour_r, contour_R, density,
             raise NyqscaleError("scenario has no agents")
         netN = normalize(scn.network)
         agents = list(scn.agents)
-        kind = contour_kind or scn.contour_kind
-        r = contour_r
-        if r is not None:
-            kind = "D_r"
-        else:
-            r = scn.contour_r
-        R = contour_R if contour_R is not None else scn.contour_R
         markers = _marker_list(scn)
-        contour = _default_contour(
-            netN, agents, kind, 0.0 if kind == "full-D" else r, R,
+        contour = _resolve_contour(
+            scn, netN, agents, contour_kind, contour_r, contour_R,
             scn.contour_density if density is None else density, pade_order,
-            extra=[w for _, w in markers],
+            markers,
         )
         sweep = eigenloci_sweep(netN, agents, contour)
         out = Path(out_dir)

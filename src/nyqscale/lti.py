@@ -120,10 +120,6 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         return Polynomial(npp.polyder(self.as_array()))
 
-    def shifted(self, k: int) -> "Polynomial":
-        """Multiply by s**k."""
-        return Polynomial((0.0,) * k + self.coefficients)
-
     def residual_scale(self, s) -> np.ndarray:
         """sum_k |c_k| max(1,|s|)^k -- the natural evaluation scale at s."""
         mags = np.maximum(1.0, np.abs(np.asarray(s)))
@@ -215,10 +211,6 @@ class TransferFunction:
     @property
     def is_strictly_proper(self) -> bool:
         return self.num.is_zero or self.num.degree < self.den.degree
-
-    @property
-    def is_rational(self) -> bool:
-        return self.delay_s == 0.0
 
     @cached_property
     def poles(self) -> tuple[complex, ...]:

@@ -1,5 +1,5 @@
 """Coupling-Laplacian construction, Kron reduction, normalization, and the
-modal machinery.
+average (centre-of-inertia) frequency model.
 
 The Laplacian stored on :class:`PowerNetwork` is expressed in the package's
 dynamic unit system (power MW, frequency Hz, angle Hz*s), in which the
@@ -13,7 +13,7 @@ Everything here is immutable after construction and pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,19 +25,16 @@ from .errors import (
     NormalizationError,
     ReductionError,
 )
-from .lti import Polynomial, TransferFunction, as_polynomial
+from .lti import Polynomial, TransferFunction
 
 __all__ = [
     "Line",
     "OperatingPoint",
     "PowerNetwork",
     "NormalizedNetwork",
-    "ModalSystem",
     "build_laplacian",
     "kron_reduce",
     "normalize",
-    "modal_decomposition",
-    "modal_siso_tf",
     "average_model",
 ]
 
@@ -314,104 +311,6 @@ def normalize(net: PowerNetwork) -> NormalizedNetwork:
         U=U,
         notes=tuple(notes),
     )
-
-
-# --------------------------------------------------------------------------
-# modal machinery
-# --------------------------------------------------------------------------
-
-
-def _tf_of(agent) -> tuple[float, TransferFunction, TransferFunction, float]:
-    """(M, F, R, D) view of an agent-like object; F must be rational here."""
-    from .powerplant import Agent  # local import to avoid a cycle
-
-    if isinstance(agent, Agent):
-        return (
-            agent.inertia,
-            agent.freq_actuator_rational(),
-            agent.angle_actuator,
-            agent.load_damping,
-        )
-    raise InvalidInputError(f"expected an Agent, got {type(agent).__name__}")
-
-
-@dataclass(frozen=True)
-class ModalSystem:
-    """Eigen-decomposition of the raw Laplacian plus per-mode aggregated
-    swing quantities M_li = v_i^T M v_i, F_li(s), R_li(s).
-
-    ``eigenvalues`` are those of L itself (not the normalized L'); the first
-    eigenvector is 1/sqrt(n). For heterogeneous agents the per-mode SISO
-    view only approximately relates to interarea-mode stability, which is
-    why the scalable criteria exist.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    modal_inertia: np.ndarray
-    modal_freq_actuators: tuple[TransferFunction, ...]
-    modal_angle_actuators: tuple[TransferFunction, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.eigenvalues)
-
-
-def modal_decomposition(net: PowerNetwork, agents: Sequence) -> ModalSystem:
-    """Build the modal view from the raw Laplacian and per-bus agents
-    (load damping folded into the frequency actuators)."""
-    if len(agents) != net.n:
-        raise InvalidInputError("agent count must match bus count")
-    lam, V = np.linalg.eigh(net.laplacian)
-    order = np.argsort(lam)
-    lam, V = lam[order], V[:, order]
-    ones = np.full(net.n, 1.0 / np.sqrt(net.n))
-    if V[:, 0] @ ones < 0:
-        V = V.copy()
-        V[:, 0] = -V[:, 0]
-    parts = [_tf_of(a) for a in agents]
-    Ms = np.array([p[0] for p in parts])
-    modal_M = np.array([V[:, i] @ (Ms * V[:, i]) for i in range(net.n)])
-    modal_F, modal_R = [], []
-    for i in range(net.n):
-        w = V[:, i] ** 2
-        F_sum: TransferFunction | None = None
-        R_sum: TransferFunction | None = None
-        for wj, (_, Fj, Rj, Dj) in zip(w, parts):
-            zf = wj * (Fj + TransferFunction.constant(Dj))
-            F_sum = zf if F_sum is None else F_sum + zf
-            zr = wj * Rj
-            R_sum = zr if R_sum is None else R_sum + zr
-        modal_F.append(F_sum)
-        modal_R.append(R_sum)
-    return ModalSystem(
-        eigenvalues=lam,
-        eigenvectors=V,
-        modal_inertia=modal_M,
-        modal_freq_actuators=tuple(modal_F),
-        modal_angle_actuators=tuple(modal_R),
-    )
-
-
-def modal_siso_tf(modal: ModalSystem, i: int) -> TransferFunction:
-    """Closed-loop transfer function of network mode i:
-    1/(s^2 M_li + s F_li(s) + R_li(s) + lambda_i) = h_i/(1 + lambda_i h_i).
-
-    Exact for homogeneous/proportional agent sets; for heterogeneous agents
-    this only approximately relates to interarea-mode stability.
-    """
-    if not 0 <= i < modal.n:
-        raise InvalidInputError("mode index out of range")
-    M = float(modal.modal_inertia[i])
-    F = modal.modal_freq_actuators[i]
-    R = modal.modal_angle_actuators[i]
-    lam = float(modal.eigenvalues[i])
-    dF, nF = F.den, F.num
-    dR, nR = R.den, R.num
-    s2M_lam = Polynomial([lam, 0.0, M])
-    den = s2M_lam * dF * dR + Polynomial([0.0, 1.0]) * nF * dR + nR * dF
-    num = dF * dR
-    return TransferFunction(num, den)
 
 
 def average_model(agents: Sequence, pade_order: int | None = None) -> TransferFunction:

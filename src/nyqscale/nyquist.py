@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .errors import (
     PoleHitError,
     UndersampledContourError,
 )
-from .lti import TransferFunction, _classify_poles, rhp_poles_in_region
+from .lti import TransferFunction, jw_axis_poles, rhp_poles_in_region
 from .network import NormalizedNetwork
 from .powerplant import Agent
 
@@ -242,19 +242,16 @@ def default_outer_radius(agents: Sequence, gammas: Sequence[float] | None = None
     grown until every vertex magnitude |gamma_i g_i(R)| falls below 1e-4
     (so the closure arc cannot contribute winding)."""
     moduli = [1.0]
-    gs = []
     for a in agents:
-        g = a.g_rational(pade_order) if isinstance(a, Agent) else a
-        gs.append((a, g))
+        g = _agent_rational(a, pade_order)
         moduli.extend(abs(p) for p in g.poles)
         moduli.extend(abs(z) for z in g.zeros)
     R = 100.0 * max(moduli)
-    gam = list(gammas) if gammas is not None else [1.0] * len(gs)
+    gam = list(gammas) if gammas is not None else [1.0] * len(agents)
     for _ in range(60):
         worst = 0.0
-        for (a, g), gi in zip(gs, gam):
-            val = a.g_value(complex(R)) if isinstance(a, Agent) else g(complex(R))
-            worst = max(worst, abs(gi * val))
+        for a, gi in zip(agents, gam):
+            worst = max(worst, abs(gi * a(complex(R))))
         if worst < 1e-4:
             return R
         R *= 2.0
@@ -415,10 +412,6 @@ class LociSweep:
     flagged: tuple[int, ...] = ()
 
     @property
-    def n_agents(self) -> int:
-        return self.vertices_upper.shape[1]
-
-    @property
     def s_full(self) -> np.ndarray:
         return self._mirror(self.s_upper)
 
@@ -459,17 +452,9 @@ class LociSweep:
         )
 
 
-def _vertex_evaluator(agents: Sequence, gamma: np.ndarray) -> Callable:
-    def evaluate(s: np.ndarray) -> np.ndarray:
-        cols = []
-        for a, g in zip(agents, gamma):
-            if isinstance(a, Agent):
-                cols.append(g * a.g_value(s))
-            else:
-                cols.append(g * a(s))
-        return np.stack(cols, axis=1)
-
-    return evaluate
+def _vertices(agents: Sequence, gamma: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Vertex values gamma_i g_i(s), one column per agent."""
+    return np.stack([g * a(s) for a, g in zip(agents, gamma)], axis=1)
 
 
 def eigenloci_sweep(
@@ -495,7 +480,6 @@ def eigenloci_sweep(
         raise InvalidInputError("agent count must match network size")
     if mode not in ("interarea", "full"):
         raise InvalidInputError(f"unknown sweep mode: {mode!r}")
-    vertex_of = _vertex_evaluator(agents, netN.gamma)
     if mode == "interarea":
         U = netN.U_hat
         weights = netN.mu_hat
@@ -505,7 +489,7 @@ def eigenloci_sweep(
 
     def evaluate(points: np.ndarray):
         try:
-            verts = vertex_of(points)
+            verts = _vertices(agents, netN.gamma, points)
         except PoleHitError as exc:
             raise ContourError(
                 f"loop evaluation hit a pole at s = {exc.s}; re-route the "
@@ -626,15 +610,15 @@ def _jsonable(v):
 
 
 def _agent_rational(a, pade_order: int) -> TransferFunction:
+    """The rational form whose poles and zeros are counted: an Agent's
+    (memoised) Pade form, or a TransferFunction agent itself."""
     return a.g_rational(pade_order) if isinstance(a, Agent) else a
 
 
 def _agent_axis_poles(agents, pade_order: int) -> list[float]:
     omegas: list[float] = []
     for a in agents:
-        g = _agent_rational(a, pade_order)
-        _, axis = _classify_poles(g.poles)
-        omegas.extend(abs(p.imag) for p in axis)
+        omegas.extend(abs(p.imag) for p in jw_axis_poles(_agent_rational(a, pade_order)))
     return sorted(set(w for w in omegas if w > 0))
 
 
@@ -1056,9 +1040,8 @@ def decentralized_check(
     roles = np.array(contour.node_roles())
     keep = roles != "closure"
     pts = contour.upper_points()[keep]
-    evaluate = _vertex_evaluator([agent], np.array([gamma_bound]))
     try:
-        v = evaluate(pts)[:, 0]
+        v = gamma_bound * agent(pts)
     except PoleHitError as exc:
         raise ContourError(
             f"vertex evaluation hit a pole at s = {exc.s}; adjust the policy r"
@@ -1075,10 +1058,9 @@ def decentralized_check(
             )
         )
 
-    axis_mask = keep.copy()
-    axis_mask[keep] = roles[keep] == "axis"
-    omega = contour.upper_points()[axis_mask].imag
-    v_axis = evaluate(contour.upper_points()[axis_mask])[:, 0]
+    on_axis = roles[keep] == "axis"
+    omega = pts[on_axis].imag
+    v_axis = v[on_axis]
     fast = omega > math.pi / (2 * policy.tau_max)
     side = policy.side(v_axis[fast])
     if side.size and side.min() <= 0.0:
@@ -1123,10 +1105,8 @@ def vertex_axis_crossings(
     one with a zero end resolves to that end. Returns [{omega_rad_s, re}] sorted by
     frequency."""
 
-    g = agent.g_value if isinstance(agent, Agent) else agent
-
     def im_vertex(w: np.ndarray) -> np.ndarray:
-        return np.imag(gamma * g(1j * w))
+        return np.imag(gamma * agent(1j * w))
 
     grid = np.geomspace(omega_lo, omega_hi, max(64, int(density * math.log10(omega_hi / omega_lo))))
     vals = im_vertex(grid)
@@ -1153,5 +1133,5 @@ def vertex_axis_crossings(
         active = active[~done]
     if not b.size:
         return []
-    re = np.real(gamma * g(1j * b))
+    re = np.real(gamma * agent(1j * b))
     return [{"omega_rad_s": float(w), "re": float(x)} for w, x in zip(b, re)]

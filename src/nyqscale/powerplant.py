@@ -9,7 +9,7 @@ as M = 2*W_GWs*1000/50). Angle signals are in Hz*s; see the README.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -241,9 +241,12 @@ class Agent:
         g_i(s) = 1 / (s^2 M + s*(sum F_k(s) + D) + R(s)).
 
     Frequency-actuator parts are kept as separate transfer functions so a
-    delayed branch coexists exactly with delay-free ones; frequency-domain
-    evaluation uses the exact exponentials, while ``g_rational`` substitutes
-    diagonal Pade approximants for realization and pole gates.
+    delayed branch coexists exactly with delay-free ones. An agent is
+    callable like a :class:`TransferFunction`: ``agent(s)`` is the exact
+    ``g_value(s)``, delays through their exponentials. ``g_rational``
+    substitutes diagonal Pade approximants for realization and pole gates;
+    it is built once per agent and Pade order (once in all for a delay-free
+    agent), so its poles and zeros are rooted once.
     """
 
     inertia: float
@@ -252,6 +255,8 @@ class Agent:
     angle_actuator: TransferFunction = _ZERO_TF
     f_part_names: tuple[str, ...] = ()
     bus: int | None = None
+    # g_rational's memo: Pade order (None without delay) -> TransferFunction
+    _rational: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.inertia < 0 or self.load_damping < 0:
@@ -295,6 +300,9 @@ class Agent:
         return total
 
     # -- the agent transfer function -----------------------------------------
+    def __call__(self, s):
+        return self.g_value(s)
+
     def g_value(self, s):
         """Exact evaluation of g(s); vectorized over s. Delays enter through
         the exact exponential."""
@@ -322,8 +330,13 @@ class Agent:
 
     def g_rational(self, pade_order: int | None = 3) -> TransferFunction:
         """g as a single rational function (delays Pade-rationalized at the
-        given order). Exact whenever the agent carries no delay."""
-        F = self.freq_actuator_rational(pade_order if self.has_delay else None)
+        given order). Exact whenever the agent carries no delay. The same
+        object is returned for the same order (for any order when there is
+        no delay)."""
+        key = pade_order if self.has_delay else None
+        if key in self._rational:
+            return self._rational[key]
+        F = self.freq_actuator_rational(key)
         if self.load_damping:
             F = tf_combine("parallel", F, TransferFunction.constant(self.load_damping))
         nF, dF = F.num, F.den
@@ -332,7 +345,8 @@ class Agent:
         num = dF * dR
         if den.is_zero:
             raise AssemblyError("agent has no dynamics (algebraic node)")
-        return TransferFunction(num, den)
+        g = self._rational[key] = TransferFunction(num, den)
+        return g
 
 
 def assemble_agent(

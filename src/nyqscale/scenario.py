@@ -204,12 +204,6 @@ class Scenario:
     def n(self) -> int:
         return self.network.n
 
-    def bus_index(self, bus_id: int) -> int:
-        try:
-            return self.bus_ids.index(bus_id)
-        except ValueError:
-            raise ScenarioError([f"unknown bus id {bus_id}"]) from None
-
     def to_json_dict(self) -> dict:
         return json.loads(json.dumps(self.raw))
 

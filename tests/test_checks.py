@@ -192,6 +192,45 @@ def test_theorem1_bundled_full_d_matches_oracle(name, expected):
     assert v.sweep is not None and v.sweep.eigs_upper.shape[1] == netN.n - 1
 
 
+@pytest.mark.parametrize("name", ["n5_hydro_wind", "n5_hydro_d0"])
+def test_default_contour_and_checks_root_each_agent_once(name, monkeypatch):
+    import nyqscale.lti as lti
+
+    scn, netN, agents = _n5(name)
+    calls = []
+    roots = lti.poly_roots
+    monkeypatch.setattr(lti, "poly_roots", lambda p: calls.append(p) or roots(p))
+    kind = scn.contour_kind
+    r = 0.0 if kind == "full-D" else scn.contour_r
+    contour = _default_contour(netN, agents, kind, r, None, scn.contour_density, 3)
+    theorem1_check(netN, agents, contour)
+    fov_check(netN, agents, contour)
+    # one denominator and one numerator per agent
+    assert 0 < len(calls) <= 2 * len(agents)
+
+
+def test_checks_agree_on_agents_and_their_rational_forms():
+    # delay-free agents: g_rational() is g itself, so the TransferFunction
+    # route through every check must give the same accounting
+    _, netN, agents = _n5("n5_hydro_loads")
+    assert not any(a.has_delay for a in agents)
+    tfs = [a.g_rational() for a in agents]
+    c_agents = _default_contour(netN, agents, "D_r", 0.75, None, 200, 3)
+    c_tfs = _default_contour(netN, tfs, "D_r", 0.75, None, 200, 3)
+    assert c_tfs == c_agents
+    checks = [
+        lambda ags: theorem1_check(netN, ags, c_agents),
+        lambda ags: fov_check(netN, ags, c_agents),
+        lambda ags: lossy_exponential_check(netN, ags, 0.01, c_agents),
+    ]
+    for check in checks:
+        va, vt = check(agents), check(tfs)
+        assert (va.result, va.winding_count, va.n_required) == (
+            vt.result, vt.winding_count, vt.n_required)
+    assert fov_check(netN, tfs, c_agents).diagnostics["worst_hull_axis_x"] == pytest.approx(
+        fov_check(netN, agents, c_agents).diagnostics["worst_hull_axis_x"], rel=1e-9)
+
+
 def test_lossy_d0_full_d_matches_oracle():
     scn, netN, agents = _n5("n5_hydro_d0")
     v = lossy_exponential_check(netN, agents, 0.01)

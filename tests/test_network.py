@@ -1,4 +1,4 @@
-"""Laplacian building, Kron reduction, normalization, modal machinery."""
+"""Laplacian building, Kron reduction, normalization, average model."""
 
 import math
 
@@ -14,8 +14,6 @@ from nyqscale.network import (
     average_model,
     build_laplacian,
     kron_reduce,
-    modal_decomposition,
-    modal_siso_tf,
     normalize,
 )
 from nyqscale.powerplant import assemble_agent
@@ -140,57 +138,6 @@ def test_normalize_denormalize_roundtrip():
 def test_normalize_zero_diagonal_rejected():
     with pytest.raises((NormalizationError, InvalidInputError)):
         normalize(PowerNetwork.from_laplacian(np.zeros((2, 2))))
-
-
-# ---------------------------------------------------------------- modal
-def test_modal_siso_undamped():
-    # M=1, F=0, R=0, lambda=1 -> 1/(s^2+1)
-    agents = [
-        assemble_agent(1.0),
-        assemble_agent(1.0),
-    ]
-    net = PowerNetwork.from_laplacian([[0.5, -0.5], [-0.5, 0.5]])
-    modal = modal_decomposition(net, agents)
-    assert modal.eigenvalues[0] == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(np.abs(modal.eigenvectors[:, 0]), 1 / np.sqrt(2))
-    g2 = modal_siso_tf(modal, 1)
-    assert np.allclose(g2.den.as_array(), [1.0, 0.0, 1.0])
-
-
-def test_modal_average_mode_reduces_to_h1():
-    agents = [
-        assemble_agent(2.0, [TF([1.0], [1.0, 1.0])]),  # 1/(s+1)
-        assemble_agent(3.0, [TF([2.0], [2.0, 1.0])]),  # 2/(s+2)
-    ]
-    net = PowerNetwork.from_laplacian([[1.0, -1.0], [-1.0, 1.0]])
-    modal = modal_decomposition(net, agents)
-    g1 = modal_siso_tf(modal, 0)
-    # lambda_1 = 0: denominator constant term comes only from F terms
-    M_avg = 0.5 * (2.0 + 3.0)
-    s = 0.3j
-    F_avg = 0.5 * (1.0 / (1 + s) + 2.0 / (2 + s))
-    want = 1.0 / (s**2 * M_avg + s * F_avg)
-    assert g1(s) == pytest.approx(want, rel=1e-12)
-
-
-def test_modal_homogeneous_two_bus_routh():
-    # homogeneous g = 1/(s(s+1)): mode-2 characteristic s^2 + s + lambda_2
-    agents = [
-        assemble_agent(1.0, [TF([1.0], [1.0])]),
-        assemble_agent(1.0, [TF([1.0], [1.0])]),
-    ]
-    for lam2 in (0.5, 1.0, 3.0):
-        # eigenvalues of [[a,-a],[-a,a]] are {0, 2a}; pick a = lam2/2
-        net = PowerNetwork.from_laplacian(
-            np.array([[lam2, -lam2], [-lam2, lam2]]) / 2.0
-        )
-        modal = modal_decomposition(net, agents)
-        g2 = modal_siso_tf(modal, 1)
-        den = g2.den.as_array()
-        den = den / den[-1]
-        assert np.allclose(den, [lam2, 1.0, 1.0])
-        # Routh: all coefficients positive -> stable for every lambda_2 > 0
-        assert np.all(den > 0)
 
 
 # ---------------------------------------------------------------- averages

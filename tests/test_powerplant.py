@@ -8,6 +8,7 @@ import pytest
 from nyqscale.errors import (
     AssemblyError,
     InvalidInputError,
+    PoleHitError,
     UnstableTurbineModelError,
 )
 from nyqscale.lti import TransferFunction, rhp_poles_in_region
@@ -197,6 +198,31 @@ def test_agent_exact_vs_rational_no_delay():
     s = np.array([0.3j, 2j, 1.0 + 0.5j])
     g = a.g_rational()
     assert np.allclose(a.g_value(s), g(s), rtol=1e-12)
+
+
+def test_agent_rational_form_is_built_once():
+    h = make_wind_turbine(WindParams(10.0))
+    delayed = assemble_agent(1360.0, [make_ffr_controller(0.6, 1000.0, 0.1, h)])
+    assert delayed.g_rational(3) is delayed.g_rational(3)
+    assert delayed.g_rational(5) is not delayed.g_rational(3)
+    assert delayed.g_rational(5).den.degree == delayed.g_rational(3).den.degree + 2
+    plain = assemble_agent(1.0, [TF([1.0], [1.0, 1.0])], load_damping_mw_per_hz=0.5)
+    assert plain.g_rational(3) is plain.g_rational(5) is plain.g_rational()
+    assert plain.g_rational(3).poles is plain.g_rational(5).poles
+
+
+def test_agent_call_is_exact_g_value():
+    h = make_wind_turbine(WindParams(10.0))
+    a = assemble_agent(1360.0, [make_ffr_controller(0.6, 1000.0, 0.1, h)],
+                       load_damping_mw_per_hz=150.0)
+    s = np.array([0.3j, 2j, 1.0 + 0.5j])
+    np.testing.assert_array_equal(a(s), a.g_value(s))
+    assert isinstance(a(2j), complex) and a(2j) == a.g_value(2j)
+    inertia = assemble_agent(1.0)  # 1/s^2
+    with pytest.raises(PoleHitError):
+        inertia(0.0)
+    with pytest.raises(PoleHitError):
+        inertia(np.array([1j, 0.0]))
 
 
 def test_agent_delay_exact_evaluation():
