@@ -420,7 +420,9 @@ def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
 @click.option("--t-end", type=float, default=None)
 @click.option("--pade-order", type=int, default=3, show_default=True)
 @click.option("--rate-limiter/--no-rate-limiter", default=False,
-              help="apply the hydro servo +-0.1 pu/s clamp (demo only)")
+              help="clamp each hydro servo's power rate to its scenario "
+                   "bound: rate_limit_pu_s (default 0.1) x P_gen_MW, in MW/s "
+                   "(demo only)")
 @click.option("--pulse-duration", type=float, default=None,
               help="override disturbance duration [s]")
 @click.option("--out-dir", type=str, default="out", show_default=True)

@@ -321,7 +321,8 @@ def average_model(agents: Sequence, pade_order: int | None = None) -> TransferFu
 
     Delayed actuator parts are only representable after rationalization;
     pass ``pade_order`` to allow that (frequency sweeps elsewhere always use
-    the exact exponential).
+    the exact exponential). Without it a delayed part raises
+    InvalidInputError.
     """
     from .powerplant import Agent
 
@@ -332,6 +333,8 @@ def average_model(agents: Sequence, pade_order: int | None = None) -> TransferFu
     for a in agents:
         if not isinstance(a, Agent):
             raise InvalidInputError(f"expected an Agent, got {type(a).__name__}")
+        if pade_order is None and a.has_delay:
+            raise InvalidInputError("a delayed agent is rational only at a pade_order")
         M_total += a.inertia
         terms = [a.freq_actuator_rational(pade_order)]
         if a.load_damping:

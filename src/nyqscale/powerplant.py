@@ -332,8 +332,12 @@ class Agent:
         """g as a single rational function (delays Pade-rationalized at the
         given order). Exact whenever the agent carries no delay. The same
         object is returned for the same order (for any order when there is
-        no delay)."""
-        key = pade_order if self.has_delay else None
+        no delay). A delayed agent needs an order: ``None`` raises
+        InvalidInputError."""
+        delayed = self.has_delay
+        if delayed and pade_order is None:
+            raise InvalidInputError("a delayed agent is rational only at a pade_order")
+        key = pade_order if delayed else None
         if key in self._rational:
             return self._rational[key]
         F = self.freq_actuator_rational(key)

@@ -16,7 +16,12 @@ from nyqscale.network import (
     kron_reduce,
     normalize,
 )
-from nyqscale.powerplant import assemble_agent
+from nyqscale.powerplant import (
+    WindParams,
+    assemble_agent,
+    make_ffr_controller,
+    make_wind_turbine,
+)
 
 TF = TransferFunction.from_coeffs
 
@@ -145,6 +150,14 @@ def test_average_model_single_integrator():
     g = average_model([assemble_agent(1.0)])
     assert np.allclose(g.num.as_array(), [1.0])
     assert np.allclose(g.den.as_array(), [0.0, 1.0])
+
+
+def test_average_model_delayed_agent_needs_pade_order():
+    h = make_wind_turbine(WindParams(10.0))
+    delayed = assemble_agent(1360.0, [make_ffr_controller(0.6, 1000.0, 0.1, h)])
+    with pytest.raises(InvalidInputError):
+        average_model([delayed])
+    assert average_model([delayed], pade_order=3).delay_s == 0.0
 
 
 def test_average_model_n5_totals():

@@ -211,6 +211,15 @@ def test_agent_rational_form_is_built_once():
     assert plain.g_rational(3).poles is plain.g_rational(5).poles
 
 
+def test_agent_rational_form_of_a_delayed_agent_needs_an_order():
+    h = make_wind_turbine(WindParams(10.0))
+    delayed = assemble_agent(1360.0, [make_ffr_controller(0.6, 1000.0, 0.1, h)])
+    with pytest.raises(InvalidInputError):
+        delayed.g_rational(None)
+    plain = assemble_agent(1.0, [TF([1.0], [1.0, 1.0])], load_damping_mw_per_hz=0.5)
+    assert plain.g_rational(None) is plain.g_rational(3)
+
+
 def test_agent_call_is_exact_g_value():
     h = make_wind_turbine(WindParams(10.0))
     a = assemble_agent(1360.0, [make_ffr_controller(0.6, 1000.0, 0.1, h)],

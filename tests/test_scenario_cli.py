@@ -234,6 +234,30 @@ def test_cli_simulate_zero_disturbance_flat(loads_path, tmp_path):
     assert summary["peak_deviation_hz"] == 0.0
 
 
+def test_cli_simulate_rate_limiter_holds_hydro_rates_at_bound(loads_path, tmp_path):
+    doc = load_scenario(loads_path).to_json_dict()
+    bounds = {}
+    for bus in doc["agents"]["buses"]:
+        if "hydro" in bus:
+            bus["hydro"]["rate_limit_pu_s"] = 0.01
+            bounds[f"p_hydro_bus{bus['bus']}"] = 0.01 * bus["hydro"]["P_gen_MW"]
+    p = tmp_path / "clamped.json"
+    p.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    res = CliRunner().invoke(
+        main, ["simulate", str(p), "--rate-limiter", "--out-dir", str(out)])
+    assert res.exit_code == 0, res.output
+    assert (out / "summary.json").is_file()
+    with (out / "traces.csv").open() as fh:
+        header = next(csv.reader(fh))
+    data = np.loadtxt(out / "traces.csv", delimiter=",", skiprows=1)
+    assert sorted(c for c in header if c.startswith("p_hydro_bus")) == sorted(bounds)
+    for name, bound in bounds.items():
+        col = data[:, header.index(name)]
+        peak = float(np.abs(np.diff(col) / np.diff(data[:, 0])).max())
+        assert bound * (1 - 1e-3) <= peak <= bound * (1 + 1e-3), name
+
+
 def test_cli_export_loci_marker_present(wind_path, tmp_path):
     runner = CliRunner()
     res = runner.invoke(

@@ -21,6 +21,7 @@ from nyqscale.powerplant import (
     make_hydro_turbine,
 )
 from nyqscale.scenario import bundled_scenario_path, load_scenario, loads_scenario
+from nyqscale import simkit
 from nyqscale.simkit import (
     Pulse,
     compute_aggregates,
@@ -35,6 +36,7 @@ from util import (
     network_from_laplacian,
     random_connected_laplacian,
     random_stable_proper_tf,
+    rk4_clamped_reference,
 )
 
 TF = TransferFunction.from_coeffs
@@ -346,6 +348,92 @@ def test_simulate_rate_limiter_slows_hydro():
     rate = np.abs(np.diff(limited.actuator_mw[name])) / dt
     assert rate.max() <= 0.1 * 9000.0 * 1.05
     assert np.abs(free.actuator_mw[name]).max() >= np.abs(limited.actuator_mw[name]).max() - 1e-9
+
+
+def clamped_reference(model, pulses, t_end, dt, rate_limits, record_decimation):
+    """simulate(..., rate_limiter=True) stepped by rk4_clamped_reference:
+    the same record grid, limits, midpoint disturbance and output rows."""
+    n = model.n_buses
+
+    def d_of(t):
+        d = np.zeros(n)
+        for p in pulses:
+            if t >= p.t_start_s and (p.t_end_s is None or t < p.t_end_s):
+                d[p.bus] += p.amplitude_mw
+        return d
+
+    limits = [(blk.state_slice, blk.c_local, float(rate_limits[blk.bus]))
+              for blk in model.actuator_blocks
+              if blk.name == "hydro" and blk.bus in rate_limits]
+    steps = int(round(t_end / dt))
+    idx = np.arange(0, steps + 1, record_decimation)
+    if idx[-1] != steps:
+        idx = np.append(idx, steps)
+    T = idx * dt
+    X = rk4_clamped_reference(model, np.zeros(model.n_states), d_of, limits, dt, idx).T
+    Dm = np.array([d_of(t) for t in T.tolist()]).T
+    freq = model.omega_rows @ X + model.omega_feedthrough @ Dm
+    tie = model.laplacian @ (model.delta_rows @ X)
+    act = {name: row @ X + feed @ Dm for name, row, feed in
+           zip(model.output_names[2 * n:], model.C[2 * n:], model.D[2 * n:])}
+    return T, freq, tie, act
+
+
+def clamped_n5_case():
+    # n5_hydro_loads at 0.01 pu/s: the clamp binds from about 2.5 s and
+    # releases for good by about 20.8 s
+    doc = load_scenario(bundled_scenario_path("n5_hydro_loads")).to_json_dict()
+    for bus in doc["agents"]["buses"]:
+        if "hydro" in bus:
+            bus["hydro"]["rate_limit_pu_s"] = 0.01
+    scn = loads_scenario(doc)
+    model = realize_state_space(scn.network, list(scn.agents))
+    return (model, list(scn.disturbance), 21.0, scn.dt_s,
+            scn.hydro_rate_limits_mw_per_s, scn.record_decimation)
+
+
+def tight_bound_case():
+    pulses = [Pulse(bus=1, amplitude_mw=-1400.0, t_start_s=0.5, t_end_s=5.5)]
+    return n5_model(include_loads=True), pulses, 8.0, 1e-3, {0: 0.01 * 9000.0}, 20
+
+
+def off_grid_pulses_case():
+    # edges between dt grid points and away from any 200-step block edge
+    pulses = [Pulse(bus=1, amplitude_mw=-1400.0, t_start_s=0.5004, t_end_s=3.2503),
+              Pulse(bus=3, amplitude_mw=600.0, t_start_s=1.7771)]
+    limits = {0: 0.02 * 9000.0, 1: 0.1 * 6000.0, 2: 0.005 * 2000.0}
+    return n5_model(include_loads=True), pulses, 6.0, 1e-3, limits, 7
+
+
+CLAMPED_CASES = [
+    pytest.param(clamped_n5_case, id="n5-loads-0.01pu"),
+    pytest.param(tight_bound_case, id="tight-bound"),
+    pytest.param(off_grid_pulses_case, id="off-grid-pulses"),
+]
+
+
+def assert_matches_clamped_reference(case):
+    model, pulses, t_end, dt, limits, dec = case
+    res = simulate(model, pulses, t_end=t_end, dt=dt, rate_limiter=True,
+                   rate_limits_mw_per_s=limits, record_decimation=dec)
+    T, freq, tie, act = clamped_reference(model, pulses, t_end, dt, limits, dec)
+    assert np.array_equal(res.time_s, T)
+    assert np.abs(res.frequency_hz - freq).max() <= 1e-9
+    assert np.abs(res.tie_flow_mw - tie).max() <= 1e-6
+    assert res.actuator_mw.keys() == act.keys()
+    for name, trace in act.items():
+        assert np.abs(res.actuator_mw[name] - trace).max() <= 1e-6, name
+
+
+@pytest.mark.parametrize("make_case", CLAMPED_CASES)
+def test_simulate_rate_limiter_matches_stepwise_rk4(make_case):
+    assert_matches_clamped_reference(make_case())
+
+
+def test_simulate_rate_limiter_blocks_capped_by_stack_size(monkeypatch):
+    # a stack budget below one step's rows leaves blocks of a single step
+    monkeypatch.setattr(simkit, "_STACK_DOUBLES", 1)
+    assert_matches_clamped_reference(off_grid_pulses_case())
 
 
 def test_energy_sanity_passive_agents():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
+from nyqscale.errors import DivergenceError
 from nyqscale.lti import TransferFunction
 from nyqscale.network import PowerNetwork
 from nyqscale.nyquist import _match_indices
@@ -153,3 +154,39 @@ def diverging_scenario_doc():
     doc["name"] = "n5_fcr_gain_1e4"
     doc["agents"]["fcr_design_k_MW_per_Hz"] *= 1e4
     return doc
+
+
+def rk4_clamped_reference(model, x, d_of, limits, dt, idx) -> np.ndarray:
+    """Reference for the rate-clamped simulation: classical RK4 stepped one
+    step at a time, with the clamp tested per stage and per limit; states
+    at the steps in idx. ``d_of(t)`` is the disturbance vector at time t,
+    and ``limits`` holds (state slice, c_local, bound) per clamped block."""
+    A, B = model.A, model.B
+
+    def deriv(x: np.ndarray, bd: np.ndarray) -> np.ndarray:
+        dx = A @ x + bd
+        for sl, c_loc, bound in limits:
+            rate = float(c_loc @ dx[sl])
+            if abs(rate) > bound:
+                dx[sl] *= bound / abs(rate)
+        return dx
+
+    steps = int(idx[-1])
+    record = set(idx.tolist())
+    X = [x.copy()]
+    t = 0.0
+    for k in range(steps):
+        bd = B @ d_of((k + 0.5) * dt)
+        k1 = deriv(x, bd)
+        k2 = deriv(x + dt / 2 * k1, bd)
+        k3 = deriv(x + dt / 2 * k2, bd)
+        k4 = deriv(x + dt * k3, bd)
+        x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = (k + 1) * dt
+        if k % 200 == 0 and not np.all(np.isfinite(x)):
+            raise DivergenceError(t)
+        if k + 1 in record:
+            X.append(x.copy())
+    if not np.all(np.isfinite(x)):
+        raise DivergenceError(t)
+    return np.array(X)
