@@ -147,24 +147,63 @@ def _write_csv(path: Path, header, columns, formats, tags=None):
 
 
 def _write_loci_csv(path: Path, sweep: LociSweep, markers=()):
-    """CSV contract: omega_rad_s, branch_k_re/im, vertex_i_re/im [, marker]."""
-    omega = sweep.s_full.imag
-    br = sweep.branches_full
-    vx = sweep.vertices_full
+    """CSV contract: omega_rad_s, branch_k_re/im, vertex_i_re/im [, marker],
+    one row per sample of the closed contour: the upper chain, then its
+    conjugate mirror in reverse order.
+
+    Only the upper rows are formatted, a block at a time. A mirrored row is
+    the text of its upper row with the sign of the omega cell and of every
+    _im cell toggled, since %.12g of -x is "-" + %.12g of x (+-0 included).
+    A row with a non-finite cell is formatted from its mirrored values
+    instead, because nan carries no sign. Marker tags are matched over the
+    full omega column."""
+    omega, br, vx = sweep.s_upper.imag, sweep.branches_upper, sweep.vertices_upper
+    m = len(omega)
     header = ["omega_rad_s"]
     for k in range(br.shape[1]):
         header += [f"branch_{k + 1}_re", f"branch_{k + 1}_im"]
     for i in range(vx.shape[1]):
         header += [f"vertex_{i + 1}_re", f"vertex_{i + 1}_im"]
-    tags = None
+    ends = ["\r\n"] * (2 * m - 1)
     if markers:
         header.append("marker")
-        tags = [""] * len(omega)
+        omega_full = np.concatenate([omega, -omega[-2::-1]])
+        tags = [""] * len(omega_full)
         for name, w_mark in markers:
-            for row in np.flatnonzero(np.abs(omega - w_mark) <= 1e-9 * max(1.0, w_mark)):
+            for row in np.flatnonzero(np.abs(omega_full - w_mark) <= 1e-9 * max(1.0, w_mark)):
                 tags[row] = name
-    _write_csv(path, header, [omega, br, vx], ["%.12g"] * (len(header) - bool(markers)),
-               tags)
+        ends = [f",{tag}\r\n" for tag in tags]
+    # "\0" marks the cells whose sign a mirrored row toggles
+    pairs = br.shape[1] + vx.shape[1]
+    marked = "\0%.12g" + ",%.12g,\0%.12g" * pairs
+    plain = marked.replace("\0", "")
+
+    def cells(lo, hi, sign=1.0):
+        """Rows lo:hi as cells: omega, then re and im of each complex
+        column; sign -1 gives their mirrored (conjugate) rows."""
+        z = np.hstack([br[lo:hi], vx[lo:hi]])
+        reim = np.stack([z.real, sign * z.imag], axis=-1).reshape(hi - lo, -1)
+        return np.hstack([sign * omega[lo:hi, None], reim])
+
+    upper: list[str] = []
+    finite = np.empty(m, dtype=bool)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        for lo in range(0, m, _CSV_BLOCK_ROWS):
+            hi = min(lo + _CSV_BLOCK_ROWS, m)
+            block = cells(lo, hi)
+            finite[lo:hi] = np.isfinite(block).all(axis=1)
+            lines = [marked % tuple(row) for row in block.tolist()]
+            upper += lines
+            fh.write("".join(map(str.__add__, lines, ends[lo:hi])).replace("\0", ""))
+        for lo in range(m, 2 * m - 1, _CSV_BLOCK_ROWS):
+            hi = min(lo + _CSV_BLOCK_ROWS, 2 * m - 1)
+            text = []
+            for row in range(lo, hi):
+                u = 2 * m - 2 - row
+                line = upper[u] if finite[u] else plain % tuple(cells(u, u + 1, -1.0)[0].tolist())
+                text.append(line + ends[row])
+            fh.write("".join(text).replace("\0-", "\1").replace("\0", "-").replace("\1", ""))
     click.echo(f"loci: {path}")
 
 

@@ -15,11 +15,14 @@ det(I + Q(s)) = prod_k (1 + lambda_k(s)) encircles 0, so the theorem-1 and
 lossy windings, and the sweep's refinement, use the summed argument of the
 per-sample eigenvalues in solver order. Eigenvalues are matched into
 continuous branches only for export and plots: every consecutive pair of
-samples is matched at once by its row-wise nearest neighbours, and only
-where those are not a strict permutation does the greedy/Hungarian
-assignment run, so the branches equal a sample-by-sample matching exactly.
-The vertex's real-axis crossings are refined by vectorised Illinois regula
-falsi, one vertex evaluation per iteration for all brackets.
+samples is matched at once, by its row-wise nearest neighbours where those
+are a strict permutation, else by a batched greedy assignment where its
+distances are distinct and its cost is clear of the Hungarian threshold.
+Only the remaining samples run the per-sample greedy/Hungarian assignment,
+so the branches equal a sample-by-sample matching exactly. The FOV hull
+test takes every sample's vertex pairs in whole-array passes. The vertex's
+real-axis crossings are refined by vectorised Illinois regula falsi, one
+vertex evaluation per iteration for all brackets.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -69,6 +74,10 @@ MAX_REFINE_LEVELS = 12
 DEGENERATE_LOCI = 1e-12
 # bytes of each block of k x k distance matrices in the batched matching
 _MATCH_BLOCK_BYTES = 1 << 22
+# bytes of each block of n x n vertex-pair arrays in the hull-axis test
+_HULL_BLOCK_BYTES = 1 << 22
+# candidate closure radii evaluated per agent call in default_outer_radius
+_RADIUS_CHUNK = 8
 # vertex_axis_crossings stops a bracket at width <= XTOL + RTOL * omega
 CROSSING_XTOL = 1e-12
 CROSSING_RTOL = 1e-12
@@ -94,13 +103,16 @@ class _Segment:
     center: complex = 0.0 + 0.0j
     radius: float = 0.0
 
-    def point(self, t: float) -> complex:
+    def points(self, ts) -> list[complex]:
+        """The points at parameters ``ts``, one scalar evaluation each."""
+        a = self.a
         if self.kind == "arc":
-            theta = self.a + (self.b - self.a) * t
-            return self.center + self.radius * complex(math.cos(theta), math.sin(theta))
+            step, c, rad = self.b - a, self.center, self.radius
+            return [c + rad * complex(math.cos(th), math.sin(th))
+                    for th in [a + step * t for t in ts]]
         # logarithmic interpolation along the imaginary axis
-        omega = self.a * (self.b / self.a) ** t
-        return 1j * omega
+        ratio = self.b / a
+        return [1j * (a * ratio ** t) for t in ts]
 
 
 @dataclass(frozen=True)
@@ -121,13 +133,12 @@ class Contour:
     segments: tuple[_Segment, ...]
     nodes: tuple[tuple[int, float], ...]
 
-    def point(self, node: tuple[int, float]) -> complex:
-        seg, t = node
-        return self.segments[seg].point(t)
-
     def upper_points(self, nodes=None) -> np.ndarray:
         nodes = self.nodes if nodes is None else nodes
-        return np.array([self.point(nd) for nd in nodes], dtype=complex)
+        pts: list[complex] = []
+        for seg, run in groupby(nodes, key=itemgetter(0)):
+            pts += self.segments[seg].points([t for _, t in run])
+        return np.array(pts, dtype=complex)
 
     @property
     def samples(self) -> np.ndarray:
@@ -239,22 +250,27 @@ def make_contour(
 def default_outer_radius(agents: Sequence, gammas: Sequence[float] | None = None,
                          pade_order: int = 3) -> float:
     """Closure radius: at least 100x the largest agent pole/zero modulus,
-    grown until every vertex magnitude |gamma_i g_i(R)| falls below 1e-4
-    (so the closure arc cannot contribute winding)."""
+    doubled until every vertex magnitude |gamma_i g_i(R)| falls below 1e-4
+    (so the closure arc cannot contribute winding). Each agent is evaluated
+    once per chunk of ``_RADIUS_CHUNK`` doublings, and the first radius
+    that passes is returned."""
     moduli = [1.0]
     for a in agents:
         g = _agent_rational(a, pade_order)
         moduli.extend(abs(p) for p in g.poles)
         moduli.extend(abs(z) for z in g.zeros)
-    R = 100.0 * max(moduli)
+    R0 = 100.0 * max(moduli)
     gam = list(gammas) if gammas is not None else [1.0] * len(agents)
-    for _ in range(60):
-        worst = 0.0
-        for a, gi in zip(agents, gam):
-            worst = max(worst, abs(gi * a(complex(R))))
-        if worst < 1e-4:
-            return R
-        R *= 2.0
+    for lo in range(0, 60, _RADIUS_CHUNK):
+        Rs = R0 * 2.0 ** np.arange(lo, min(lo + _RADIUS_CHUNK, 60))
+        worst = np.zeros(len(Rs))
+        with np.errstate(all="ignore"):
+            for a, gi in zip(agents, gam):
+                v = np.abs(gi * a(Rs.astype(complex)))
+                worst = np.where(v > worst, v, worst)  # max(worst, v), nan too
+        passed = np.flatnonzero(worst < 1e-4)
+        if passed.size:
+            return float(Rs[passed[0]])
     raise ContourError("could not find a closure radius with negligible loci")
 
 
@@ -346,38 +362,82 @@ def _match_indices(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
     return assign
 
 
+def _nearest_permutations(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise nearest neighbours of a block of (k, k) distance matrices,
+    and whether each is strict: a permutation whose every row minimum is
+    unique. Greedy matching then returns that permutation, for any
+    reordering of the rows, without reaching its fallback."""
+    a = D.argmin(axis=2)
+    d_min = np.take_along_axis(D, a[:, :, None], axis=2)
+    unique_min = ((D <= d_min).sum(axis=2) == 1).all(axis=1)
+    is_perm = (np.sort(a, axis=1) == np.arange(D.shape[1])).all(axis=1)
+    return a, unique_min & is_perm
+
+
+def _greedy_assignments(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_match_indices``' greedy assignment of every (k, k) distance matrix
+    in a block, in k rounds of masked argmin, and whether it is safe to use
+    in its place: all k*k distances finite and distinct (so the greedy order
+    depends neither on the sort nor on the order of the rows), and the
+    greedy cost at most 2*lower*(1 - 1e-12) (so the Hungarian fallback does
+    not run, whichever order the row minima are summed in). The picks are
+    masked in place: a contiguous ``D`` is left overwritten."""
+    rows, k, _ = D.shape
+    flat = D.reshape(rows, k * k)
+    grid = flat.reshape(rows, k, k)  # a view of flat
+    ranked = np.sort(flat, axis=1)
+    safe = np.isfinite(ranked[:, -1]) & (ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
+    del ranked
+    lower = D.min(axis=2).sum(axis=1)
+    assign = np.empty((rows, k), dtype=np.intp)
+    cost = np.zeros(rows)
+    r = np.arange(rows)
+    for _ in range(k):
+        pick = flat.argmin(axis=1)
+        i, j = np.divmod(pick, k)
+        cost += flat[r, pick]
+        assign[r, i] = j
+        grid[r, i, :] = np.inf
+        grid[r, :, j] = np.inf
+    return assign, safe & (cost <= 2.0 * lower * (1.0 - 1e-12))
+
+
 def _match_branches(eigs: np.ndarray) -> np.ndarray:
     """Rows of ``eigs`` reordered into continuous branches: row i is
-    matched to the already matched row i-1 by ``_match_indices``.
+    matched to the already matched row i-1 as ``_match_indices`` would.
 
-    Where the nearest neighbours of the raw row i-1 in row i form a
-    permutation and every row minimum of the distances is strict, greedy
-    matching returns that permutation without reaching its fallback, and
-    it does so for any reordering of row i-1; such transitions are found
-    for all samples at once and only composed along the contour. The other
-    transitions call ``_match_indices`` on the matched row itself, so the
-    result equals the sample-by-sample matching exactly.
+    The distance matrices of all consecutive rows are taken in blocks of at
+    most ``_MATCH_BLOCK_BYTES``. A transition whose nearest neighbours form
+    a strict permutation uses it; the others get the batched greedy
+    assignment when its distances are distinct and its cost is clear of the
+    Hungarian threshold. Both results hold for any reordering of row i-1,
+    so they are computed on the raw rows and only composed along the
+    contour. Every remaining transition (ties, costs near or above the
+    threshold, non-finite values) calls ``_match_indices`` on the matched
+    row itself, so the result equals the sample-by-sample matching exactly.
     """
     m, k = eigs.shape
     if k <= 1:
         return eigs.copy()
-    nearest = np.zeros((m, k), dtype=np.intp)
-    strict = np.zeros(m, dtype=bool)
+    assign = np.zeros((m, k), dtype=np.intp)
+    known = np.zeros(m, dtype=bool)
     rows = max(1, _MATCH_BLOCK_BYTES // (16 * k * k))
     for lo in range(1, m, rows):
         hi = min(lo + rows, m)
         D = np.abs(eigs[lo - 1:hi - 1, :, None] - eigs[lo:hi, None, :])
-        a = D.argmin(axis=2)
-        d_min = np.take_along_axis(D, a[:, :, None], axis=2)
-        unique_min = ((D <= d_min).sum(axis=2) == 1).all(axis=1)
-        is_perm = (np.sort(a, axis=1) == np.arange(k)).all(axis=1)
-        nearest[lo:hi] = a
-        strict[lo:hi] = unique_min & is_perm
+        a, ok = _nearest_permutations(D)
+        rest = np.flatnonzero(~ok)
+        if rest.size:
+            D = D[rest]  # a copy, which the greedy pass overwrites
+            a[rest], ok[rest] = _greedy_assignments(D)
+        del D  # before the next block's arrays
+        assign[lo:hi] = a
+        known[lo:hi] = ok
     order = np.empty((m, k), dtype=np.intp)
     order[0] = np.arange(k)
     for i in range(1, m):
-        if strict[i]:
-            order[i] = nearest[i][order[i - 1]]
+        if known[i]:
+            order[i] = assign[i][order[i - 1]]
         else:
             order[i] = _match_indices(eigs[i - 1][order[i - 1]], eigs[i])
     return np.take_along_axis(eigs, order, axis=1)
@@ -397,10 +457,12 @@ class LociSweep:
     in solver order; windings come from their summed argument, which needs
     no branch identity. ``branches_upper`` matches them into continuous
     curves (a bijection between consecutive samples) on first use, for
-    export and plots only: the nearest-neighbour assignments of all
-    consecutive samples are taken in one batched pass, and the greedy /
-    Hungarian ``_match_indices`` runs only where those are not a strict
-    permutation, so the result is the sample-by-sample matching exactly.
+    export and plots only: the nearest-neighbour and greedy assignments of
+    all consecutive samples are taken in batched passes, and the greedy /
+    Hungarian ``_match_indices`` runs only where neither is safe (no strict
+    permutation; tied distances or a greedy cost near or above the
+    Hungarian threshold), so the result is the sample-by-sample matching
+    exactly.
     ``flagged`` lists the samples whose determinant argument step still
     reaches pi/2 when refinement stops.
     """
@@ -829,25 +891,40 @@ def _winding_verdict(sweep: LociSweep, N: int, notes: list[str], check: str) -> 
 # ---------------------------------------------------------------------------
 
 
-def _hull_ray_min_x(points: np.ndarray) -> float:
+def _hull_ray_min_x(points: np.ndarray):
     """Leftmost abscissa where the convex hull of the points meets the real
     axis (+inf when it does not). Exact segment/axis intersections over all
     opposite-side pairs; the extremes are attained on hull edges, which are
-    a subset of those pairs, all taken in one outer product."""
+    a subset of those pairs.
+
+    ``points`` is one point set (a float is returned) or an (m, n) array of
+    m sets (m values are returned); the pairs of all sets are taken in row
+    blocks of n x n arrays of at most ``_HULL_BLOCK_BYTES``."""
+    points = np.asarray(points)
+    if points.ndim == 1:
+        return float(_hull_ray_min_x(points[None, :])[0])
+    m, n = points.shape
     re, im = points.real, points.imag
-    tol = 1e-12 * (1.0 + float(np.abs(points).max()))
-    best = math.inf
-    on_axis = np.abs(im) <= tol
-    if on_axis.any():
-        best = float(re[on_axis].min())
+    tol = 1e-12 * (1.0 + np.abs(points).max(axis=1, keepdims=True))
+    best = np.where(np.abs(im) <= tol, re, np.inf).min(axis=1)
     up = im > tol
     dn = im < -tol
-    if up.any() and dn.any():
-        re_i, im_i = re[up][:, None], im[up][:, None]
-        re_j, im_j = re[dn][None, :], im[dn][None, :]
-        t = im_i / (im_i - im_j)
-        x = re_i + t * (re_j - re_i)
-        best = min(best, float(x.min()))
+    rows = max(1, _HULL_BLOCK_BYTES // (8 * n * n))
+    for lo in range(0, m, rows):
+        sl = slice(lo, lo + rows)
+        re_i, im_i = re[sl, :, None], im[sl, :, None]
+        # t = im_i / (im_i - im_j), x = re_i + t * (re_j - re_i), in place
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = im_i - im[sl, None, :]
+            np.divide(im_i, t, out=t)
+            x = re[sl, None, :] - re_i
+            x *= t
+            del t
+            x += re_i
+        np.putmask(x, ~(up[sl, :, None] & dn[sl, None, :]), np.inf)
+        x_min = x.min(axis=(1, 2))
+        del x  # before the next block's arrays
+        best[sl] = np.where(x_min < best[sl], x_min, best[sl])  # min(best, x_min)
     return best
 
 
@@ -890,7 +967,7 @@ def fov_check(
             )
     sweep = eigenloci_sweep(netN, agents, contour, mode="interarea")
     verts = sweep.vertices_upper
-    min_x = np.array([_hull_ray_min_x(verts[i]) for i in range(verts.shape[0])])
+    min_x = _hull_ray_min_x(verts)
     worst_i = int(np.argmin(min_x))
     worst = float(min_x[worst_i])
     diagnostics = {

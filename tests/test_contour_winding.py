@@ -1,10 +1,15 @@
 """Contour geometry, winding numbers, eigenloci sweeps."""
 
+import importlib.util
 import math
+import random
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nyqscale
 from nyqscale import nyquist
 from nyqscale.errors import (
     ContourError,
@@ -21,12 +26,13 @@ from nyqscale.nyquist import (
     winding_number,
     _default_contour,
 )
-from nyqscale.powerplant import assemble_agent
+from nyqscale.powerplant import Agent, assemble_agent
 from nyqscale.scenario import bundled_scenario_path, load_scenario
 
 from util import (
     hull_ray_min_x_loops,
     network_from_laplacian,
+    outer_radius_doubling,
     ray_crossing_winding,
     sequential_branches,
 )
@@ -295,16 +301,17 @@ def bundled_sweeps():
     return sweeps
 
 
-def _count_fallbacks(monkeypatch):
-    calls = []
+def _recorded_fallbacks(monkeypatch):
+    """The ``cur`` rows that reach ``_match_indices``."""
+    rows = []
     original = nyquist._match_indices
 
-    def counted(prev, cur):
-        calls.append(1)
+    def recorded(prev, cur):
+        rows.append(cur.copy())
         return original(prev, cur)
 
-    monkeypatch.setattr(nyquist, "_match_indices", counted)
-    return calls
+    monkeypatch.setattr(nyquist, "_match_indices", recorded)
+    return rows
 
 
 def test_branches_equal_sequential_matching_bundled(bundled_sweeps):
@@ -314,9 +321,9 @@ def test_branches_equal_sequential_matching_bundled(bundled_sweeps):
         assert np.array_equal(sweep.branches_upper, ref), key
 
 
-def test_branches_equal_sequential_matching_ring16(monkeypatch):
+def test_branches_equal_sequential_matching_ring16():
     # a 16-bus ring of the n5_hydro_d0 agents: its loop eigenvalues come in
-    # near-degenerate pairs, which the nearest-neighbour pass cannot match
+    # near-degenerate pairs, which the strict nearest-neighbour test rejects
     scn = load_scenario(bundled_scenario_path("n5_hydro_d0"))
     n = 16
     L = np.zeros((n, n))
@@ -328,10 +335,11 @@ def test_branches_equal_sequential_matching_ring16(monkeypatch):
     agents = [scn.agents[i % 5] for i in range(n)]
     contour = _default_contour(netN, agents, "D_r", 0.75, None, 100, 3)
     sweep = eigenloci_sweep(netN, agents, contour)
-    ref = sequential_branches(sweep.eigs_upper)
-    calls = _count_fallbacks(monkeypatch)
-    assert np.array_equal(sweep.branches_upper, ref)
-    assert len(calls) > len(sweep.s_upper) // 2
+    eigs = sweep.eigs_upper
+    _, strict = nyquist._nearest_permutations(
+        np.abs(eigs[:-1, :, None] - eigs[1:, None, :]))
+    assert (~strict).sum() > len(strict) // 2
+    assert np.array_equal(sweep.branches_upper, sequential_branches(eigs))
 
 
 def test_branches_equal_sequential_matching_near_tie(monkeypatch):
@@ -345,7 +353,7 @@ def test_branches_equal_sequential_matching_near_tie(monkeypatch):
     for row in eigs:
         rng.shuffle(row)
     ref = sequential_branches(eigs)
-    calls = _count_fallbacks(monkeypatch)
+    calls = _recorded_fallbacks(monkeypatch)
     got = nyquist._match_branches(eigs)
     assert np.array_equal(got, ref)
     assert 0 < len(calls) < len(eigs) - 1
@@ -371,3 +379,138 @@ def test_hull_ray_min_x_equals_double_loop_on_bundled_sweeps(bundled_sweeps):
     for key, sweep in bundled_sweeps.items():
         for verts in sweep.vertices_upper:
             assert _hull_ray_min_x(verts) == hull_ray_min_x_loops(verts), key
+
+
+def _near_degenerate_pairs(rng, k: int, m: int = 60) -> np.ndarray:
+    """m rows of k eigenvalues in shuffled order: k // 2 pairs split by
+    1e-7..1e-3 around centres drifting by 1e-5..1e-1 over the rows, turning
+    about them (plus one lone branch when k is odd); rows 30 and 45 jump to
+    random values."""
+    t = np.linspace(0.0, 1.0, m)[:, None]
+    n_pairs = k // 2
+    centre = rng.normal(size=n_pairs) + 1j * rng.normal(size=n_pairs)
+    drift = 10.0 ** rng.uniform(-5, -1, n_pairs) * np.exp(2j * np.pi * rng.random(n_pairs))
+    c = centre + t * drift
+    split = 10.0 ** rng.uniform(-7, -3, n_pairs) * np.exp(
+        1j * (rng.uniform(0, 2 * np.pi, n_pairs) + rng.uniform(2, 12, n_pairs) * t))
+    cols = [c + split, c - split]
+    if k % 2:
+        cols.append(rng.normal() + 1j * rng.normal() - 0.5j * t)
+    eigs = np.hstack(cols)
+    eigs[[30, 45]] = rng.normal(size=(2, k)) + 1j * rng.normal(size=(2, k))
+    for row in eigs:
+        rng.shuffle(row)
+    return eigs
+
+
+@pytest.mark.parametrize("block_rows", [None, 3])
+def test_batched_greedy_equals_sequential_matching(monkeypatch, block_rows):
+    rng = np.random.default_rng(21)
+    sets = {k: _near_degenerate_pairs(rng, k) for k in range(2, 17)}
+    # rows 10 -> 11: distances 0.5, 1.7, 0.5, 0.7 tie, at a greedy cost well
+    # under the threshold; rows 20 -> 21: greedy cost 0.25 + 1.75 sits
+    # exactly at 2 * lower = 2 * (0.25 + 0.75)
+    special = sets[2]
+    special[10], special[11] = [0.0, 1.0], [0.5, 1.7]
+    special[20], special[21] = [1.0, 0.0], [2.75, 0.25]
+    D = np.abs(special[20][:, None] - special[21][None, :])
+    assert len(set(D.ravel())) == 4 and D[0, 0] + D[1, 1] == 2 * D.min(axis=1).sum()
+    for k, eigs in sets.items():
+        if block_rows is not None:
+            monkeypatch.setattr(nyquist, "_MATCH_BLOCK_BYTES", 16 * k * k * block_rows)
+        fallbacks = _recorded_fallbacks(monkeypatch)
+        assert np.array_equal(nyquist._match_branches(eigs), sequential_branches(eigs)), k
+        _, strict = nyquist._nearest_permutations(
+            np.abs(eigs[:-1, :, None] - eigs[1:, None, :]))
+        # the greedy pass, not the per-row fallback, takes most rejected rows
+        assert len(fallbacks) < (~strict).sum() // 2 + 3, k
+        if k == 2:
+            for i in (11, 21):
+                assert any(np.array_equal(row, eigs[i]) for row in fallbacks), i
+        monkeypatch.undo()
+
+
+def test_greedy_assignments_equal_match_indices_where_accepted():
+    rng = np.random.default_rng(8)
+    eigs = rng.normal(size=(80, 6)) + 1j * rng.normal(size=(80, 6))
+    assign, ok = nyquist._greedy_assignments(np.abs(eigs[:-1, :, None] - eigs[1:, None, :]))
+    assert ok.any() and not ok.all()
+    for i in np.flatnonzero(ok):
+        assert np.array_equal(assign[i], nyquist._match_indices(eigs[i], eigs[i + 1]))
+
+
+@pytest.mark.parametrize("block_rows", [None, 7])
+def test_hull_ray_min_x_rows_equal_double_loop(monkeypatch, block_rows):
+    n = 9
+    if block_rows is not None:
+        monkeypatch.setattr(nyquist, "_HULL_BLOCK_BYTES", 8 * n * n * block_rows)
+    rng = np.random.default_rng(4)
+    pts = rng.normal(size=(200, n)) + 1j * rng.normal(size=(200, n))
+    pts[::3, 2] = pts[::3, 2].real  # a point on the axis
+    pts[1::7, :4] = pts[1::7, :4].real  # several
+    pts[::5] = pts[::5].real + 1j * np.abs(pts[::5].imag)  # all on one side
+    pts[2::11] = pts[2::11].real - 1j * np.abs(pts[2::11].imag)
+    got = _hull_ray_min_x(pts)
+    assert got.shape == (200,)
+    for row, value in zip(pts, got):
+        assert value == hull_ray_min_x_loops(row)
+    assert np.isinf(got[::5][np.all(pts[::5].imag > 0, axis=1)]).all()
+
+
+def test_batched_passes_stay_within_their_block_budgets():
+    # numpy reports its buffers to tracemalloc; inputs are allocated first,
+    # and one call of each warms up lazy imports (scipy's assignment solver)
+    rng = np.random.default_rng(2)
+    verts = rng.normal(size=(50, 400)) + 1j * rng.normal(size=(50, 400))
+    eigs = _near_degenerate_pairs(rng, 60, 200)
+    cases = ((_hull_ray_min_x, verts, nyquist._HULL_BLOCK_BYTES),
+             (nyquist._match_branches, eigs, nyquist._MATCH_BLOCK_BYTES))
+    for fn, arg, _ in cases:
+        fn(arg)
+    tracemalloc.start()
+    try:
+        for fn, arg, budget in cases:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            fn(arg)
+            assert tracemalloc.get_traced_memory()[1] - base < 4 * budget, fn.__name__
+    finally:
+        tracemalloc.stop()
+
+
+def _perfbench_gen():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_default_outer_radius_equals_doubling_loop(tmp_path, monkeypatch):
+    gen = _perfbench_gen()
+    data = Path(nyqscale.__file__).parent / "data"
+    paths = [bundled_scenario_path(name) for name in BUNDLED]
+    rng = random.Random(1)
+    for name, n, edges in (("ring16", 16, gen.ring_lines(16)),
+                           ("grid3x4", 12, gen.grid_lines(3, 4))):
+        doc = gen.synthetic_scenario(data, name, n, edges, rng)
+        paths.append(gen.write(tmp_path / f"{name}.json", doc))
+    cases = []
+    for path in paths:
+        scn = load_scenario(path)
+        agents, gamma = list(scn.agents), normalize(scn.network).gamma
+        cases.append((agents, gamma))
+        # decentralized_check's radius: one agent against its gamma bound
+        cases += [([a], [float(g)]) for a, g in zip(agents, gamma)]
+    calls = []
+    g_value = Agent.g_value
+    monkeypatch.setattr(Agent, "g_value", lambda self, s: calls.append(1) or g_value(self, s))
+    batched = loop = 0
+    for agents, gamma in cases:
+        calls.clear()
+        R = nyquist.default_outer_radius(agents, gamma)
+        batched += len(calls)
+        calls.clear()
+        assert R == outer_radius_doubling(agents, gamma)
+        loop += len(calls)
+    assert batched < loop / 2

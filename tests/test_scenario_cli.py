@@ -351,7 +351,8 @@ def per_cell_csv(path, header, rows):
             w.writerow(row)
 
 
-TRICKY = np.array([0.0, -0.0, 1.0 / 3.0, -2.5e-7, 123456789.123, 1e300, -7.0, 4e-320])
+TRICKY = np.array([0.0, -0.0, 1.0 / 3.0, -2.5e-7, 123456789.123, 1e300, -7.0, 4e-320,
+                   np.nan, np.inf, -np.inf])
 
 
 def test_write_traces_csv_matches_per_cell_formatting(tmp_path):
@@ -385,28 +386,36 @@ def test_write_traces_csv_matches_per_cell_formatting(tmp_path):
 
 
 def test_write_loci_csv_matches_per_cell_formatting(tmp_path):
-    # more rows than the writer formats in one block
+    # more rows than the writer formats in one block, on both halves
     rng = np.random.default_rng(6)
-    omega = np.concatenate([[0.5, 1.0, math.pi / 0.2, 2.0, 7.5, 10.0, 1e3, 2e3],
+    omega = np.concatenate([[0.0, 0.5, 1.0, math.pi / 0.2, 2.0, 7.5, 10.0, 1e3, 2e3],
                             np.linspace(20.0, 900.0, 40)])
     m = len(omega)
-    tricky = np.tile(TRICKY, 6)
+    tricky = np.resize(TRICKY, m)
+    branches = np.empty((m, 2), dtype=complex)
+    branches.real = np.stack([tricky, -np.roll(tricky, 3)], axis=1)
+    branches.imag = np.stack([tricky[::-1], np.roll(tricky, 5)], axis=1)
     sweep = SimpleNamespace(
-        s_full=1j * omega,
-        branches_full=(tricky + 1j * tricky[::-1])[:, None]
-        * np.array([1.0, -1.0 + 1j]),
-        vertices_full=rng.normal(size=(m, 3)) + 1j * rng.normal(size=(m, 3)),
+        s_upper=1j * omega,
+        branches_upper=branches,
+        vertices_upper=rng.normal(size=(m, 3)) + 1j * rng.normal(size=(m, 3)),
     )
+    sweep.vertices_upper[7, 1] = complex(np.nan, -np.inf)  # non-finite vertex only
     markers = [("pi_over_2tau", math.pi / 0.2), ("second", 1e3)]
     _write_loci_csv(tmp_path / "new.csv", sweep, markers=markers)
-    br, vx = sweep.branches_full, sweep.vertices_full
+
+    def mirror(arr):  # LociSweep's closed loop: upper, then conjugates reversed
+        return np.concatenate([arr, np.conj(arr[-2::-1])], axis=0)
+
+    s, br, vx = (mirror(a) for a in (sweep.s_upper, sweep.branches_upper,
+                                     sweep.vertices_upper))
     header = ["omega_rad_s"]
     header += [f"branch_{k + 1}_{part}" for k in range(2) for part in ("re", "im")]
     header += [f"vertex_{i + 1}_{part}" for i in range(3) for part in ("re", "im")]
     header.append("marker")
     rows = []
-    for row in range(m):
-        w = sweep.s_full[row].imag
+    for row in range(2 * m - 1):
+        w = s[row].imag
         cells = [f"{w:.12g}"]
         for k in range(2):
             cells += [f"{br[row, k].real:.12g}", f"{br[row, k].imag:.12g}"]
@@ -421,3 +430,7 @@ def test_write_loci_csv_matches_per_cell_formatting(tmp_path):
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "old.csv").read_bytes()
     assert new.count(b"pi_over_2tau") == 1 and new.count(b"second") == 1
+    # the mirrored rows toggle signs: -0 closes the loop, nan stays unsigned
+    lines = new.decode().splitlines()
+    assert len(lines) == 2 * m and lines[-1].startswith("-0,")
+    assert b"-nan" not in new and b"--" not in new

@@ -9,7 +9,7 @@ from numpy.polynomial import polynomial as npp
 from nyqscale.errors import DivergenceError
 from nyqscale.lti import TransferFunction
 from nyqscale.network import PowerNetwork
-from nyqscale.nyquist import _match_indices
+from nyqscale.nyquist import _agent_rational, _match_indices
 from nyqscale.scenario import bundled_scenario_path, load_scenario
 
 
@@ -139,6 +139,26 @@ def hull_ray_min_x_loops(points) -> float:
                 x = re[i] + t * (re[j] - re[i])
                 best = min(best, float(x))
     return best
+
+
+def outer_radius_doubling(agents, gammas, pade_order: int = 3) -> float:
+    """Reference closure radius: 100x the largest agent pole/zero modulus,
+    doubled one scalar vertex evaluation per agent at a time until every
+    |gamma_i g_i(R)| is below 1e-4."""
+    moduli = [1.0]
+    for a in agents:
+        g = _agent_rational(a, pade_order)
+        moduli.extend(abs(p) for p in g.poles)
+        moduli.extend(abs(z) for z in g.zeros)
+    R = 100.0 * max(moduli)
+    for _ in range(60):
+        worst = 0.0
+        for a, gi in zip(agents, gammas):
+            worst = max(worst, abs(gi * a(complex(R))))
+        if worst < 1e-4:
+            return R
+        R *= 2.0
+    raise ValueError("no closure radius within 60 doublings")
 
 
 def network_from_laplacian(L) -> PowerNetwork:
