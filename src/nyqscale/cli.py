@@ -229,48 +229,55 @@ def _write_traces_csv(path: Path, bus_ids, result):
     _write_csv(path, header, columns, ["%.6f"] + ["%.9g"] * (len(header) - 1))
 
 
+# loci.svg: a square of _SVG_SIZE px showing [-_SVG_HALF, _SVG_HALF] in
+# both axes; polylines keep the points within 1.5x that box
+_SVG_HALF = 6.0
+_SVG_SIZE = 640
+_SVG_SCALE = _SVG_SIZE / (2 * _SVG_HALF)
+
+
+def _svg_px(z):
+    """Pixel coordinates (x, y) of z, or of an array of points."""
+    return ((z.real + _SVG_HALF) * _SVG_SCALE, (_SVG_HALF - z.imag) * _SVG_SCALE)
+
+
+def _svg_polyline(zs, color, dash=""):
+    """One <polyline> per run of at least two consecutive points of ``zs``
+    inside the clip box; NaN points fall outside it."""
+    z = np.asarray(zs, dtype=complex)
+    inside = np.flatnonzero((np.abs(z.real) <= _SVG_HALF * 1.5)
+                            & (np.abs(z.imag) <= _SVG_HALF * 1.5))
+    px = np.stack(_svg_px(z[inside]), axis=-1)
+    cuts = np.flatnonzero(np.diff(inside) != 1) + 1
+    out = []
+    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(inside)]):
+        if hi - lo > 1:
+            pts = ("%.2f,%.2f " * (hi - lo)) % tuple(px[lo:hi].ravel().tolist())
+            out.append(f'<polyline points="{pts[:-1]}" fill="none" '
+                       f'stroke="{color}" stroke-width="1.2" {dash}/>')
+    return "".join(out)
+
+
 def _write_loci_svg(path: Path, sweep: LociSweep, policy=None, markers=()):
     """Static SVG polyline plot of vertices and branches, clipped to a box
     around the critical point."""
-    half = 6.0
-    size = 640
-    scale = size / (2 * half)
-
-    def to_px(z):
-        return ((z.real + half) * scale, (half - z.imag) * scale)
-
-    def polyline(zs, color, dash=""):
-        pts = []
-        chunks = []
-        for z in zs:
-            if abs(z.real) <= half * 1.5 and abs(z.imag) <= half * 1.5:
-                pts.append("%.2f,%.2f" % to_px(z))
-            elif pts:
-                chunks.append(pts)
-                pts = []
-        if pts:
-            chunks.append(pts)
-        return "".join(
-            f'<polyline points="{" ".join(c)}" fill="none" stroke="{color}" '
-            f'stroke-width="1.2" {dash}/>' for c in chunks if len(c) > 1
-        )
-
+    half, size = _SVG_HALF, _SVG_SIZE
     palette = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
                "#8c564b", "#e377c2", "#7f7f7f"]
     body = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
-        polyline([complex(-half, 0), complex(half, 0)], "#cccccc"),
-        polyline([complex(0, -half), complex(0, half)], "#cccccc"),
+        _svg_polyline([complex(-half, 0), complex(half, 0)], "#cccccc"),
+        _svg_polyline([complex(0, -half), complex(0, half)], "#cccccc"),
     ]
     for i in range(sweep.vertices_full.shape[1]):
         body.append(
-            polyline(sweep.vertices_full[:, i], palette[i % len(palette)])
+            _svg_polyline(sweep.vertices_full[:, i], palette[i % len(palette)])
         )
     for k in range(sweep.branches_full.shape[1]):
         body.append(
-            polyline(
+            _svg_polyline(
                 sweep.branches_full[:, k],
                 palette[(k + sweep.vertices_full.shape[1]) % len(palette)],
                 dash='stroke-dasharray="4 3"',
@@ -281,10 +288,10 @@ def _write_loci_svg(path: Path, sweep: LociSweep, policy=None, markers=()):
         p0 = policy.hyperplane_point
         tangent = complex(-n.imag, n.real)
         body.append(
-            polyline([p0 - 20 * tangent, p0 + 20 * tangent], "#444444",
-                     'stroke-dasharray="6 4"')
+            _svg_polyline([p0 - 20 * tangent, p0 + 20 * tangent], "#444444",
+                          'stroke-dasharray="6 4"')
         )
-    mx, my = to_px(complex(-1.0, 0.0))
+    mx, my = _svg_px(complex(-1.0, 0.0))
     body.append(
         f'<path d="M{mx - 5},{my - 5} L{mx + 5},{my + 5} M{mx - 5},{my + 5} '
         f'L{mx + 5},{my - 5}" stroke="black" stroke-width="1.5"/>'
@@ -294,7 +301,7 @@ def _write_loci_svg(path: Path, sweep: LociSweep, policy=None, markers=()):
         for i in range(sweep.vertices_full.shape[1]):
             z = sweep.vertices_full[idx, i]
             if abs(z.real) <= half and abs(z.imag) <= half:
-                px, py = to_px(z)
+                px, py = _svg_px(z)
                 body.append(
                     f'<path d="M{px - 4},{py - 4} L{px + 4},{py + 4} '
                     f'M{px - 4},{py + 4} L{px + 4},{py - 4}" stroke="#d62728" '
@@ -365,7 +372,7 @@ def main():
 @click.option("--density", type=int, default=None, help="samples per decade")
 @click.option("--tau-max", type=float, default=None)
 @click.option("--hyperplane", type=_Hyperplane(), default=None)
-@click.option("--pade-order", type=int, default=3, show_default=True)
+@click.option("--pade-order", type=click.IntRange(1, 5), default=3, show_default=True)
 @click.option("--epsilon", type=float, default=0.01, show_default=True,
               help="Laplacian shift for --check lossy")
 @click.option("--alpha-fallback", is_flag=True, default=False,
@@ -457,7 +464,7 @@ def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
                    "record_decimation steps. It is the integration step "
                    "only with --rate-limiter.")
 @click.option("--t-end", type=float, default=None)
-@click.option("--pade-order", type=int, default=3, show_default=True)
+@click.option("--pade-order", type=click.IntRange(1, 5), default=3, show_default=True)
 @click.option("--rate-limiter/--no-rate-limiter", default=False,
               help="clamp each hydro servo's power rate to its scenario "
                    "bound: rate_limit_pu_s (default 0.1) x P_gen_MW, in MW/s "
@@ -520,7 +527,7 @@ def simulate(scenario_path, dt, t_end, pade_order, rate_limiter,
               help="accepts 0.75 or 0.37*2pi")
 @click.option("--contour-R", "contour_R", type=float, default=None)
 @click.option("--density", type=int, default=None)
-@click.option("--pade-order", type=int, default=3, show_default=True)
+@click.option("--pade-order", type=click.IntRange(1, 5), default=3, show_default=True)
 @click.option("--out-dir", type=str, default="out", show_default=True)
 def export_loci(scenario_path, contour_kind, contour_r, contour_R, density,
                 pade_order, out_dir):

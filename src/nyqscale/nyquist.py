@@ -27,6 +27,7 @@ vertex evaluation per iteration for all brackets.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -1051,11 +1052,13 @@ class DecentralizedPolicy:
     R: float | None = None
 
     def __post_init__(self):
-        if self.r <= 0 or self.tau_max <= 0:
-            raise InvalidInputError("policy needs r > 0 and tau_max > 0")
+        if not (0 < self.r < math.inf and 0 < self.tau_max < math.inf):
+            raise InvalidInputError("policy needs finite r > 0 and tau_max > 0")
+        if not cmath.isfinite(self.hyperplane_point):
+            raise InvalidInputError("hyperplane point must be finite")
         n = abs(self.hyperplane_normal)
-        if n == 0:
-            raise InvalidInputError("hyperplane normal must be nonzero")
+        if not (0 < n < math.inf):
+            raise InvalidInputError("hyperplane normal must be finite and nonzero")
         object.__setattr__(self, "hyperplane_normal", self.hyperplane_normal / n)
 
     def side(self, z) -> np.ndarray:

@@ -148,8 +148,10 @@ _SCHEMA = {
                     "type": "object",
                     "required": ["point", "normal"],
                     "properties": {
-                        "point": {"type": "array", "minItems": 2, "maxItems": 2},
-                        "normal": {"type": "array", "minItems": 2, "maxItems": 2},
+                        "point": {"type": "array", "items": {"type": "number"},
+                                  "minItems": 2, "maxItems": 2},
+                        "normal": {"type": "array", "items": {"type": "number"},
+                                   "minItems": 2, "maxItems": 2},
                     },
                 },
                 "tau_max_s": {"type": "number", "exclusiveMinimum": 0},
@@ -162,7 +164,7 @@ _SCHEMA = {
                 "bus": {"type": "integer"},
                 "amplitude_MW": {"type": "number"},
                 "t_start_s": {"type": "number", "minimum": 0},
-                "duration_s": {"type": ["number", "null"]},
+                "duration_s": {"type": ["number", "null"], "exclusiveMinimum": 0},
             },
         },
         "output": {

@@ -5,10 +5,17 @@ Pade), simulation, and the average/center-of-inertia frequency aggregates.
 Simulation is exact on the linear path: the disturbances are piecewise
 constant, so a zero-order-hold step built from the Van Loan block
 exponential advances the state from record to record, with the pulse edges
-as extra breakpoints. Fixed-step RK4 remains only for the nonlinear hydro
-rate clamp. Wherever all four stage rates of a step stay within the bounds,
-that RK4 step is a fixed linear map, applied to blocks of up to 200 steps
-at once; only the steps where the clamp binds run stage by stage.
+as extra breakpoints. Runs of equal steps under one disturbance advance up
+to 200 records at a time through one stacked map of the step's powers.
+Fixed-step RK4 remains only for the nonlinear hydro rate clamp. Wherever
+all four stage rates of a step stay within the bounds, that RK4 step is a
+fixed linear map, applied to blocks of up to 200 steps at once through the
+same kind of stack; only the steps where the clamp binds run stage by stage.
+
+SciPy's ``expm`` is the module's only SciPy call, and it is imported inside
+``_zoh_step`` on the first simulation: ``nyqscale.cli`` imports this module,
+and importing scipy.linalg at the top would add about 0.3 s to every
+``analyze`` and ``export-loci`` process, which never simulate.
 
 This module deliberately shares no frequency-domain machinery with the
 nyquist checks; agreement between the two routes is what the acceptance
@@ -24,7 +31,6 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     DivergenceError,
@@ -427,6 +433,12 @@ class Pulse:
     t_start_s: float = 0.0
     t_end_s: float | None = None
 
+    def __post_init__(self):
+        if not (math.isfinite(self.amplitude_mw) and math.isfinite(self.t_start_s)):
+            raise InvalidInputError("pulse needs a finite amplitude and start time")
+        if self.t_end_s is not None and not (self.t_end_s > self.t_start_s):
+            raise InvalidInputError("pulse needs t_end_s > t_start_s")
+
 
 @dataclass(frozen=True)
 class SimulationResult:
@@ -487,8 +499,10 @@ def simulate(
     records are the exact zero-order-hold solution: each step between
     records, split at the pulse edges, applies x <- Phi x + Gamma d with
     [[Phi, Gamma], [0, I]] = expm([[A h, B h], [0, 0]]) (Van Loan 1978),
-    computed once per distinct step length h. ``dt`` then only sets the
-    record grid.
+    computed once per distinct step length h. Runs of equal steps under
+    one d advance in blocks through the stacked powers [Phi^j | S_j], so
+    records can differ from one-step-at-a-time stepping in the last bits.
+    ``dt`` then only sets the record grid.
 
     With the hydro servo rate limiter the named actuator blocks' state
     derivatives are clamped so the actuator output rate stays within the
@@ -568,7 +582,13 @@ def simulate(
 
 
 def _zoh_step(A: np.ndarray, B: np.ndarray, h: float):
-    """(Phi, Gamma) of the exact zero-order-hold step over h."""
+    """(Phi, Gamma) of the exact zero-order-hold step over h.
+
+    SciPy is imported here, on the first simulation, rather than with the
+    module: importing scipy.linalg costs about 0.3 s, which every
+    ``analyze`` and ``export-loci`` call would otherwise pay for nothing."""
+    from scipy.linalg import expm
+
     n_x, n_u = B.shape
     blk = np.zeros((n_x + n_u, n_x + n_u))
     blk[:n_x, :n_x] = A * h
@@ -599,24 +619,48 @@ def _disturbance_rows(pulses: Sequence[Pulse], n: int):
 def _zoh_records(model, x, edges, rows, dt, T) -> np.ndarray:
     """States at the record times T, stepped exactly with the pulse edges
     inside (0, T[-1]) as breakpoints; DivergenceError at the first record
-    that is not finite."""
+    that is not finite.
+
+    Within a run of equal steps under one d, the state after j steps is
+    [Phi^j | S_j] (x, d), so a run advances up to _BLOCK_STEPS steps at a
+    time through one stacked map of at most _ZOH_STACK_DOUBLES entries,
+    built once per step length, and its records go straight into X."""
     grid = np.union1d(T, edges[(edges > 0) & (edges < T[-1])])
     # in units of dt the step lengths between records differ only in their
     # last bits, so rounding leaves one expm per distinct length
     units, which = np.unique(np.round(np.diff(grid) / dt, 9), return_inverse=True)
-    steps = [_zoh_step(model.A, model.B, u * dt) for u in units]
     seg = np.searchsorted(edges, 0.5 * (grid[:-1] + grid[1:]), side="right")
     is_record = np.isin(grid[1:], T)
-    X = np.empty((len(T), len(x)))
+    # runs of equal steps under one d: where either changes, and both ends
+    bounds = np.flatnonzero(np.diff(which, prepend=-1, append=-1)
+                            | np.diff(seg, prepend=-1, append=-1))
+    n_x, n_d = model.B.shape
+    cap = min(_BLOCK_STEPS, max(1, _ZOH_STACK_DOUBLES // (n_x * (n_x + n_d))))
+    longest = np.zeros(len(units), dtype=int)
+    np.maximum.at(longest, which[bounds[:-1]], np.diff(bounds))
+    bounds = bounds.tolist()
+    stacks = {}
+    X = np.empty((len(T), n_x))
     X[0] = x
     r = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, s, rec in zip(which.tolist(), seg.tolist(), is_record.tolist()):
-            phi, gam = steps[k]
-            x = phi @ x + gam @ rows[s]
-            if rec:
-                X[r] = x
-                r += 1
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            k = int(which[a])
+            if k not in stacks:
+                stack = np.empty((min(cap, int(longest[k])), n_x, n_x + n_d))
+                J = _fill_powers(*_zoh_step(model.A, model.B, units[k] * dt), stack)
+                stacks[k] = stack[:J].reshape(J * n_x, n_x + n_d)
+            stack = stacks[k]
+            J = len(stack) // n_x
+            d = rows[seg[a]]
+            for lo in range(a, b, J):
+                hi = min(lo + J, b)
+                Y = (stack[: (hi - lo) * n_x] @ np.concatenate((x, d))).reshape(hi - lo, n_x)
+                x = Y[-1]
+                rec = is_record[lo:hi]
+                r1 = r + int(rec.sum())
+                X[r:r1] = Y[rec]
+                r = r1
     bad = ~np.isfinite(X).all(axis=1)
     if bad.any():
         raise DivergenceError(float(T[np.argmax(bad)]))
@@ -624,7 +668,27 @@ def _zoh_records(model, x, edges, rows, dt, T) -> np.ndarray:
 
 
 _BLOCK_STEPS = 200  # steps per stacked linear block, and per divergence check
-_STACK_DOUBLES = 1 << 22  # size cap of the stacked block map (32 MiB)
+_STACK_DOUBLES = 1 << 22  # size cap of the clamped path's stacked map (32 MiB)
+_ZOH_STACK_DOUBLES = 1 << 17  # size cap of a linear path's stacked map (1 MiB)
+
+
+def _fill_powers(P: np.ndarray, S: np.ndarray, out: np.ndarray) -> int:
+    """Fill out[j] = [P^(j+1) | S_(j+1)], the map from (x, d) to the state
+    after j + 1 steps of x <- P x + S d, and return how many entries were
+    filled: all of them, unless some power stops being finite, in which case
+    the fill ends before it (out[0] is always filled). A truncated stack
+    keeps a zero state at zero where a product with an overflowed power
+    would turn it into nan."""
+    n_x = len(P)
+    Pj, Sj = np.eye(n_x), np.zeros(S.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(len(out)):
+            Pj, Sj = P @ Pj, P @ Sj + S
+            if j and not (np.isfinite(Pj).all() and np.isfinite(Sj).all()):
+                return j
+            out[j, :, :n_x] = Pj
+            out[j, :, n_x:] = Sj
+    return len(out)
 
 
 def _rk4_records(model, x, rows, seg, limits, dt, idx) -> np.ndarray:
@@ -679,13 +743,13 @@ def _rk4_records(model, x, rows, seg, limits, dt, idx) -> np.ndarray:
     # row block j maps (x, d) to [stage rates of step j; state after step j]
     # for a block that starts at x under a constant d
     stack = np.empty((n_blk, w, n_x + n_d))
-    Pj, Sj = eye, np.zeros((n_x, n_d))  # x_j = Pj x + Sj d
-    for j in range(n_blk):
+    n_blk = _fill_powers(P, QB, stack[:, n_g:])
+    stack = stack[:n_blk]
+    for j in range(n_blk):  # the rates of step j + 1 come from x_j = Pj x + Sj d
+        Pj, Sj = (eye, np.zeros((n_x, n_d))) if j == 0 else (
+            stack[j - 1, n_g:, :n_x], stack[j - 1, n_g:, n_x:])
         stack[j, :n_g, :n_x] = G @ Pj
         stack[j, :n_g, n_x:] = G @ Sj + g
-        Pj, Sj = P @ Pj, P @ Sj + QB
-        stack[j, n_g:, :n_x] = Pj
-        stack[j, n_g:, n_x:] = Sj
     stack = stack.reshape(n_blk * w, n_x + n_d)
 
     steps = int(idx[-1])

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nyqscale.cli import _write_loci_csv, _write_traces_csv, main
+from nyqscale import cli
+from nyqscale.cli import _svg_polyline, _write_loci_csv, _write_traces_csv, main
 from nyqscale.errors import ScenarioError
 from nyqscale.scenario import bundled_scenario_path, load_scenario, loads_scenario
 from nyqscale.simkit import SimulationResult
 
-from util import diverging_scenario_doc
+from util import diverging_scenario_doc, svg_polyline_loop
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -163,13 +164,38 @@ def test_cli_analyze_decentralized_wind_stable_exit_0(wind_path, tmp_path):
     assert float(marked[0].split(",")[0]) == pytest.approx(math.pi / 0.2, rel=1e-9)
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    code = ("import sys, nyqscale.cli; "
-            "sys.exit('scipy.optimize' in sys.modules)")
+def run_fresh_python(code: str) -> subprocess.CompletedProcess:
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    res = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
-    assert res.returncode == 0
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # no SciPy module at all: importing scipy.linalg alone costs about 0.3 s
+    res = run_fresh_python(
+        "import sys, nyqscale.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+def test_cli_analyze_and_export_loci_leave_scipy_linalg_unloaded(wind_path, tmp_path):
+    calls = [["analyze", str(wind_path), "--check", check, "--out-dir", str(tmp_path / check)]
+             for check in ("theorem1", "fov", "decentralized", "lossy")]
+    calls.append(["export-loci", str(wind_path), "--out-dir", str(tmp_path / "loci")])
+    res = run_fresh_python(
+        "import sys\n"
+        "from nyqscale.cli import main\n"
+        f"for argv in {calls!r}:\n"
+        "    try:\n"
+        "        main(argv, standalone_mode=False)\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code in (0, 1), (argv, exc.code)\n"
+        "print('scipy.linalg' in sys.modules)\n")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "loci" / "loci.svg").exists()
 
 
 def test_cli_analyze_fov_paper_radius_passes(loads_path, tmp_path):
@@ -326,6 +352,47 @@ def test_cli_malformed_option_exit_3(wind_path, tmp_path, command, option, value
     assert res.exit_code == 3, res.output
 
 
+@pytest.mark.parametrize(
+    "name, patch, argv",
+    [
+        ("n5_hydro_loads", None, ["simulate", "--pulse-duration", "-1"]),
+        ("n5_hydro_loads", None, ["simulate", "--pulse-duration", "0"]),
+        ("n5_hydro_loads", None, ["simulate", "--pulse-duration", "nan"]),
+        ("n5_hydro_loads", ("disturbance", "duration_s", -1), ["simulate"]),
+        ("n5_hydro_loads", ("disturbance", "duration_s", 0), ["simulate"]),
+        ("n5_hydro_wind", None, ["analyze", "--check", "decentralized", "--tau-max", "nan"]),
+        ("n5_hydro_wind", None,
+         ["analyze", "--check", "decentralized", "--hyperplane", "nan,0,1,0"]),
+        ("n5_hydro_wind", None,
+         ["analyze", "--check", "decentralized", "--hyperplane", "-0.9,0,inf,0"]),
+        ("n5_hydro_wind", ("policy", "hyperplane", "point", ["a", 0]),
+         ["analyze", "--check", "decentralized"]),
+        ("n5_hydro_loads", None, ["analyze", "--pade-order", "-1"]),
+        ("n5_hydro_loads", None, ["analyze", "--pade-order", "0"]),
+        ("n5_hydro_loads", None, ["analyze", "--pade-order", "6"]),
+        ("n5_hydro_loads", None, ["export-loci", "--pade-order", "0"]),
+        ("n5_hydro_loads", None, ["simulate", "--pade-order", "-1"]),
+    ],
+)
+def test_cli_malformed_value_exit_3(tmp_path, name, patch, argv):
+    # each of these once ran to a verdict, a flat trace or a traceback
+    path = bundled_scenario_path(name)
+    if patch is not None:
+        doc = json.loads(Path(path).read_text())
+        *keys, last, value = patch
+        node = doc
+        for key in keys:
+            node = node[key]
+        node[last] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+    argv = [argv[0], str(path), *argv[1:], "--out-dir", str(tmp_path)]
+    if argv[0] == "simulate":
+        argv += ["--t-end", "2"]
+    res = CliRunner().invoke(main, argv)
+    assert res.exit_code == 3, res.output
+
+
 def test_cli_unknown_option_and_command_exit_3(wind_path):
     runner = CliRunner()
     assert runner.invoke(main, ["analyze", str(wind_path), "--bogus"]).exit_code == 3
@@ -434,3 +501,36 @@ def test_write_loci_csv_matches_per_cell_formatting(tmp_path):
     lines = new.decode().splitlines()
     assert len(lines) == 2 * m and lines[-1].startswith("-0,")
     assert b"-nan" not in new and b"--" not in new
+
+
+@pytest.mark.parametrize("name", ["n5_hydro_loads", "n5_hydro_d0", "n5_hydro_wind"])
+def test_write_loci_svg_matches_per_point_loop(monkeypatch, tmp_path, name):
+    argv = ["export-loci", str(bundled_scenario_path(name))]
+    res = CliRunner().invoke(main, argv + ["--out-dir", str(tmp_path / "new")])
+    assert res.exit_code == 0, res.output
+    monkeypatch.setattr(cli, "_svg_polyline", svg_polyline_loop)
+    res = CliRunner().invoke(main, argv + ["--out-dir", str(tmp_path / "old")])
+    assert res.exit_code == 0, res.output
+    new = (tmp_path / "new" / "loci.svg").read_bytes()
+    assert new.count(b"<polyline") > 4
+    assert new == (tmp_path / "old" / "loci.svg").read_bytes()
+
+
+def test_svg_polyline_matches_per_point_loop_at_the_clip_box():
+    # the box is |re|, |im| <= 9.0: points exactly on its edges are inside,
+    # NaN and inf points outside, and a run of one point draws nothing
+    edge = np.nextafter(9.0, np.inf)
+    zs = np.array([
+        9.0 + 0j, -9.0 + 9.0j, 0.5 - 9.0j,               # run on the edges
+        edge + 0j,                                       # just outside
+        1.0 + 1.0j,                                      # single-point run
+        complex(np.nan, 0.0), 2.0 + 0j, 3.0 + 0j,        # NaN, then a run
+        complex(0.0, np.nan), -1.0 + 0j,                 # single after NaN
+        complex(np.inf, 0.0), 0.0 - 0j, -0.0 + 0j, 4.0 - 8.999j,
+        -9.0 - edge * 1j, -7.0 + 2.0j,                   # single at the end
+    ])
+    for points in (zs, zs[:1], zs[3:5], zs[::-1], [complex(-6, 0), complex(6, 0)], []):
+        assert _svg_polyline(points, "#123456") == svg_polyline_loop(points, "#123456")
+        assert (_svg_polyline(points, "red", 'stroke-dasharray="4 3"')
+                == svg_polyline_loop(points, "red", 'stroke-dasharray="4 3"'))
+    assert _svg_polyline(zs, "k").count("<polyline") == 3

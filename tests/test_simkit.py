@@ -37,6 +37,7 @@ from util import (
     random_connected_laplacian,
     random_stable_proper_tf,
     rk4_clamped_reference,
+    zoh_records_stepwise,
 )
 
 TF = TransferFunction.from_coeffs
@@ -321,6 +322,62 @@ def test_simulate_divergence_raises_at_first_nonfinite_record():
         res = simulate(model, list(scn.disturbance), t_end=prev, dt=scn.dt_s,
                        record_decimation=scn.record_decimation)
     assert res.time_s[-1] == pytest.approx(prev)
+
+
+@pytest.mark.parametrize(
+    "name, pulses, dec, stack_doubles, flow_tol",
+    [
+        ("n5_hydro_loads", None, None, None, 1e-8),
+        ("n5_hydro_wind", None, None, None, 1e-8),
+        # d0's closed loop is unstable: its flows keep growing (2,713 MW at
+        # the end against peaks of about 1,900 MW on loads and wind), and
+        # the rounding with them
+        ("n5_hydro_d0", None, None, None, 2e-8),
+        # edges off the record grid, one inside a 1 ms step
+        ("n5_hydro_loads", (Pulse(1, -1400.0, 0.5037, 3.21115), Pulse(3, 500.0, 2.0)),
+         None, None, 1e-8),
+        # 7 does not divide the 60,000 steps, so the last record interval is short
+        ("n5_hydro_wind", (Pulse(0, 300.0, 0.0123, 7.0051),), 7, None, 1e-8),
+        # a budget below one step's map: blocks of a single step
+        ("n5_hydro_wind", (Pulse(0, 300.0, 0.0123, 7.0051),), 7, 1, 1e-8),
+    ],
+    ids=["loads", "wind", "d0", "loads-edges-off-grid", "wind-decimation-7",
+         "wind-single-step-blocks"],
+)
+def test_simulate_linear_blocks_match_stepwise_reference(monkeypatch, name, pulses,
+                                                         dec, stack_doubles, flow_tol):
+    scn = load_scenario(bundled_scenario_path(name))
+    model = realize_state_space(scn.network, list(scn.agents))
+    args = dict(model=model, disturbance=list(pulses or scn.disturbance),
+                t_end=scn.t_end_s, dt=scn.dt_s,
+                record_decimation=dec or scn.record_decimation)
+    if stack_doubles is not None:
+        monkeypatch.setattr(simkit, "_ZOH_STACK_DOUBLES", stack_doubles)
+    res = simulate(**args)
+    monkeypatch.setattr(simkit, "_zoh_records", zoh_records_stepwise)
+    ref = simulate(**args)
+    assert np.array_equal(res.time_s, ref.time_s)
+    assert np.abs(res.frequency_hz - ref.frequency_hz).max() <= 1e-10
+    assert np.abs(res.tie_flow_mw - ref.tie_flow_mw).max() <= flow_tol
+    for key, trace in ref.actuator_mw.items():
+        assert np.abs(res.actuator_mw[key] - trace).max() <= flow_tol, key
+
+
+def test_simulate_linear_blocks_stop_before_powers_overflow():
+    # the diverging model's +49 1/s mode grows by about e^98 per 2 s record
+    # step, so Phi^j overflows within 8 steps; a zero state with no
+    # disturbance must still stay exactly zero, not turn into inf * 0 = nan
+    scn = loads_scenario(diverging_scenario_doc())
+    model = realize_state_space(scn.network, list(scn.agents))
+    res = simulate(model, [], t_end=60.0, dt=1e-3, record_decimation=2000)
+    assert len(res.time_s) == 31
+    assert not res.frequency_hz.any()
+
+
+def test_simulate_shorter_than_half_a_step_records_only_the_start():
+    res = simulate(n5_model(), [Pulse(1, -100.0)], t_end=4e-4, dt=1e-3)
+    assert res.time_s.tolist() == [0.0]
+    assert not res.frequency_hz.any()
 
 
 def test_simulate_dt_gate():

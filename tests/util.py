@@ -11,6 +11,7 @@ from nyqscale.lti import TransferFunction
 from nyqscale.network import PowerNetwork
 from nyqscale.nyquist import _agent_rational, _match_indices
 from nyqscale.scenario import bundled_scenario_path, load_scenario
+from nyqscale.simkit import _zoh_step
 
 
 def random_connected_laplacian(rng, n: int) -> np.ndarray:
@@ -210,3 +211,57 @@ def rk4_clamped_reference(model, x, d_of, limits, dt, idx) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise DivergenceError(t)
     return np.array(X)
+
+
+def zoh_records_stepwise(model, x, edges, rows, dt, T) -> np.ndarray:
+    """Reference for the linear simulation: the exact zero-order-hold steps
+    applied one grid step at a time, x <- Phi x + Gamma d, with the pulse
+    edges inside (0, T[-1]) as breakpoints; states at the record times T,
+    and DivergenceError at the first record that is not finite."""
+    grid = np.union1d(T, edges[(edges > 0) & (edges < T[-1])])
+    units, which = np.unique(np.round(np.diff(grid) / dt, 9), return_inverse=True)
+    steps = [_zoh_step(model.A, model.B, u * dt) for u in units]
+    seg = np.searchsorted(edges, 0.5 * (grid[:-1] + grid[1:]), side="right")
+    is_record = np.isin(grid[1:], T)
+    X = np.empty((len(T), len(x)))
+    X[0] = x
+    r = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, s, rec in zip(which.tolist(), seg.tolist(), is_record.tolist()):
+            phi, gam = steps[k]
+            x = phi @ x + gam @ rows[s]
+            if rec:
+                X[r] = x
+                r += 1
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        raise DivergenceError(float(T[np.argmax(bad)]))
+    return X
+
+
+def svg_polyline_loop(zs, color, dash=""):
+    """Reference for loci.svg's polylines: each point clipped and formatted
+    in a Python loop; one <polyline> per run of at least two consecutive
+    points within 9 of the origin in both axes, on the 640 px plot of
+    [-6, 6]^2."""
+    half = 6.0
+    size = 640
+    scale = size / (2 * half)
+
+    def to_px(z):
+        return ((z.real + half) * scale, (half - z.imag) * scale)
+
+    pts = []
+    chunks = []
+    for z in zs:
+        if abs(z.real) <= half * 1.5 and abs(z.imag) <= half * 1.5:
+            pts.append("%.2f,%.2f" % to_px(z))
+        elif pts:
+            chunks.append(pts)
+            pts = []
+    if pts:
+        chunks.append(pts)
+    return "".join(
+        f'<polyline points="{" ".join(c)}" fill="none" stroke="{color}" '
+        f'stroke-width="1.2" {dash}/>' for c in chunks if len(c) > 1
+    )
