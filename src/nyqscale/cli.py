@@ -122,27 +122,19 @@ def _write_report(out_dir: Path, payload: dict):
 _CSV_BLOCK_ROWS = 32
 
 
-def _write_csv(path: Path, header, columns, formats, tags=None):
-    """Write ``columns`` (equal-length 1-D arrays, or 2-D blocks of them)
-    side by side, each cell printf-formatted by its entry in ``formats``;
-    a complex column gives two cells, re then im. The text column ``tags``
-    goes last if given. Line ends and the header are csv.writer's. Rows are
+def _write_csv(path: Path, header, columns, formats):
+    """Write ``columns`` (equal-length 1-D real arrays, or 2-D blocks of
+    them) side by side, each cell printf-formatted by its entry in
+    ``formats``. Line ends and the header are csv.writer's. Rows are
     formatted a block at a time with one % per row."""
-    fmt = ",".join(formats) + (",%s" if tags is not None else "") + "\r\n"
+    fmt = ",".join(formats) + "\r\n"
     n_rows = len(columns[0])
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
             hi = min(lo + _CSV_BLOCK_ROWS, n_rows)
-            parts = []
-            for col in columns:
-                part = np.asarray(col[lo:hi]).reshape(hi - lo, -1)
-                if np.iscomplexobj(part):
-                    part = np.stack([part.real, part.imag], axis=-1).reshape(hi - lo, -1)
-                parts.append(part)
-            rows = np.hstack(parts).tolist()
-            if tags is not None:
-                rows = [[*row, tag] for row, tag in zip(rows, tags[lo:hi])]
+            rows = np.hstack([np.asarray(col[lo:hi]).reshape(hi - lo, -1)
+                              for col in columns]).tolist()
             fh.writelines(fmt % tuple(row) for row in rows)
 
 
@@ -375,12 +367,9 @@ def main():
 @click.option("--pade-order", type=click.IntRange(1, 5), default=3, show_default=True)
 @click.option("--epsilon", type=float, default=0.01, show_default=True,
               help="Laplacian shift for --check lossy")
-@click.option("--alpha-fallback", is_flag=True, default=False,
-              help="also run the heuristic sampled-alpha winding fallback")
 @click.option("--out-dir", type=str, default="out", show_default=True)
 def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
-            density, tau_max, hyperplane, pade_order, epsilon, alpha_fallback,
-            out_dir):
+            density, tau_max, hyperplane, pade_order, epsilon, out_dir):
     """Run a stability check on a scenario and emit report + loci CSV."""
     try:
         scn = load_scenario(scenario_path)
@@ -423,9 +412,7 @@ def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
                 verdict = lossy_exponential_check(netN, agents, epsilon,
                                                   contour, pade_order=pade_order)
             else:
-                verdict = fov_check(netN, agents, contour,
-                                    alpha_fallback=alpha_fallback,
-                                    pade_order=pade_order)
+                verdict = fov_check(netN, agents, contour, pade_order=pade_order)
 
         sweep = verdict.sweep or eigenloci_sweep(netN, agents, contour)
         out = Path(out_dir)

@@ -21,7 +21,7 @@ Numerical contracts (module constants below):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -35,7 +35,6 @@ from .errors import (
     InvalidInputError,
     NumericalError,
     PoleHitError,
-    PropernessError,
     RhpCancellationError,
     UnsupportedStructureError,
 )

@@ -239,10 +239,6 @@ class NormalizedNetwork:
         return self.network.n
 
     @property
-    def algebraic_connectivity(self) -> float:
-        return float(self.mu[1])
-
-    @property
     def U_hat(self) -> np.ndarray:
         """Eigenvectors of the interarea modes (columns 2..n)."""
         return self.U[:, 1:]

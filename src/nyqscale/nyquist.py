@@ -130,7 +130,6 @@ class Contour:
     inner_radius: float
     outer_radius: float
     indent_radius: float
-    jw_poles: tuple[float, ...]
     segments: tuple[_Segment, ...]
     nodes: tuple[tuple[int, float], ...]
 
@@ -242,7 +241,6 @@ def make_contour(
         inner_radius=r_eff if kind == "D_r" else 0.0,
         outer_radius=float(R),
         indent_radius=rho,
-        jw_poles=tuple(omegas),
         segments=tuple(segments),
         nodes=tuple(nodes),
     )
@@ -630,10 +628,6 @@ class Verdict:
         if self.result == "stable" and self.violated_conditions:
             raise InvalidInputError("stable verdict cannot carry violations")
 
-    @property
-    def is_stable(self) -> bool:
-        return self.result == "stable"
-
     def to_json_dict(self) -> dict:
         return {
             "result": self.result,
@@ -933,7 +927,6 @@ def fov_check(
     netN: NormalizedNetwork,
     agents: Sequence,
     contour: Contour,
-    alpha_fallback: bool = False,
     pade_order: int = 3,
 ) -> Verdict:
     """Sufficient scalable criterion: at every contour sample the convex
@@ -945,10 +938,7 @@ def fov_check(
 
     Precondition (pole gate): no open-loop unstable poles inside the contour
     region -- violations are returned as a failed verdict listing agents and
-    pole moduli. The optional ``alpha_fallback`` computes per-vertex winding
-    numbers for 16 sampled alphas in [mu_2, 1]; it is a labeled heuristic
-    and can only soften a ray failure to "inconclusive", never certify
-    stability.
+    pole moduli.
     """
     r_gate = contour.inner_radius if contour.kind == "D_r" else 0.0
     violations: list[Violation] = []
@@ -987,33 +977,6 @@ def fov_check(
                 worst,
             )
         )
-    if alpha_fallback and (ray_failed or marginal):
-        alphas = np.linspace(netN.algebraic_connectivity, 1.0, 16)
-        windings = []
-        ok = True
-        vf = sweep.vertices_full
-        for alpha in alphas:
-            for i in range(vf.shape[1]):
-                curve = alpha * vf[:, i]
-                try:
-                    w = winding_number(curve, -1.0)
-                except (MarginalStabilityError, UndersampledContourError):
-                    w = None
-                windings.append({"alpha": float(alpha), "vertex": i, "winding": w})
-                if w is None or w != 0:
-                    ok = False
-        diagnostics["alpha_fallback"] = {
-            "heuristic": True,
-            "all_zero": ok,
-            "windings": windings,
-        }
-        if ray_failed and ok and not any(v.condition == "pole-gate" for v in violations):
-            return Verdict(
-                result="inconclusive",
-                violated_conditions=tuple(violations),
-                diagnostics=diagnostics,
-                sweep=sweep,
-            )
     if violations:
         return Verdict(
             result="unstable",
@@ -1060,6 +1023,11 @@ class DecentralizedPolicy:
         if not (0 < n < math.inf):
             raise InvalidInputError("hyperplane normal must be finite and nonzero")
         object.__setattr__(self, "hyperplane_normal", self.hyperplane_normal / n)
+        # side(-1 - t) = side(-1) - t*Re(normal) for t >= 0, so the whole
+        # ray (-inf, -1] is inadmissible iff both conditions hold
+        if not (self.side(-1.0) < 0 and self.hyperplane_normal.real >= 0):
+            raise InvalidInputError("hyperplane must leave all of (-inf, -1] inadmissible: "
+                                    "need side(-1) < 0 and Re(normal) >= 0")
 
     def side(self, z) -> np.ndarray:
         """Signed distance to the hyperplane, positive on the admissible side."""

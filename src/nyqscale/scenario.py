@@ -5,6 +5,13 @@ Susceptance units declared on each line are converted once at ingestion
 into the package's internal system (power MW, frequency Hz, angle Hz*s):
 a per-radian susceptance picks up a factor 2*pi. Everything downstream is
 unit-naive.
+
+The format is the JSON Schema dict ``_SCHEMA``. A recursive checker
+interprets exactly the keywords it uses: ``type`` (a name or a list),
+``required``, ``properties``, ``items``, ``minItems``, ``maxItems``,
+``minimum``, ``exclusiveMinimum``, ``maximum`` and ``enum``, each judged on
+its own as in JSON Schema (a bool is no number; 1.0 is an integer). Unlike
+JSON Schema, numbers must be finite: a NaN or Infinity is a violation.
 """
 
 from __future__ import annotations
@@ -14,9 +21,6 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
-
-import jsonschema
 
 from .errors import ScenarioError
 from .network import Line, OperatingPoint, PowerNetwork, build_laplacian, kron_reduce
@@ -43,7 +47,6 @@ _B_UNIT_FACTORS = {
 }
 
 _SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
     "required": ["name", "network", "agents"],
     "properties": {
@@ -210,12 +213,58 @@ class Scenario:
         return json.loads(json.dumps(self.raw))
 
 
-def _schema_violations(doc) -> list[str]:
-    validator = jsonschema.Draft202012Validator(_SCHEMA)
+_PY_TYPES = {"object": dict, "array": list, "string": str, "null": type(None)}
+
+
+def _of_type(v, t) -> bool:
+    """Whether ``v`` has the JSON Schema type ``t``, a name or a list of
+    names. Numbers must be finite, and a bool is no number."""
+    if isinstance(t, list):
+        return any(_of_type(v, name) for name in t)
+    if t in _PY_TYPES:
+        return isinstance(v, _PY_TYPES[t])
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    return isinstance(v, int) or math.isfinite(v) and (t == "number" or v.is_integer())
+
+
+# keyword -> (fails(instance, keyword value), message after the instance)
+_RULES = {
+    "type": (lambda v, t: not _of_type(v, t), "is not of type {!r}"),
+    "enum": (lambda v, e: v not in e, "is not one of {!r}"),
+    "minimum": (lambda v, m: _of_type(v, "number") and v < m,
+                "is less than the minimum of {!r}"),
+    "exclusiveMinimum": (lambda v, m: _of_type(v, "number") and v <= m,
+                         "is less than or equal to the minimum of {!r}"),
+    "maximum": (lambda v, m: _of_type(v, "number") and v > m,
+                "is greater than the maximum of {!r}"),
+    "minItems": (lambda v, m: isinstance(v, list) and len(v) < m, "is too short"),
+    "maxItems": (lambda v, m: isinstance(v, list) and len(v) > m, "is too long"),
+}
+
+
+def _violations(node, schema: dict, path: str = "$") -> list[str]:
+    """``path: message`` for every keyword of ``schema`` that ``node``
+    fails, each judged on its own, then for the members of ``node``."""
     out = []
-    for err in sorted(validator.iter_errors(doc), key=lambda e: e.json_path):
-        out.append(f"{err.json_path}: {err.message}")
+    for key, want in schema.items():
+        if key in _RULES:
+            fails, msg = _RULES[key]
+            if fails(node, want):
+                out.append(f"{path}: {node!r} {msg.format(want)}")
+        elif key == "required" and isinstance(node, dict):
+            out += [f"{path}: {k!r} is a required property" for k in want if k not in node]
+        elif key == "properties" and isinstance(node, dict):
+            for k in want.keys() & node.keys():
+                out += _violations(node[k], want[k], f"{path}.{k}")
+        elif key == "items" and isinstance(node, list):
+            for i, item in enumerate(node):
+                out += _violations(item, want, f"{path}[{i}]")
     return out
+
+
+def _schema_violations(doc) -> list[str]:
+    return sorted(_violations(doc, _SCHEMA), key=lambda line: line.split(": ", 1)[0])
 
 
 def loads_scenario(doc: dict, source: str = "<dict>") -> Scenario:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -91,7 +91,6 @@ class _ActuatorBlock:
     name: str
     state_slice: slice
     c_local: np.ndarray
-    d_local: float
 
 
 @dataclass(frozen=True)
@@ -216,7 +215,6 @@ def realize_state_space(
                     name=part["name"],
                     state_slice=slice(off + part["lo"], off + part["hi"]),
                     c_local=part["c_block"],
-                    d_local=part["d"],
                 )
             )
 

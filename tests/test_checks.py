@@ -304,18 +304,6 @@ def test_fov_conservative_wrt_theorem1():
     assert agree >= 3
 
 
-def test_fov_alpha_fallback_is_labeled_heuristic():
-    netN = two_bus_norm(10.0)
-    g = TF([1.0], [0.0, 0.0, 1.0])
-    contour = make_contour("D_r", 1.0, 500.0)
-    v = fov_check(netN, [g, g], contour, alpha_fallback=True)
-    assert "alpha_fallback" in v.diagnostics
-    assert v.diagnostics["alpha_fallback"]["heuristic"] is True
-    # vertices slide along the ray itself here: windings are marginal/zero,
-    # never certifying stability
-    assert v.result in ("unstable", "inconclusive")
-
-
 # ---------------------------------------------------------------- decentralized
 POLICY = DecentralizedPolicy(
     r=0.75,

@@ -172,10 +172,12 @@ def run_fresh_python(code: str) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # no SciPy module at all: importing scipy.linalg alone costs about 0.3 s
+    # no SciPy module at all: importing scipy.linalg alone costs about 0.3 s;
+    # no jsonschema either: scenario files are checked without it
     res = run_fresh_python(
         "import sys, nyqscale.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'jsonschema')))")
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
 
@@ -372,6 +374,19 @@ def test_cli_malformed_option_exit_3(wind_path, tmp_path, command, option, value
         ("n5_hydro_loads", None, ["analyze", "--pade-order", "6"]),
         ("n5_hydro_loads", None, ["export-loci", "--pade-order", "0"]),
         ("n5_hydro_loads", None, ["simulate", "--pade-order", "-1"]),
+        # hyperplanes that admit part of the ray (-inf, -1]
+        ("n5_hydro_wind", None,
+         ["analyze", "--check", "decentralized", "--hyperplane", "-5,0,1,0"]),
+        ("n5_hydro_wind", None,
+         ["analyze", "--check", "decentralized", "--hyperplane", "-0.9,0,0,1"]),
+        # non-finite numbers, which json.loads accepts as NaN and Infinity
+        ("n5_hydro_loads", ("network", "lines", 0, "b", math.inf), ["analyze"]),
+        ("n5_hydro_loads", ("network", "lines", 0, "b", math.inf), ["simulate"]),
+        ("n5_hydro_loads", ("agents", "buses", 0, "hydro", "T_y", math.nan), ["analyze"]),
+        ("n5_hydro_loads", ("output", "dt_s", math.nan), ["analyze"]),
+        # -1 is inadmissible, but the ray left of -2 is admissible
+        ("n5_hydro_wind", None,
+         ["analyze", "--check", "decentralized", "--hyperplane", "-2,0,-1,0"]),
     ],
 )
 def test_cli_malformed_value_exit_3(tmp_path, name, patch, argv):
