@@ -12,7 +12,6 @@ from .lti import (
     pade_delay,
     poly_roots,
     rhp_poles_in_region,
-    tf_combine,
     tf_evaluate,
 )
 from .network import (
@@ -58,7 +57,6 @@ from .simkit import (
     Pulse,
     SimulationResult,
     StateSpaceModel,
-    compute_aggregates,
     pade_sensitivity,
     realize_state_space,
     simulate,

@@ -25,11 +25,7 @@ class PoleHitError(NyqscaleError):
 
 class UnsupportedStructureError(NyqscaleError):
     """Composition the rational-plus-delay representation cannot express
-    (unequal delays in parallel, delayed branch in feedback, ...)."""
-
-
-class AlgebraicLoopError(NyqscaleError):
-    """Degenerate feedback interconnection: 1 + a*b is identically zero."""
+    (unequal delays in parallel, inverting a delayed branch, ...)."""
 
 
 class AmbiguousMirrorError(NyqscaleError):

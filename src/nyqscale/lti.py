@@ -1,9 +1,10 @@
 """Proper rational transfer functions with an optional pure time delay.
 
 Exact polynomial arithmetic and evaluation for the SISO blocks every
-criterion in this package is built from: frequency-domain sweeps always use
-the exact exponential for delays, while state-space work rationalizes them
-through :func:`pade_delay`.
+criterion in this package is built from. ``*`` composes in series and ``+``
+in parallel. Frequency-domain sweeps always use the exact exponential for
+delays; state-space work and pole counts rationalize them through
+:meth:`TransferFunction.rational`, the package's only Pade substitution.
 
 All values are immutable after construction and every operation is a pure
 function, so the same objects may be evaluated from many threads.
@@ -29,7 +30,6 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from .errors import (
-    AlgebraicLoopError,
     AmbiguousMirrorError,
     BoundaryAmbiguityError,
     InvalidInputError,
@@ -44,7 +44,6 @@ __all__ = [
     "TransferFunction",
     "poly_roots",
     "tf_evaluate",
-    "tf_combine",
     "mp_mirror",
     "pade_delay",
     "rhp_poles_in_region",
@@ -195,10 +194,6 @@ class TransferFunction:
 
     # -- constructors --------------------------------------------------------
     @classmethod
-    def from_coeffs(cls, num, den, delay_s: float = 0.0) -> "TransferFunction":
-        return cls(as_polynomial(num), as_polynomial(den), delay_s)
-
-    @classmethod
     def constant(cls, k: float) -> "TransferFunction":
         return cls(Polynomial([float(k)]), Polynomial([1.0]))
 
@@ -235,18 +230,45 @@ class TransferFunction:
     def __call__(self, s):
         return tf_evaluate(self, s)
 
-    # -- algebra sugar -----------------------------------------------------------
+    # -- algebra -------------------------------------------------------------
     def __mul__(self, other):
+        """Series composition: numerators and denominators multiply, delays
+        add. A number scales the numerator."""
         if isinstance(other, TransferFunction):
-            return tf_combine("series", self, other)
+            return TransferFunction(
+                self.num * other.num, self.den * other.den, self.delay_s + other.delay_s
+            )
         return TransferFunction(self.num * float(other), self.den, self.delay_s)
 
     __rmul__ = __mul__
 
     def __add__(self, other):
+        """Parallel composition; a number is a constant branch. Both branches
+        must carry the same delay."""
         if not isinstance(other, TransferFunction):
             other = TransferFunction.constant(float(other))
-        return tf_combine("parallel", self, other)
+        if self.delay_s != other.delay_s:
+            raise UnsupportedStructureError(
+                "parallel composition needs equal delays "
+                f"({self.delay_s} s vs {other.delay_s} s); keep the parts "
+                "separate or rationalize them"
+            )
+        num = self.num * other.den + other.num * self.den
+        return TransferFunction(num, self.den * other.den, self.delay_s)
+
+    def rational(self, pade_order: int | None) -> "TransferFunction":
+        """This function with its delay replaced by the diagonal Pade
+        approximant of order ``pade_order`` (see :func:`pade_delay`).
+
+        Returns ``self`` when there is no delay, whatever the order. A
+        delayed function has no rational form without an order, so ``None``
+        raises InvalidInputError.
+        """
+        if not self.delay_s:
+            return self
+        if pade_order is None:
+            raise InvalidInputError("a delay is rational only at a pade_order")
+        return TransferFunction(self.num, self.den) * pade_delay(self.delay_s, pade_order)
 
     def __repr__(self) -> str:
         d = f", delay_s={self.delay_s}" if self.delay_s else ""
@@ -273,37 +295,6 @@ def tf_evaluate(g: TransferFunction, s):
     if g.delay_s:
         value = value * np.exp(-s_arr * g.delay_s)
     return value if s_arr.ndim else complex(value)
-
-
-def tf_combine(kind: str, a: TransferFunction, b: TransferFunction) -> TransferFunction:
-    """Exact rational composition: ``series``, ``parallel``, or ``feedback``.
-
-    Series multiplies delays' exponents additively; parallel requires equal
-    delay on both operands; feedback (a around unity-gain b, i.e. a/(1+a*b))
-    accepts rational operands only -- a delayed branch must be rationalized
-    through :func:`pade_delay` first.
-    """
-    if kind == "series":
-        return TransferFunction(a.num * b.num, a.den * b.den, a.delay_s + b.delay_s)
-    if kind == "parallel":
-        if a.delay_s != b.delay_s:
-            raise UnsupportedStructureError(
-                "parallel composition needs equal delays "
-                f"({a.delay_s} s vs {b.delay_s} s); keep the parts separate "
-                "or rationalize with pade_delay"
-            )
-        num = a.num * b.den + b.num * a.den
-        return TransferFunction(num, a.den * b.den, a.delay_s)
-    if kind == "feedback":
-        if a.delay_s != 0.0 or b.delay_s != 0.0:
-            raise UnsupportedStructureError(
-                "feedback with a delayed branch must go through pade_delay"
-            )
-        den = a.den * b.den + a.num * b.num
-        if den.is_zero:
-            raise AlgebraicLoopError("1 + a*b is identically zero")
-        return TransferFunction(a.num * b.den, den)
-    raise InvalidInputError(f"unknown combination kind: {kind!r}")
 
 
 def mp_mirror(g: TransferFunction) -> TransferFunction:

@@ -98,7 +98,6 @@ class PowerNetwork:
     n: int
     lines: tuple[Line, ...]
     laplacian: np.ndarray
-    algebraic_buses: tuple[int, ...] = ()
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -115,16 +114,10 @@ class PowerNetwork:
         object.__setattr__(self, "laplacian", L)
 
     @classmethod
-    def from_laplacian(cls, L, algebraic_buses=(), flags=()) -> "PowerNetwork":
+    def from_laplacian(cls, L, flags=()) -> "PowerNetwork":
         """Wrap an explicitly given Laplacian (tests, random suites)."""
         L = np.asarray(L, dtype=float)
-        return cls(
-            n=L.shape[0],
-            lines=(),
-            laplacian=L,
-            algebraic_buses=tuple(algebraic_buses),
-            flags=tuple(flags),
-        )
+        return cls(n=L.shape[0], lines=(), laplacian=L, flags=tuple(flags))
 
     @property
     def is_connected(self) -> bool:
@@ -226,7 +219,6 @@ class NormalizedNetwork:
     l_prime: np.ndarray
     mu: np.ndarray
     U: np.ndarray
-    notes: tuple[str, ...] = ()
 
     def __post_init__(self):
         for name in ("gamma", "l_prime", "mu", "U"):
@@ -248,18 +240,14 @@ class NormalizedNetwork:
         """Interarea eigenvalues diag(mu_2, ..., mu_n) as a vector."""
         return self.mu[1:]
 
-    def denormalize(self) -> np.ndarray:
-        g = np.sqrt(self.gamma)
-        return g[:, None] * self.l_prime * g[None, :]
-
 
 def normalize(net: PowerNetwork) -> NormalizedNetwork:
     """Gamma-normalize: Gamma = 2 diag(L), L' = Gamma^-1/2 L Gamma^-1/2.
 
     Raises NormalizationError for isolated buses (zero diagonal) and
     ConnectivityError when mu_2 is not strictly positive. For networks
-    flagged with nonpositive edge weights the [0, 1] spectrum claim is not
-    guaranteed and is recorded in ``notes`` instead of enforced.
+    flagged with nonpositive edge weights (``net.flags``) the [0, 1]
+    spectrum claim is not guaranteed, so it is not enforced.
     """
     L = net.laplacian
     diag = np.diag(L)
@@ -276,12 +264,7 @@ def normalize(net: PowerNetwork) -> NormalizedNetwork:
         mu = np.diag(U.T @ l_prime @ U).copy()
     order = np.argsort(mu)
     mu, U = mu[order], U[:, order]
-    notes = []
-    flagged = "nonpositive-edge-weight" in net.flags
-    if flagged:
-        notes.append("PSD not guaranteed: nonpositive edge weight at the "
-                      "operating point")
-    else:
+    if "nonpositive-edge-weight" not in net.flags:
         if abs(mu[0]) > ZERO_EIG_ATOL:
             raise NormalizationError(f"mu_1 = {mu[0]:.3g} is not zero")
         if mu[-1] > 1.0 + ZERO_EIG_ATOL:
@@ -305,7 +288,6 @@ def normalize(net: PowerNetwork) -> NormalizedNetwork:
         l_prime=l_prime,
         mu=mu,
         U=U,
-        notes=tuple(notes),
     )
 
 
@@ -329,8 +311,6 @@ def average_model(agents: Sequence, pade_order: int | None = None) -> TransferFu
     for a in agents:
         if not isinstance(a, Agent):
             raise InvalidInputError(f"expected an Agent, got {type(a).__name__}")
-        if pade_order is None and a.has_delay:
-            raise InvalidInputError("a delayed agent is rational only at a pade_order")
         M_total += a.inertia
         terms = [a.freq_actuator_rational(pade_order)]
         if a.load_damping:

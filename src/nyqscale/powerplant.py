@@ -22,13 +22,7 @@ from .errors import (
     PropernessError,
     UnstableTurbineModelError,
 )
-from .lti import (
-    Polynomial,
-    TransferFunction,
-    mp_mirror,
-    pade_delay,
-    tf_combine,
-)
+from .lti import Polynomial, TransferFunction, mp_mirror
 
 __all__ = [
     "C_ROTOR_FLOOR_08",
@@ -82,26 +76,22 @@ class HydroParams:
 class WindParams:
     """Wind turbine linearization data.
 
-    ``c_omega`` is the power sensitivity to rotor-speed deviation; the
-    conservative bound C_ROTOR_FLOOR_08 applies while the 80% rotor-speed
-    floor is enforced. ``k_stab`` defaults to the conservative 2*v*c_omega.
-    ``p_nom_mw``/``p_mpp_mw`` are carried for reporting and the energy
-    bound-compliance proxy; the linearization itself does not use them.
+    ``c_omega`` is the power sensitivity to rotor-speed deviation; it may
+    not exceed the conservative bound C_ROTOR_FLOOR_08 that holds while the
+    rotor stays above 80% of its MPP speed. ``k_stab`` defaults to the
+    conservative 2*v*c_omega.
     """
 
     wind_speed_m_s: float
     c_omega: float = C_ROTOR_FLOOR_08
     k_stab: float | None = None
-    p_nom_mw: float = 0.0
-    p_mpp_mw: float = 0.0
-    enforce_rotor_floor: bool = True
 
     def __post_init__(self):
         if self.wind_speed_m_s <= 0:
             raise InvalidInputError("wind speed must be positive")
         if self.c_omega <= 0:
             raise InvalidInputError("c_omega must be positive")
-        if self.enforce_rotor_floor and self.c_omega > C_ROTOR_FLOOR_08 * (1 + 1e-12):
+        if self.c_omega > C_ROTOR_FLOOR_08 * (1 + 1e-12):
             raise InvalidInputError(
                 f"c_omega = {self.c_omega} exceeds the 80% rotor-speed bound "
                 f"{C_ROTOR_FLOOR_08}"
@@ -168,13 +158,13 @@ def make_fcr_controller(
         )
     z = rhp_zeros[0].real
     h_hat = mp_mirror(h_hydro)
-    controller = tf_combine("series", c_share * f_des, h_hat.inverse())
+    controller = c_share * f_des * h_hat.inverse()
     if not controller.is_proper:
         raise PropernessError(
             "model-matching controller came out improper; the design target "
             "must roll off at least as fast as the turbine"
         )
-    composed = tf_combine("series", controller, h_hydro)
+    composed = controller * h_hydro
     target = TransferFunction(
         c_share * f_des.num * Polynomial([z, -1.0]),
         f_des.den * Polynomial([z, 1.0]),
@@ -231,7 +221,7 @@ def make_ffr_controller(
         Polynomial([1.0, 5.0]),
         delay_s=tau_s,
     )
-    return tf_combine("series", washout, h_wind)
+    return washout * h_wind
 
 
 @dataclass(frozen=True)
@@ -278,26 +268,13 @@ class Agent:
         return any(f.delay_s > 0 for f in self.f_parts)
 
     def freq_actuator_rational(self, pade_order: int | None = None) -> TransferFunction:
-        """Sum of the F parts as one rational function. Delayed parts demand
-        a ``pade_order``; with ``None`` only exactly-equal delays combine."""
+        """Sum of the F parts as one rational function, each part through
+        :meth:`TransferFunction.rational`: a delayed part needs a
+        ``pade_order``, and ``None`` raises InvalidInputError for it."""
         if not self.f_parts:
             return _ZERO_TF
-        parts = []
-        for f in self.f_parts:
-            if f.delay_s and pade_order is not None:
-                parts.append(
-                    tf_combine(
-                        "series",
-                        TransferFunction(f.num, f.den),
-                        pade_delay(f.delay_s, pade_order),
-                    )
-                )
-            else:
-                parts.append(f)
-        total = parts[0]
-        for f in parts[1:]:
-            total = tf_combine("parallel", total, f)
-        return total
+        parts = [f.rational(pade_order) for f in self.f_parts]
+        return sum(parts[1:], parts[0])
 
     # -- the agent transfer function -----------------------------------------
     def __call__(self, s):
@@ -334,15 +311,12 @@ class Agent:
         object is returned for the same order (for any order when there is
         no delay). A delayed agent needs an order: ``None`` raises
         InvalidInputError."""
-        delayed = self.has_delay
-        if delayed and pade_order is None:
-            raise InvalidInputError("a delayed agent is rational only at a pade_order")
-        key = pade_order if delayed else None
+        key = pade_order if self.has_delay else None
         if key in self._rational:
             return self._rational[key]
         F = self.freq_actuator_rational(key)
         if self.load_damping:
-            F = tf_combine("parallel", F, TransferFunction.constant(self.load_damping))
+            F = F + self.load_damping
         nF, dF = F.num, F.den
         nR, dR = self.angle_actuator.num, self.angle_actuator.den
         den = Polynomial([0.0, 0.0, self.inertia]) * dF * dR + _S * nF * dR + nR * dF

@@ -267,7 +267,7 @@ def _schema_violations(doc) -> list[str]:
     return sorted(_violations(doc, _SCHEMA), key=lambda line: line.split(": ", 1)[0])
 
 
-def loads_scenario(doc: dict, source: str = "<dict>") -> Scenario:
+def loads_scenario(doc: dict) -> Scenario:
     """Validate and cross-reference an already-parsed scenario document."""
     violations = _schema_violations(doc)
     if violations:
@@ -358,13 +358,9 @@ def loads_scenario(doc: dict, source: str = "<dict>") -> Scenario:
                 rate_limits[i] = params.rate_limit_pu_s * float(h["P_gen_MW"])
         if "wind" in spec_a:
             w = spec_a["wind"]
-            wp = WindParams(
-                wind_speed_m_s=w["v_m_s"],
-                c_omega=w.get("C_omega", 5.8e-3),
-                p_nom_mw=w.get("P_nom_MW", 0.0),
-                p_mpp_mw=w.get("P_MPP_MW", 0.0),
+            turbine = make_wind_turbine(
+                WindParams(wind_speed_m_s=w["v_m_s"], c_omega=w.get("C_omega", 5.8e-3))
             )
-            turbine = make_wind_turbine(wp)
             parts.append(
                 make_ffr_controller(
                     w["ffr_share"], w["k_ffr_MW_per_Hz"], w["tau_s"], turbine
@@ -449,7 +445,7 @@ def load_scenario(path: str | Path) -> Scenario:
         doc = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ScenarioError([f"invalid JSON: {exc}"]) from None
-    return loads_scenario(doc, source=str(p))
+    return loads_scenario(doc)
 
 
 def bundled_scenario_path(name: str) -> Path:

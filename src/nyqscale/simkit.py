@@ -38,7 +38,7 @@ from .errors import (
     InvalidInputError,
     RealizationError,
 )
-from .lti import TransferFunction, pade_delay, tf_combine
+from .lti import TransferFunction
 from .network import PowerNetwork
 from .powerplant import Agent
 
@@ -48,7 +48,6 @@ __all__ = [
     "Pulse",
     "realize_state_space",
     "simulate",
-    "compute_aggregates",
     "pade_sensitivity",
 ]
 
@@ -114,7 +113,6 @@ class StateSpaceModel:
     inertia: np.ndarray
     laplacian: np.ndarray
     actuator_blocks: tuple[_ActuatorBlock, ...] = ()
-    pade_order: int = 3
 
     def __post_init__(self):
         for name in ("A", "B", "C", "D", "inertia", "laplacian"):
@@ -258,29 +256,15 @@ def realize_state_space(
         inertia=inertia,
         laplacian=L,
         actuator_blocks=tuple(act_blocks),
-        pade_order=pade_order,
     )
-
-
-def _rationalized_parts(agent: Agent, pade_order: int):
-    parts = []
-    for f, name in zip(agent.f_parts, agent.f_part_names):
-        if f.delay_s:
-            f = tf_combine(
-                "series",
-                TransferFunction(f.num, f.den),
-                pade_delay(f.delay_s, pade_order),
-            )
-        parts.append((name, f))
-    return parts
 
 
 def _swing_block(agent: Agent, idx: int, pade_order: int) -> dict:
     """Local realization of one swing agent with input u and outputs
     (delta, omega, actuator parts). State layout: [delta, (omega), F-part
     states..., R states...]."""
-    parts = _rationalized_parts(agent, pade_order)
-    sub = [( name, *_ccf(f)) for name, f in parts]
+    sub = [(name, *_ccf(f.rational(pade_order)))
+           for f, name in zip(agent.f_parts, agent.f_part_names)]
     use_R = not agent.angle_actuator.num.is_zero
     if use_R:
         A_R, b_R, c_R, d_R = _ccf(agent.angle_actuator)
@@ -391,10 +375,7 @@ def _scatter(m, lo, hi, cs):
 
 def _tf_block(g: TransferFunction, idx: int, pade_order: int) -> dict:
     """Local realization of a raw transfer-function agent u -> delta."""
-    if g.delay_s:
-        g = tf_combine(
-            "series", TransferFunction(g.num, g.den), pade_delay(g.delay_s, pade_order)
-        )
+    g = g.rational(pade_order)
     if not g.is_strictly_proper:
         raise RealizationError(
             f"agent {idx}: raw transfer-function agents must be strictly "
@@ -796,16 +777,6 @@ def _aggregate(freq: np.ndarray, inertia: np.ndarray):
     avg = freq.mean(axis=0)
     M = float(inertia.sum())
     coi = (inertia[:, None] * freq).sum(axis=0) / M if M > 0 else np.full_like(avg, np.nan)
-    return avg, coi
-
-
-def compute_aggregates(result: SimulationResult, agents: Sequence[Agent]):
-    """(omega_avg, omega_COI) traces from per-bus frequencies: the plain
-    average and the inertia-weighted center-of-inertia frequency."""
-    M = np.array([a.inertia if isinstance(a, Agent) else 0.0 for a in agents])
-    if M.sum() <= 0:
-        raise InvalidInputError("omega_COI undefined: total inertia is zero")
-    avg, coi = _aggregate(result.frequency_hz, M)
     return avg, coi
 
 

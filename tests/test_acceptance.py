@@ -45,7 +45,7 @@ from util import (
     random_stable_proper_tf,
 )
 
-TF = TransferFunction.from_coeffs
+TF = TransferFunction
 
 
 def report(num, ok, detail=""):

@@ -39,7 +39,7 @@ from util import (
     random_stable_proper_tf,
 )
 
-TF = TransferFunction.from_coeffs
+TF = TransferFunction
 
 
 def two_bus_norm(w=1.0):
@@ -334,7 +334,7 @@ def test_decentralized_wind_delay_crossing_at_pi_over_2tau():
     # pure delayed proportional FFR: vertex crosses the real axis exactly
     # at pi/(2 tau)
     tau = 0.1
-    f_wind = TransferFunction.from_coeffs([600.0], [1.0], delay_s=tau)
+    f_wind = TransferFunction([600.0], [1.0], delay_s=tau)
     agent = assemble_agent(1360.0, [f_wind], part_names=["wind"])
     crossings = vertex_axis_crossings(agent, 38955.7, 2.0, 40.0)
     assert crossings, "no crossing found"
@@ -392,7 +392,7 @@ def test_decentralized_unstable_pole_inside_region_fails():
 def test_decentralized_hyperplane_violation_detected():
     # stable agent (small delayed damping), but gamma so large the vertex
     # still sits left of Re = -0.9 above pi/(2 tau_max)
-    f = TransferFunction.from_coeffs([50.0], [1.0], delay_s=0.1)
+    f = TransferFunction([50.0], [1.0], delay_s=0.1)
     agent = assemble_agent(100.0, [f])
     v = decentralized_check(agent, gamma_bound=40000.0, policy=POLICY)
     assert v.result == "unstable"

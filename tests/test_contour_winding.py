@@ -37,7 +37,7 @@ from util import (
     sequential_branches,
 )
 
-TF = TransferFunction.from_coeffs
+TF = TransferFunction
 
 
 # ---------------------------------------------------------------- contours

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nyqscale.errors import (
-    AlgebraicLoopError,
     AmbiguousMirrorError,
     BoundaryAmbiguityError,
     InvalidInputError,
@@ -24,11 +23,10 @@ from nyqscale.lti import (
     pade_delay,
     poly_roots,
     rhp_poles_in_region,
-    tf_combine,
     tf_evaluate,
 )
 
-TF = TransferFunction.from_coeffs
+TF = TransferFunction
 
 
 def sorted_c(values):
@@ -126,19 +124,14 @@ def test_delay_exactness_matches_rational_times_exponential():
 
 # ---------------------------------------------------------------- combine
 def test_combine_series():
-    g = tf_combine("series", TF([1.0], [1.0, 1.0]), TF([1.0], [2.0, 1.0]))
+    g = TF([1.0], [1.0, 1.0], delay_s=0.25) * TF([1.0], [2.0, 1.0], delay_s=0.5)
     assert g.den.coefficients == (2.0, 3.0, 1.0)
     assert g.num.coefficients == (1.0,)
-
-
-def test_combine_feedback_undamped_oscillator():
-    g = tf_combine("feedback", TF([1.0], [0.0, 0.0, 1.0]), TF([1.0], [1.0]))
-    assert g.num.coefficients == (1.0,)
-    assert g.den.coefficients == (1.0, 0.0, 1.0)
+    assert g.delay_s == 0.75
 
 
 def test_combine_parallel_equal_dens():
-    g = tf_combine("parallel", TF([1.0], [1.0, 1.0]), TF([1.0], [1.0, 1.0]))
+    g = TF([1.0], [1.0, 1.0]) + TF([1.0], [1.0, 1.0])
     # 2(s+1)/(s+1)^2; exact composition, no simplification
     assert g.num.coefficients == (2.0, 2.0)
     assert g.den.coefficients == (1.0, 2.0, 1.0)
@@ -148,38 +141,22 @@ def test_combine_parallel_unequal_delays_rejected():
     a = TF([1.0], [1.0, 1.0], delay_s=0.1)
     b = TF([1.0], [1.0, 1.0])
     with pytest.raises(UnsupportedStructureError):
-        tf_combine("parallel", a, b)
+        a + b
 
 
-def test_combine_feedback_with_delay_rejected():
-    a = TF([1.0], [1.0, 1.0], delay_s=0.1)
-    with pytest.raises(UnsupportedStructureError):
-        tf_combine("feedback", a, TF([1.0], [1.0]))
-
-
-def test_combine_degenerate_feedback_rejected():
-    # a = -1 (constant), b = 1: 1 + a b = 0 identically
-    with pytest.raises(AlgebraicLoopError):
-        tf_combine("feedback", TF([-1.0], [1.0]), TF([1.0], [1.0]))
-
-
-def test_feedback_agrees_with_direct_expansion_on_random_pairs():
-    # oracle: den = da*db + na*nb by direct polynomial expansion
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        na = rng.uniform(-2, 2, rng.integers(1, 3))
-        nb = rng.uniform(-2, 2, rng.integers(1, 3))
-        da = np.polynomial.polynomial.polyfromroots(rng.uniform(-4, -0.5, 2)).real
-        db = np.polynomial.polynomial.polyfromroots(rng.uniform(-4, -0.5, 2)).real
-        a, b = TF(na, da), TF(nb, db)
-        g = tf_combine("feedback", a, b)
-        want_den = np.polynomial.polynomial.polyadd(
-            np.polynomial.polynomial.polymul(da, db),
-            np.polynomial.polynomial.polymul(na, nb),
-        )
-        assert np.allclose(g.den.as_array(), np.trim_zeros(want_den, "b"))
-        want_num = np.polynomial.polynomial.polymul(na, db)
-        assert np.allclose(g.num.as_array(), np.trim_zeros(want_num, "b"))
+def test_rational_substitutes_pade_for_the_delay():
+    bare = TF([1.0, 2.0], [1.0, 3.0, 1.0])
+    assert bare.rational(3) is bare
+    assert bare.rational(None) is bare
+    g = TF([1.0, 2.0], [1.0, 3.0, 1.0], delay_s=0.25)
+    with pytest.raises(InvalidInputError):
+        g.rational(None)
+    for q in range(1, 6):
+        r = g.rational(q)
+        want = bare * pade_delay(0.25, q)
+        assert r.delay_s == 0.0
+        assert r.num.coefficients == want.num.coefficients
+        assert r.den.coefficients == want.den.coefficients
 
 
 # ---------------------------------------------------------------- mp mirror

@@ -23,7 +23,7 @@ from nyqscale.powerplant import (
     make_wind_turbine,
 )
 
-TF = TransferFunction.from_coeffs
+TF = TransferFunction
 
 
 def random_connected_laplacian(rng, n):
@@ -137,7 +137,9 @@ def test_normalize_denormalize_roundtrip():
     rng = np.random.default_rng(17)
     L = random_connected_laplacian(rng, 5)
     nn = normalize(PowerNetwork.from_laplacian(L))
-    assert np.abs(nn.denormalize() - L).max() < 1e-10 * max(1.0, np.abs(L).max())
+    g = np.sqrt(nn.gamma)
+    back = g[:, None] * nn.l_prime * g[None, :]
+    assert np.abs(back - L).max() < 1e-10 * max(1.0, np.abs(L).max())
 
 
 def test_normalize_zero_diagonal_rejected():
@@ -157,6 +159,8 @@ def test_average_model_delayed_agent_needs_pade_order():
     delayed = assemble_agent(1360.0, [make_ffr_controller(0.6, 1000.0, 0.1, h)])
     with pytest.raises(InvalidInputError):
         average_model([delayed])
+    with pytest.raises(InvalidInputError):
+        delayed.freq_actuator_rational(None)
     assert average_model([delayed], pade_order=3).delay_s == 0.0
 
 

@@ -24,7 +24,7 @@ from nyqscale.powerplant import (
     make_wind_turbine,
 )
 
-TF = TransferFunction.from_coeffs
+TF = TransferFunction
 
 TABLE_II = [
     dict(share=0.6, T_y=0.2, T_w=0.7, g0=0.8),
@@ -123,7 +123,7 @@ def test_fcr_share_validation():
 
 # ---------------------------------------------------------------- wind
 def test_wind_turbine_dc_and_hf():
-    w = WindParams(10.0, p_nom_mw=1000.0, p_mpp_mw=695.0)
+    w = WindParams(10.0)
     h = make_wind_turbine(w)
     assert h(0.0) == pytest.approx(-1.0)
     assert abs(h(1j * 1e6) - 1.0) < 1e-5
@@ -138,8 +138,7 @@ def test_wind_turbine_allpass_magnitude_near_band_edge():
 def test_wind_floor_bound_enforced():
     with pytest.raises(InvalidInputError):
         WindParams(10.0, c_omega=2 * C_ROTOR_FLOOR_08)
-    # explicit opt-out allows larger sensitivities
-    WindParams(10.0, c_omega=2 * C_ROTOR_FLOOR_08, enforce_rotor_floor=False)
+    assert WindParams(10.0, c_omega=C_ROTOR_FLOOR_08).c_omega == C_ROTOR_FLOOR_08
 
 
 def test_wind_unstable_model_rejected():

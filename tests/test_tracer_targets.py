@@ -1,10 +1,13 @@
 """The benchmark tracer (perfbench/spans.py) patches nyqscale attributes by
 name; every one of them must exist, or a rename only shows up as a KeyError
-in a traced benchmark run."""
+in a traced benchmark run. Besides TARGETS, ``Tracer.install`` swaps
+``lti.tf_evaluate`` for a call counter."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import nyqscale.lti as lti
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -29,3 +32,18 @@ def test_tracer_targets_resolve_in_nyqscale():
         if owner is None or name not in vars(owner):
             missing.append(f"{mod_name}.{attr}")
     assert not missing, missing
+
+
+def test_transfer_function_calls_go_through_tf_evaluate(monkeypatch):
+    assert "tf_evaluate" in vars(lti)
+    calls = []
+    original = lti.tf_evaluate
+
+    def counting(g, s):
+        calls.append(s)
+        return original(g, s)
+
+    monkeypatch.setattr(lti, "tf_evaluate", counting)
+    g = lti.TransferFunction([1.0], [1.0, 1.0])
+    assert g(0.0) == 1.0
+    assert len(calls) == 1

@@ -48,7 +48,7 @@ def random_stable_proper_tf(rng, max_order: int = 3, strictly_proper: bool = Tru
             zeros.append(complex(rng.uniform(-6.0, -0.2), 0.0))
     num = npp.polyfromroots(zeros).real if zeros else np.array([1.0])
     gain = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)
-    return TransferFunction.from_coeffs(gain * num, den)
+    return TransferFunction(gain * num, den)
 
 
 def closed_loop_charpoly(L: np.ndarray, tfs) -> np.ndarray:
