@@ -118,24 +118,27 @@ def _write_report(out_dir: Path, payload: dict):
     click.echo(f"report: {path}")
 
 
-# rows formatted per block: larger blocks are no faster and raise peak RSS
+# rows formatted per block of loci.csv, where each row is formatted and
+# kept on its own; larger blocks only hold more text at once
 _CSV_BLOCK_ROWS = 32
+# rows formatted per block of traces.csv: one % formats a whole block, so
+# larger blocks than loci.csv's spread the per-block calls over more cells
+_TRACES_BLOCK_ROWS = 512
 
 
 def _write_csv(path: Path, header, columns, formats):
     """Write ``columns`` (equal-length 1-D real arrays, or 2-D blocks of
     them) side by side, each cell printf-formatted by its entry in
-    ``formats``. Line ends and the header are csv.writer's. Rows are
-    formatted a block at a time with one % per row."""
+    ``formats``. Line ends and the header are csv.writer's. The columns
+    are stacked once, and each block of rows is formatted by one % over
+    the row format repeated once per row."""
     fmt = ",".join(formats) + "\r\n"
-    n_rows = len(columns[0])
+    table = np.column_stack(columns)
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
-            hi = min(lo + _CSV_BLOCK_ROWS, n_rows)
-            rows = np.hstack([np.asarray(col[lo:hi]).reshape(hi - lo, -1)
-                              for col in columns]).tolist()
-            fh.writelines(fmt % tuple(row) for row in rows)
+        for lo in range(0, len(table), _TRACES_BLOCK_ROWS):
+            block = table[lo:lo + _TRACES_BLOCK_ROWS]
+            fh.write(fmt * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_loci_csv(path: Path, sweep: LociSweep, markers=()):
@@ -485,7 +488,7 @@ def simulate(scenario_path, dt, t_end, pade_order, rate_limiter,
         )
     except DivergenceError as exc:
         out.mkdir(parents=True, exist_ok=True)
-        summary = {"scenario": scenario_path, "diverged_at_s": exc.t}
+        summary = {"scenario": scn.name, "diverged_at_s": exc.t}
         (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
         click.echo(f"diverged at t = {exc.t:.3f} s", err=True)
         sys.exit(EXIT_DIVERGED)

@@ -10,7 +10,9 @@ to 200 records at a time through one stacked map of the step's powers.
 Fixed-step RK4 remains only for the nonlinear hydro rate clamp. Wherever
 all four stage rates of a step stay within the bounds, that RK4 step is a
 fixed linear map, applied to blocks of up to 200 steps at once through the
-same kind of stack; only the steps where the clamp binds run stage by stage.
+same kind of stack; only the steps where the clamp binds run stage by stage,
+each stage one matvec that yields the derivative and the clamped rates
+together.
 
 SciPy's ``expm`` is the module's only SciPy call, and it is imported inside
 ``_zoh_step`` on the first simulation: ``nyqscale.cli`` imports this module,
@@ -485,18 +487,21 @@ def simulate(
 
     With the hydro servo rate limiter the named actuator blocks' state
     derivatives are clamped so the actuator output rate stays within the
-    per-bus MW/s bound. That is nonlinear, and classical fixed-step RK4 at
-    ``dt`` integrates it, with the disturbance taken at each step's midpoint.
+    per-bus MW/s bound (one below 0, or NaN, raises InvalidInputError).
+    That is nonlinear, and classical fixed-step RK4 at ``dt`` integrates
+    it, with the disturbance taken at each step's midpoint.
     A step whose four stage rates all lie within the bounds is the linear
     RK4 map x <- P x + Q B d; such steps advance in blocks of up to 200
     through one precomputed matrix, and the steps where the clamp binds run
-    stage by stage. The clamp is off in all oracle comparisons.
+    stage by stage, with the clamp tested at every stage for every bound.
+    The clamp is off in all oracle comparisons.
 
     Preconditions on both paths: dt <= 0.1/|lambda_max(A)| (the explicit
     integrator's stability margin), else IntegratorConfigError. A state that
     stops being finite raises DivergenceError: on the linear path at the
-    first such record, under the clamp at the end of the block or clamped
-    step that produced it, so within 200 steps.
+    first such record; under the clamp at the end of the block that produced
+    it, or, among steps run stage by stage, at the next step that is a
+    multiple of 200 or the last one, so within 200 steps.
     """
     if not (0 < t_end < math.inf and 0 < dt < math.inf) or record_decimation < 1:
         raise InvalidInputError(
@@ -520,6 +525,9 @@ def simulate(
             if rate_limits_mw_per_s and blk.bus in rate_limits_mw_per_s:
                 bound = rate_limits_mw_per_s[blk.bus]
             if bound is not None and blk.name == "hydro":
+                if not bound >= 0:
+                    raise InvalidInputError(
+                        f"rate limit of bus {blk.bus} must be >= 0 MW/s, got {bound}")
                 limits.append((blk.state_slice, blk.c_local, float(bound)))
 
     steps = int(round(t_end / dt))
@@ -680,8 +688,16 @@ def _rk4_records(model, x, rows, seg, limits, dt, idx) -> np.ndarray:
     that also yields each step's stage rates. A block stops before d
     changes or at the first step whose rates leave the bounds; from that
     step on, steps run stage by stage with the clamp until one of them
-    clamps nothing. DivergenceError once a block or a stage-by-stage step
-    ends in a state that is not finite.
+    clamps nothing.
+
+    A stage-by-stage step takes each stage's derivative and rates from one
+    matvec with the stacked [A; Cr A], plus [B d; Cr B d], computed once
+    per disturbance segment. The clamp factors are computed from the rates as
+    Python floats and scale the clamped states only when some factor is
+    below 1; the four stage derivatives are combined by one product with
+    the RK4 weights. DivergenceError at the end of a block that leaves a
+    state that is not finite, and at every 200th step and the last step
+    when run stage by stage, so within 200 steps of the first such state.
     """
     A, B = model.A, model.B
     n_x, n_d = B.shape
@@ -694,23 +710,14 @@ def _rk4_records(model, x, rows, seg, limits, dt, idx) -> np.ndarray:
     P = eye + dt / 6 * (K[0] + 2 * K[1] + 2 * K[2] + K[3])
     QB = dt / 6 * (L[0] + 2 * L[1] + 2 * L[2] + L[3]) @ B
 
+    n_l = len(limits)
     bounds = np.array([bound for _, _, bound in limits])
-    Cr = np.zeros((len(limits), n_x))
-    own, who = [], []  # each clamped state and the limit that owns it
+    Cr = np.zeros((n_l, n_x))
+    # the limit that owns each state; n_l, whose factor is always 1, for the rest
+    who = np.full(n_x, n_l)
     for i, (sl, c_loc, _) in enumerate(limits):
         Cr[i, sl] = c_loc
-        own.extend(range(sl.start, sl.stop))
-        who.extend([i] * (sl.stop - sl.start))
-    own, who = np.array(own, dtype=int), np.array(who, dtype=int)
-
-    F = np.empty((4, len(limits)))  # clamp factor per stage and limit
-
-    def deriv(x: np.ndarray, bd: np.ndarray, f: np.ndarray) -> np.ndarray:
-        dx = A @ x + bd
-        # f = bound/|rate| where |rate| > bound, else exactly 1
-        np.fmin(1.0, bounds / np.abs(Cr @ dx), out=f)
-        dx[own] *= f.take(who)
-        return dx
+        who[sl] = i
 
     # the stage rates of one linear step from x are G x + g d
     G = np.vstack([Cr @ Km for Km in K])
@@ -731,6 +738,29 @@ def _rk4_records(model, x, rows, seg, limits, dt, idx) -> np.ndarray:
         stack[j, :n_g, n_x:] = G @ Sj + g
     stack = stack.reshape(n_blk * w, n_x + n_d)
 
+    # stage by stage: row m of KR is stage m's [derivative; rates], which
+    # is AC xs plus the disturbance segment's row of BCd
+    AC = np.vstack([A, Cr @ A])
+    BCd = rows @ np.vstack([B, Cr @ B]).T
+    KR = np.empty((4, n_x + n_l))
+    K4 = KR[:, :n_x]
+    ys, ks, rs = list(KR), list(K4), list(KR[:, n_x:])
+    wts = dt / 6 * np.array([1.0, 2.0, 2.0, 1.0])
+    bl = bounds.tolist()
+    one = [1.0]
+
+    def stage(xs: np.ndarray, m: int) -> bool:
+        """Stage m's clamped derivative at xs, under the current step's row
+        bdc of BCd, into ks[m]; True if it clamps."""
+        np.matmul(AC, xs, out=ys[m])
+        ys[m] += bdc
+        # bound/|rate| where |rate| > bound, else exactly 1 (nan too)
+        f = [b / abs(v) if abs(v) > b else 1.0 for v, b in zip(rs[m].tolist(), bl)]
+        if min(f) < 1.0:
+            ks[m] *= np.array(f + one).take(who)
+            return True
+        return False
+
     steps = int(idx[-1])
     rec = idx.tolist()
     ends = (np.flatnonzero(np.diff(seg)) + 1).tolist() + [steps]  # where d changes
@@ -739,14 +769,13 @@ def _rk4_records(model, x, rows, seg, limits, dt, idx) -> np.ndarray:
     X[0] = x
     r, e, k = 1, 0, 0
     span = n_blk  # steps to try as one block; 0 while the clamp binds
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         while k < steps:
             while ends[e] <= k:
                 e += 1
-            d = rows[seg[k]]
             if span:
                 J = min(span, ends[e] - k)
-                Y = (stack[: J * w] @ np.concatenate((x, d))).reshape(J, w)
+                Y = (stack[: J * w] @ np.concatenate((x, rows[seg[k]]))).reshape(J, w)
                 ok = (np.abs(Y[:, :n_g]) <= limit).all(axis=1)
                 p = J if ok.all() else int(ok.argmin())
                 if p:
@@ -756,20 +785,22 @@ def _rk4_records(model, x, rows, seg, limits, dt, idx) -> np.ndarray:
                     r = r1
                     k += p
                 span = min(2 * span, n_blk) if p == J else 0
+                if not np.isfinite(x).all():
+                    raise DivergenceError(k * dt)
             else:
-                bd = B @ d
-                k1 = deriv(x, bd, F[0])
-                k2 = deriv(x + dt / 2 * k1, bd, F[1])
-                k3 = deriv(x + dt / 2 * k2, bd, F[2])
-                k4 = deriv(x + dt * k3, bd, F[3])
-                x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+                bdc = BCd[seg[k]]
+                c1 = stage(x, 0)
+                c2 = stage(x + dt / 2 * ks[0], 1)
+                c3 = stage(x + dt / 2 * ks[1], 2)
+                c4 = stage(x + dt * ks[2], 3)
+                x = x + wts @ K4
                 k += 1
                 if rec[r] == k:
                     X[r] = x
                     r += 1
-                span = 0 if F.min() < 1.0 else 1
-            if not np.isfinite(x).all():
-                raise DivergenceError(k * dt)
+                span = 0 if c1 or c2 or c3 or c4 else 1
+                if (k % _BLOCK_STEPS == 0 or k == steps) and not np.isfinite(x).all():
+                    raise DivergenceError(k * dt)
     return X
 
 

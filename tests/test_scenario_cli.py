@@ -415,11 +415,14 @@ def test_cli_unknown_option_and_command_exit_3(wind_path):
 
 
 def test_cli_simulate_divergence_exit_4(tmp_path):
+    doc = diverging_scenario_doc()
     p = tmp_path / "diverging.json"
-    p.write_text(json.dumps(diverging_scenario_doc()))
+    p.write_text(json.dumps(doc))
     res = CliRunner().invoke(main, ["simulate", str(p), "--out-dir", str(tmp_path)])
     assert res.exit_code == 4, res.output
     summary = json.loads((tmp_path / "summary.json").read_text())
+    # the scenario's name, as a completed run writes it, not the file path
+    assert summary["scenario"] == doc["name"]
     assert 1.0 < summary["diverged_at_s"] < 60.0
     assert not (tmp_path / "traces.csv").exists()
 
@@ -438,9 +441,9 @@ TRICKY = np.array([0.0, -0.0, 1.0 / 3.0, -2.5e-7, 123456789.123, 1e300, -7.0, 4e
 
 
 def test_write_traces_csv_matches_per_cell_formatting(tmp_path):
-    # more rows than the writer formats in one block
+    # two full blocks of rows and a partial third
     rng = np.random.default_rng(5)
-    tricky = np.tile(TRICKY, 140)
+    tricky = np.resize(TRICKY, 2 * cli._TRACES_BLOCK_ROWS + 7)
     T = len(tricky)
     freq = np.vstack([tricky, rng.normal(size=T)])
     tie = np.vstack([rng.normal(scale=1e3, size=T), tricky[::-1]])

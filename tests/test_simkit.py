@@ -9,6 +9,7 @@ from scipy.linalg import expm
 from nyqscale.errors import (
     DivergenceError,
     IntegratorConfigError,
+    InvalidInputError,
     RealizationError,
 )
 from nyqscale.lti import Polynomial, TransferFunction, poly_roots
@@ -405,6 +406,14 @@ def test_simulate_rate_limiter_slows_hydro():
     assert np.abs(free.actuator_mw[name]).max() >= np.abs(limited.actuator_mw[name]).max() - 1e-9
 
 
+@pytest.mark.parametrize("bound", [-1.0, math.nan])
+def test_simulate_rate_limiter_rejects_negative_or_nan_bound(bound):
+    model = n5_model(include_loads=True)
+    with pytest.raises(InvalidInputError):
+        simulate(model, [Pulse(bus=1, amplitude_mw=-1400.0)], t_end=1.0, dt=1e-3,
+                 rate_limiter=True, rate_limits_mw_per_s={0: bound})
+
+
 def clamped_reference(model, pulses, t_end, dt, rate_limits, record_decimation):
     """simulate(..., rate_limiter=True) stepped by rk4_clamped_reference:
     the same record grid, limits, midpoint disturbance and output rows."""
@@ -434,17 +443,26 @@ def clamped_reference(model, pulses, t_end, dt, rate_limits, record_decimation):
     return T, freq, tie, act
 
 
-def clamped_n5_case():
-    # n5_hydro_loads at 0.01 pu/s: the clamp binds from about 2.5 s and
-    # releases for good by about 20.8 s
-    doc = load_scenario(bundled_scenario_path("n5_hydro_loads")).to_json_dict()
+def clamped_bundled_case(name, t_end):
+    """The bundled scenario with every hydro rate bound at 0.01 pu/s."""
+    doc = load_scenario(bundled_scenario_path(name)).to_json_dict()
     for bus in doc["agents"]["buses"]:
         if "hydro" in bus:
             bus["hydro"]["rate_limit_pu_s"] = 0.01
     scn = loads_scenario(doc)
     model = realize_state_space(scn.network, list(scn.agents))
-    return (model, list(scn.disturbance), 21.0, scn.dt_s,
+    return (model, list(scn.disturbance), t_end, scn.dt_s,
             scn.hydro_rate_limits_mw_per_s, scn.record_decimation)
+
+
+def clamped_n5_case():
+    # the clamp binds from about 2.5 s and releases for good by about 20.8 s
+    return clamped_bundled_case("n5_hydro_loads", 21.0)
+
+
+def clamped_wind_case():
+    # 34 states: the clamped hydro blocks run beside wind and Pade states
+    return clamped_bundled_case("n5_hydro_wind", 12.0)
 
 
 def tight_bound_case():
@@ -462,6 +480,7 @@ def off_grid_pulses_case():
 
 CLAMPED_CASES = [
     pytest.param(clamped_n5_case, id="n5-loads-0.01pu"),
+    pytest.param(clamped_wind_case, id="n5-wind-0.01pu"),
     pytest.param(tight_bound_case, id="tight-bound"),
     pytest.param(off_grid_pulses_case, id="off-grid-pulses"),
 ]
@@ -489,6 +508,34 @@ def test_simulate_rate_limiter_blocks_capped_by_stack_size(monkeypatch):
     # a stack budget below one step's rows leaves blocks of a single step
     monkeypatch.setattr(simkit, "_STACK_DOUBLES", 1)
     assert_matches_clamped_reference(off_grid_pulses_case())
+
+
+def test_simulate_rate_limiter_divergence_within_200_steps():
+    # one bus: u' = 10 u starts near overflow beside a hydro state h' = -h
+    # whose rate far exceeds its 1 MW/s bound, so every step runs stage by
+    # stage with the clamp binding while u overflows (after about 1.5 s)
+    model = simkit.StateSpaceModel(
+        A=np.diag([10.0, -1.0]), B=np.zeros((2, 1)),
+        C=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, -1.0]]), D=np.zeros((3, 1)),
+        output_names=("delta_bus1", "f_bus1", "p_hydro_bus1"),
+        state_roles=("u", "hydro_bus1_x0"), n_buses=1, inertia=np.ones(1),
+        laplacian=np.zeros((1, 1)),
+        actuator_blocks=(simkit._ActuatorBlock(bus=0, name="hydro", state_slice=slice(1, 2),
+                                               c_local=np.ones(1)),),
+    )
+    x0, dt = np.array([1e300, 1e6]), 1e-3
+    kw = dict(dt=dt, x0=x0, rate_limiter=True, rate_limits_mw_per_s={0: 1.0})
+    with pytest.raises(DivergenceError) as err:
+        simulate(model, [], t_end=5.0, **kw)
+    t = err.value.t
+    assert 1.0 < t < 2.5
+    # 200 steps before the error every state is still finite, so the error
+    # comes within 200 steps of the first state that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = simulate(model, [], t_end=t - 200 * dt, **kw)
+    assert res.time_s[-1] == pytest.approx(t - 200 * dt)
+    # the clamp held h to its bound the whole way: h = 1e6 - 1 MW/s * t
+    assert res.actuator_mw["p_hydro_bus1"] == pytest.approx(res.time_s - 1e6, abs=1e-6)
 
 
 def test_energy_sanity_passive_agents():
