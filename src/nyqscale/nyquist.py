@@ -23,14 +23,25 @@ so the branches equal a sample-by-sample matching exactly. The FOV hull
 test takes every sample's vertex pairs in whole-array passes. The vertex's
 real-axis crossings are refined by vectorised Illinois regula falsi, one
 vertex evaluation per iteration for all brackets.
+
+A sweep assembles each sample's loop matrix and takes its eigenvalues on
+every CPU the process may use (its affinity mask; ``taskset`` is the only
+control): each batch of samples is split into contiguous row chunks, one
+per CPU, run by the calling thread and a pool of daemon threads, and each
+chunk fills its own rows of arrays the caller allocated. Each sample's
+matrix and solver call are those of a one-thread run, so the results are
+bit-identical whatever the chunking. Batches too small to pay for the
+hand-off run inline; a forked child starts a pool of its own.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import groupby
 from operator import itemgetter
 from typing import Sequence
@@ -83,6 +94,11 @@ _RADIUS_CHUNK = 8
 CROSSING_XTOL = 1e-12
 CROSSING_RTOL = 1e-12
 CROSSING_MAX_ITER = 100
+# fewest samples a sweep's evaluation hands to one thread, so a batch of
+# under twice this runs inline. On a shared 2-CPU VM, two threads beat
+# inline from 256 samples on for 4x4 loops (not at 192) and from 128 on
+# for 15x15 loops (not at 64)
+_MIN_CHUNK_SAMPLES = 128
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +190,8 @@ def make_contour(
     """
     if density < 100:
         raise InvalidInputError("density must be at least 100 samples per decade")
-    if R <= 0:
-        raise InvalidInputError("outer radius must be positive")
+    if not 0 < R < math.inf:
+        raise InvalidInputError("outer radius must be positive and finite")
     rho = indent_radius if indent_radius is not None else 1e-4 * R
     if kind == "full-D":
         r_eff = rho
@@ -518,6 +534,95 @@ def _vertices(agents: Sequence, gamma: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.stack([g * a(s) for a, g in zip(agents, gamma)], axis=1)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the platform
+    has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+class _ChunkWorkers:
+    """Daemon threads that run the row chunks of every sweep in the process.
+
+    They start on first use, as many as the widest batch so far has asked
+    for, and take tasks from one queue, so a batch pays no thread start.
+    A forked child has none of its parent's threads: the pool is emptied
+    there (``os.register_at_fork``) and the child starts its own."""
+
+    def __init__(self) -> None:
+        self._empty()
+        if hasattr(os, "register_at_fork"):
+            os.register_at_fork(after_in_child=self._empty)
+
+    def _empty(self) -> None:
+        self._lock = threading.Lock()
+        self._tasks = None
+        self._threads = 0
+
+    def submit(self, fn, threads: int) -> None:
+        """Queue ``fn``, after growing the pool to at least ``threads``."""
+        with self._lock:
+            if self._tasks is None:
+                import queue
+
+                self._tasks = queue.SimpleQueue()
+            while self._threads < threads:
+                threading.Thread(target=self._serve, args=(self._tasks,),
+                                 name="nyqscale-sweep", daemon=True).start()
+                self._threads += 1
+            self._tasks.put(fn)
+
+    @staticmethod
+    def _serve(tasks) -> None:
+        while True:
+            tasks.get()()
+
+
+_WORKERS = _ChunkWorkers()
+
+
+def _in_row_chunks(task, m: int) -> None:
+    """Call ``task(lo, hi)`` on contiguous chunks that cover rows 0..m, one
+    per usable CPU but none under ``_MIN_CHUNK_SAMPLES`` rows; a batch too
+    small for two chunks runs inline. The calling thread runs the first
+    chunk and then every chunk that no pool thread has started yet, so a
+    slow pool never leaves it waiting on work it could do itself. When all
+    chunks are done, the exception of the lowest chunk that raised one, if
+    any, re-raises here."""
+    chunks = min(_usable_cpus(), m // _MIN_CHUNK_SAMPLES)
+    if chunks < 2:
+        task(0, m)
+        return
+    bounds = [m * c // chunks for c in range(chunks + 1)]
+    unclaimed = [threading.Lock() for _ in range(chunks)]
+    finished = [threading.Lock() for _ in range(chunks)]
+    for lock in finished:
+        lock.acquire()
+    errors: list[BaseException | None] = [None] * chunks
+
+    def run(c: int) -> None:
+        if not unclaimed[c].acquire(blocking=False):
+            return  # another thread has it
+        try:
+            task(bounds[c], bounds[c + 1])
+        except BaseException as exc:
+            errors[c] = exc
+        finally:
+            finished[c].release()
+
+    for c in range(1, chunks):
+        _WORKERS.submit(partial(run, c), chunks - 1)
+    for c in (0, *range(chunks - 1, 0, -1)):  # the pool takes chunks from 1 up
+        run(c)
+    for lock in finished:
+        lock.acquire()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 def eigenloci_sweep(
     netN: NormalizedNetwork,
     agents: Sequence,
@@ -536,6 +641,12 @@ def eigenloci_sweep(
     samples whose argument of det(I + Q(s)) = prod_k (1 + lambda_k(s))
     steps by >= pi/2 are bisected along the contour's own geometry, up to
     12 levels; each level evaluates only the inserted samples.
+
+    Each evaluated batch is assembled and solved in contiguous row chunks
+    on the usable CPUs (``_in_row_chunks``), with results bit-identical to
+    a one-thread run. A loop matrix that is not finite (a vertex value or
+    the lossy weight mu + epsilon overflows it) raises ContourError before
+    its chunk reaches ``eigvals``; so does a pole hit on the contour.
     """
     if len(agents) != netN.n:
         raise InvalidInputError("agent count must match network size")
@@ -556,9 +667,26 @@ def eigenloci_sweep(
                 f"loop evaluation hit a pole at s = {exc.s}; re-route the "
                 "contour (add a jw-axis indentation there or adjust r)"
             ) from None
-        # Uhat^T diag(v) Uhat, batched over samples, columns scaled by mu
-        mats = np.einsum("ji,mj,jl->mil", U, verts, U) * weights[None, None, :]
-        return np.linalg.eigvals(mats), verts
+        m, k = len(points), U.shape[1]
+        mats = np.empty((m, k, k), dtype=complex)
+        eigs = np.empty((m, k), dtype=complex)
+
+        def solve(lo: int, hi: int) -> None:
+            # Uhat^T diag(v) Uhat of rows lo:hi, columns scaled by mu
+            block = mats[lo:hi]
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                np.einsum("ji,mj,jl->mil", U, verts[lo:hi], U, out=block)
+                block *= weights
+            finite = np.isfinite(block).all(axis=(1, 2))
+            if not finite.all():
+                raise ContourError(
+                    f"loop matrix is not finite at s = {points[lo + finite.argmin()]}; "
+                    "a vertex value or a Laplacian weight overflows"
+                )
+            eigs[lo:hi] = np.linalg.eigvals(block)
+
+        _in_row_chunks(solve, m)
+        return eigs, verts
 
     seg = np.array([k for k, _ in contour.nodes])
     t = np.array([t for _, t in contour.nodes])
@@ -803,8 +931,8 @@ def lossy_exponential_check(
 ) -> Verdict:
     """Exponential-stability test for the lossy interconnection L' + eps*I
     (full rank): all n eigenloci must encircle -1 N times anticlockwise."""
-    if not epsilon > 0:
-        raise InvalidInputError("lossy check needs epsilon > 0; use "
+    if not 0 < epsilon < math.inf:
+        raise InvalidInputError("lossy check needs a finite epsilon > 0; use "
                                 "theorem1_check for the lossless network")
     if contour is None:
         contour = _default_contour(netN, agents, "full-D", 0.0, None, density, pade_order)

@@ -2,7 +2,11 @@
 
 import importlib.util
 import math
+import os
 import random
+import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -87,6 +91,12 @@ def test_contour_indentation_overlap_rejected():
 def test_contour_density_validation():
     with pytest.raises(InvalidInputError):
         make_contour("D_r", 0.5, 100.0, density=50)
+
+
+@pytest.mark.parametrize("R", [math.inf, math.nan, -1.0])
+def test_contour_rejects_non_finite_or_negative_radius(R):
+    with pytest.raises(InvalidInputError):
+        make_contour("D_r", 0.5, R)
 
 
 def test_contour_extra_axis_marker():
@@ -514,3 +524,172 @@ def test_default_outer_radius_equals_doubling_loop(tmp_path, monkeypatch):
         assert R == outer_radius_doubling(agents, gamma)
         loop += len(calls)
     assert batched < loop / 2
+
+
+# ------------------------------------------------- threaded evaluation
+def _ring16_sweep_inputs(tmp_path):
+    gen = _perfbench_gen()
+    doc = gen.synthetic_scenario(Path(nyqscale.__file__).parent / "data", "ring16", 16,
+                                 gen.ring_lines(16), random.Random(3))
+    scn = load_scenario(gen.write(tmp_path / "ring16.json", doc))
+    netN, agents = normalize(scn.network), list(scn.agents)
+    contour = _default_contour(netN, agents, scn.contour_kind, scn.contour_r,
+                               scn.contour_R, scn.contour_density, 3)
+    return netN, agents, contour
+
+
+def _threaded(monkeypatch, cpus=3):
+    """Every evaluation batch of at least ``cpus`` samples in ``cpus`` chunks."""
+    monkeypatch.setattr(nyquist, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(nyquist, "_MIN_CHUNK_SAMPLES", 1)
+
+
+def _recorded_eigvals(monkeypatch):
+    """The batch size of every np.linalg.eigvals call."""
+    calls = []
+    original = np.linalg.eigvals
+
+    def recorded(a):
+        calls.append(len(a))
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("cpus", [3, 8])
+def test_threaded_sweep_equals_inline(monkeypatch, tmp_path, cpus):
+    # more chunks than cores, switching threads every microsecond: rows
+    # written by the wrong chunk, or not at all, would differ from inline
+    netN, agents, contour = _ring16_sweep_inputs(tmp_path)
+    monkeypatch.setattr(nyquist, "_usable_cpus", lambda: 1)
+    inline = eigenloci_sweep(netN, agents, contour)
+    _threaded(monkeypatch, cpus)
+    calls = _recorded_eigvals(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = eigenloci_sweep(netN, agents, contour)
+    finally:
+        sys.setswitchinterval(interval)
+    m = len(contour.nodes)
+    first = sorted(calls[:cpus])  # the first batch, in even chunks
+    assert sum(first) == m and first[-1] - first[0] <= 1
+    for name in ("eigs_upper", "vertices_upper", "s_upper"):
+        assert np.array_equal(getattr(threaded, name), getattr(inline, name)), name
+    assert threaded.flagged == inline.flagged
+    assert threaded.contour == inline.contour
+
+
+def test_threaded_sweep_reraises_a_chunk_exception(monkeypatch, tmp_path):
+    netN, agents, contour = _ring16_sweep_inputs(tmp_path)
+    _threaded(monkeypatch)
+    original = np.linalg.eigvals
+    fail = [True]
+
+    def failing(a):
+        if fail[0] and len(a) < len(contour.nodes) // 2:  # every chunk fails
+            raise RuntimeError("chunk failed")
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        eigenloci_sweep(netN, agents, contour)
+    fail[0] = False  # the pool still runs the next sweep
+    assert eigenloci_sweep(netN, agents, contour).eigs_upper.shape[0] >= len(contour.nodes)
+
+
+def _chunk_1_runs_on_another_thread(timeout=30.0) -> bool:
+    """Two chunks whose first, the caller's, waits until another thread has
+    started the second; the caller would run it itself only after that."""
+    caller = threading.current_thread()
+    started = threading.Event()
+    seen = []
+
+    def task(lo, hi):
+        if lo == 0:
+            seen.append(started.wait(timeout=timeout))
+        else:
+            seen.append(threading.current_thread() is not caller)
+            started.set()
+
+    nyquist._in_row_chunks(task, 2 * nyquist._MIN_CHUNK_SAMPLES)
+    return seen == [True, True]
+
+
+def test_row_chunks_run_on_a_pool_thread(monkeypatch):
+    monkeypatch.setattr(nyquist, "_usable_cpus", lambda: 2)
+    assert _chunk_1_runs_on_another_thread()
+
+
+def test_row_chunks_run_by_the_caller_when_the_pool_stalls(monkeypatch):
+    monkeypatch.setattr(nyquist, "_usable_cpus", lambda: 3)
+    held = []  # a pool that has not started any of its tasks yet
+    monkeypatch.setattr(nyquist._WORKERS, "submit", lambda fn, threads: held.append(fn))
+    ran = []
+    m = 3 * nyquist._MIN_CHUNK_SAMPLES
+    caller = threading.Thread(target=nyquist._in_row_chunks, daemon=True, args=(
+        lambda lo, hi: ran.append((lo, hi, threading.current_thread())), m))
+    caller.start()
+    caller.join(timeout=30.0)
+    assert not caller.is_alive(), "the caller waited on chunks no thread had started"
+    assert len(held) == 2
+    assert sorted((lo, hi) for lo, hi, _ in ran) == [(0, m // 3), (m // 3, 2 * m // 3),
+                                                      (2 * m // 3, m)]
+    assert {th for _, _, th in ran} == {caller}
+    for fn in held:  # the late pool tasks find their chunks taken
+        fn()
+    assert len(ran) == 3
+
+
+def test_row_chunks_reraise_a_pool_thread_exception(monkeypatch):
+    monkeypatch.setattr(nyquist, "_usable_cpus", lambda: 2)
+    started = threading.Event()
+
+    def task(lo, hi):
+        if lo == 0:
+            started.wait(timeout=30.0)
+        else:
+            started.set()
+            raise RuntimeError(f"chunk at row {lo} failed")
+
+    with pytest.raises(RuntimeError, match="chunk at row"):
+        nyquist._in_row_chunks(task, 2 * nyquist._MIN_CHUNK_SAMPLES)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_sweep_rejects_a_loop_matrix_that_is_not_finite(monkeypatch, tmp_path, cpus):
+    # mu + epsilon is finite, the loop matrix overflows; once a LinAlgError
+    netN, agents, contour = _ring16_sweep_inputs(tmp_path)
+    _threaded(monkeypatch, cpus)
+    with pytest.raises(ContourError, match="not finite at s = \\(0.75\\+0j\\)"):
+        eigenloci_sweep(netN, agents, contour, mode="full", epsilon=1e308)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="fork after threads: Linux only")
+def test_child_forked_after_a_threaded_sweep_runs_one(monkeypatch):
+    netN = two_bus()
+    g = TF([1.0], [1.0, 1.0, 1.0])
+    contour = make_contour("full-D", 0.0, 50.0)
+    _threaded(monkeypatch)
+    expected = eigenloci_sweep(netN, [g, g], contour).eigs_upper
+    pid = os.fork()
+    if pid == 0:  # child: exit code 0 only for an equal sweep on its own pool
+        code = 1
+        try:
+            got = eigenloci_sweep(netN, [g, g], contour).eigs_upper
+            code = 2 if not np.array_equal(got, expected) else (
+                0 if _chunk_1_runs_on_another_thread(timeout=10.0) else 3)
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("forked child did not finish its sweep within 60 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0

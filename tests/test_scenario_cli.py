@@ -173,11 +173,12 @@ def run_fresh_python(code: str) -> subprocess.CompletedProcess:
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # no SciPy module at all: importing scipy.linalg alone costs about 0.3 s;
-    # no jsonschema either: scenario files are checked without it
+    # no jsonschema either: scenario files are checked without it; and no
+    # concurrent.futures, which pulls in logging: the sweep pool is plain threads
     res = run_fresh_python(
         "import sys, nyqscale.cli; "
         "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('scipy', 'jsonschema')))")
+        "if m.split('.')[0] in ('scipy', 'jsonschema') or m == 'concurrent.futures'))")
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
 
@@ -342,10 +343,18 @@ def test_cli_export_loci_empty_agents_exit_3(loads_path, tmp_path):
         ("analyze", "--density", "99"),
         ("export-loci", "--contour-r", "abc"),
         ("export-loci", "--density", "0"),
+        # once an OverflowError in make_contour, or a LinAlgError in eigvals
+        ("analyze", "--contour-R", "inf"),
+        ("analyze --check theorem1", "--contour-R", "inf"),
+        ("analyze --check decentralized", "--contour-R", "inf"),
+        ("export-loci", "--contour-R", "inf"),
+        ("analyze --check lossy", "--epsilon", "inf"),
+        ("analyze --check lossy", "--epsilon", "1e308"),
     ],
 )
 def test_cli_malformed_option_exit_3(wind_path, tmp_path, command, option, value):
-    argv = [command, str(wind_path), option, value, "--out-dir", str(tmp_path)]
+    command, *extra = command.split()
+    argv = [command, str(wind_path), *extra, option, value, "--out-dir", str(tmp_path)]
     if command == "simulate":
         argv += ["--t-end", "1"] if option != "--t-end" else []
     if option == "--hyperplane":

@@ -8,15 +8,22 @@ import importlib.util
 from pathlib import Path
 
 import nyqscale.lti as lti
+from nyqscale import nyquist
+from nyqscale.network import normalize
+from nyqscale.scenario import bundled_scenario_path, load_scenario
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def _tracer_targets():
+def _spans_module():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def _tracer_targets():
+    return _spans_module().TARGETS
 
 
 def test_tracer_targets_resolve_in_nyqscale():
@@ -47,3 +54,22 @@ def test_transfer_function_calls_go_through_tf_evaluate(monkeypatch):
     g = lti.TransferFunction([1.0], [1.0, 1.0])
     assert g(0.0) == 1.0
     assert len(calls) == 1
+
+
+def test_tracer_survives_a_threaded_sweep(monkeypatch):
+    # the tracer keeps one span stack for all threads; the sweep's pool
+    # threads push and pop their eigvals spans on it concurrently
+    scn = load_scenario(bundled_scenario_path("n5_hydro_wind"))
+    netN, agents = normalize(scn.network), list(scn.agents)
+    monkeypatch.setattr(nyquist, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(nyquist, "_MIN_CHUNK_SAMPLES", 1)
+    tracer = _spans_module().Tracer()
+    tracer.install("nyqscale")
+    try:
+        verdict = nyquist.theorem1_check(netN, agents, density=100)
+    finally:
+        tracer.uninstall()
+    assert verdict.result == "stable"
+    assert tracer.stack == []
+    names = [sp.name for sp in tracer.spans]
+    assert "nyquist.eig" in names and "nyquist.sweep" in names
