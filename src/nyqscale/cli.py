@@ -1,8 +1,9 @@
 """Command-line front end: analyze / simulate / export-loci.
 
 Exit codes: 0 stable, 1 unstable, 2 inconclusive, 3 input or configuration
-error, 4 simulation divergence. Reports are JSON, trajectories CSV, plots
-SVG polylines -- all data-first, meant for batch runs.
+error (an input too large to allocate included), 4 simulation divergence.
+Reports are JSON, trajectories CSV, plots SVG polylines -- all data-first,
+meant for batch runs.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -102,6 +104,20 @@ class _Cli(click.Group):
         except click.UsageError as exc:
             exc.exit_code = EXIT_INPUT_ERROR
             raise
+
+
+@contextmanager
+def _input_errors():
+    """Exit 3 on an input the program rejects, or one too large to allocate
+    (numpy's MemoryError names the size it asked for)."""
+    try:
+        yield
+    except NyqscaleError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_INPUT_ERROR)
+    except MemoryError as exc:
+        click.echo(f"error: input too large: {exc or 'out of memory'}", err=True)
+        sys.exit(EXIT_INPUT_ERROR)
 
 
 def _echo_verdict(name: str, verdict: Verdict):
@@ -374,7 +390,7 @@ def main():
 def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
             density, tau_max, hyperplane, pade_order, epsilon, out_dir):
     """Run a stability check on a scenario and emit report + loci CSV."""
-    try:
+    with _input_errors():
         scn = load_scenario(scenario_path)
         dens = scn.contour_density if density is None else density
         netN = normalize(scn.network)
@@ -441,9 +457,6 @@ def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
             ]
         _write_report(out, payload)
         _echo_verdict(f"{scn.name} [{check_name}]", verdict)
-    except NyqscaleError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
     sys.exit(_VERDICT_EXIT[verdict.result])
 
 
@@ -466,7 +479,7 @@ def simulate(scenario_path, dt, t_end, pade_order, rate_limiter,
              pulse_duration, out_dir):
     """Simulate the scenario's disturbance and emit traces CSV + summary."""
     out = Path(out_dir)
-    try:
+    with _input_errors():
         scn = load_scenario(scenario_path)
         model = realize_state_space(scn.network, list(scn.agents),
                                     pade_order=pade_order)
@@ -477,30 +490,28 @@ def simulate(scenario_path, dt, t_end, pade_order, rate_limiter,
                         p.t_start_s + pulse_duration)
                 for p in pulses
             ]
-        result = run_simulation(
-            model,
-            pulses,
-            t_end=t_end if t_end is not None else scn.t_end_s,
-            dt=dt if dt is not None else scn.dt_s,
-            rate_limiter=rate_limiter,
-            rate_limits_mw_per_s=scn.hydro_rate_limits_mw_per_s,
-            record_decimation=scn.record_decimation,
-        )
-    except DivergenceError as exc:
-        out.mkdir(parents=True, exist_ok=True)
-        summary = {"scenario": scn.name, "diverged_at_s": exc.t}
-        (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-        click.echo(f"diverged at t = {exc.t:.3f} s", err=True)
-        sys.exit(EXIT_DIVERGED)
-    except NyqscaleError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
+        try:
+            result = run_simulation(
+                model,
+                pulses,
+                t_end=t_end if t_end is not None else scn.t_end_s,
+                dt=dt if dt is not None else scn.dt_s,
+                rate_limiter=rate_limiter,
+                rate_limits_mw_per_s=scn.hydro_rate_limits_mw_per_s,
+                record_decimation=scn.record_decimation,
+            )
+        except DivergenceError as exc:
+            out.mkdir(parents=True, exist_ok=True)
+            summary = {"scenario": scn.name, "diverged_at_s": exc.t}
+            (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+            click.echo(f"diverged at t = {exc.t:.3f} s", err=True)
+            sys.exit(EXIT_DIVERGED)
 
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "traces.csv"
-    _write_traces_csv(csv_path, scn.bus_ids, result)
-    summary = {"scenario": scn.name, **result.summary_dict()}
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+        out.mkdir(parents=True, exist_ok=True)
+        csv_path = out / "traces.csv"
+        _write_traces_csv(csv_path, scn.bus_ids, result)
+        summary = {"scenario": scn.name, **result.summary_dict()}
+        (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     click.echo(f"traces: {csv_path}")
     click.echo(f"summary: {out / 'summary.json'}")
     click.echo(
@@ -522,7 +533,7 @@ def simulate(scenario_path, dt, t_end, pade_order, rate_limiter,
 def export_loci(scenario_path, contour_kind, contour_r, contour_R, density,
                 pade_order, out_dir):
     """Emit vertex/eigenloci trajectories as CSV and an SVG quick-look."""
-    try:
+    with _input_errors():
         scn = load_scenario(scenario_path)
         if not scn.agents:
             raise NyqscaleError("scenario has no agents")
@@ -540,9 +551,6 @@ def export_loci(scenario_path, contour_kind, contour_r, contour_R, density,
         _write_loci_csv(out / "loci.csv", sweep, markers=markers)
         _write_loci_svg(out / "loci.svg", sweep, policy=scn.policy,
                         markers=markers)
-    except NyqscaleError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
     sys.exit(EXIT_STABLE)
 
 

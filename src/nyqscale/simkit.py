@@ -11,8 +11,9 @@ Fixed-step RK4 remains only for the nonlinear hydro rate clamp. Wherever
 all four stage rates of a step stay within the bounds, that RK4 step is a
 fixed linear map, applied to blocks of up to 200 steps at once through the
 same kind of stack; only the steps where the clamp binds run stage by stage,
-each stage one matvec that yields the derivative and the clamped rates
-together.
+in one buffer that holds the state and its four stage derivatives. Each
+stage is one matvec on that buffer that yields the derivative and the rates
+to clamp together, and the new state is one more.
 
 SciPy's ``expm`` is the module's only SciPy call, and it is imported inside
 ``_zoh_step`` on the first simulation: ``nyqscale.cli`` imports this module,
@@ -494,7 +495,10 @@ def simulate(
     RK4 map x <- P x + Q B d; such steps advance in blocks of up to 200
     through one precomputed matrix, and the steps where the clamp binds run
     stage by stage, with the clamp tested at every stage for every bound.
-    The clamp is off in all oracle comparisons.
+    Each stage is one matvec on a buffer of the state and its four stage
+    derivatives. Each pulse edge's first step is found from the edge itself,
+    so memory grows with the records, not with the steps. The clamp is off
+    in all oracle comparisons.
 
     Preconditions on both paths: dt <= 0.1/|lambda_max(A)| (the explicit
     integrator's stability margin), else IntegratorConfigError. A state that
@@ -541,9 +545,8 @@ def simulate(
     T = idx * dt
     edges, rows = _disturbance_rows(disturbance, n)
     if limits:
-        mids = (np.arange(steps) + 0.5) * dt
-        X = _rk4_records(model, x, rows, np.searchsorted(edges, mids, side="right"),
-                         limits, dt, idx)
+        X = _rk4_records(model, x, rows, _segment_starts(edges, dt, steps), limits,
+                         dt, idx)
     else:
         X = _zoh_records(model, x, edges, rows, dt, T)
 
@@ -601,6 +604,24 @@ def _disturbance_rows(pulses: Sequence[Pulse], n: int):
             on &= left < p.t_end_s
         rows[on, p.bus] += p.amplitude_mw
     return edges, rows
+
+
+def _segment_starts(edges: np.ndarray, dt: float, steps: int) -> list[int]:
+    """For each pulse edge, the first step k in [0, steps] whose midpoint
+    (k + 0.5) dt lies at or after it (steps if none does), so that step k
+    takes rows[bisect_right(starts, k)], which is
+    rows[searchsorted(edges, (k + 0.5) * dt, side="right")]."""
+    starts = []
+    for t in edges.tolist():
+        q = t / dt - 0.5
+        k = 0 if q <= 0 else steps if q >= steps else math.ceil(q)
+        # the rounded quotient can be one step off the rounded midpoints
+        while k > 0 and (k - 0.5) * dt >= t:
+            k -= 1
+        while k < steps and (k + 0.5) * dt < t:
+            k += 1
+        starts.append(k)
+    return starts
 
 
 def _zoh_records(model, x, edges, rows, dt, T) -> np.ndarray:
@@ -678,26 +699,29 @@ def _fill_powers(P: np.ndarray, S: np.ndarray, out: np.ndarray) -> int:
     return len(out)
 
 
-def _rk4_records(model, x, rows, seg, limits, dt, idx) -> np.ndarray:
+def _rk4_records(model, x, rows, starts, limits, dt, idx) -> np.ndarray:
     """Classical RK4 with the rate clamp, states at the steps in idx.
 
-    Step k takes the disturbance d = rows[seg[k]]. Where all four stage
-    rates of a step lie within the bounds, the step is the linear map
-    x <- P x + Q B d with P = R4(dt A), the RK4 stability polynomial. Runs
-    of such steps advance in blocks of up to 200 through one stacked map
-    that also yields each step's stage rates. A block stops before d
-    changes or at the first step whose rates leave the bounds; from that
-    step on, steps run stage by stage with the clamp until one of them
-    clamps nothing.
+    Step k takes the disturbance d = rows[bisect_right(starts, k)] (see
+    _segment_starts). Where all four stage rates of a step lie within the
+    bounds, the step is the linear map x <- P x + Q B d with P = R4(dt A),
+    the RK4 stability polynomial. Runs of such steps advance in blocks of
+    up to 200 through one stacked map that also yields each step's stage
+    rates. A block stops before d changes or at the first step whose rates
+    leave the bounds; from that step on, steps run stage by stage with the
+    clamp until one of them clamps nothing.
 
-    A stage-by-stage step takes each stage's derivative and rates from one
-    matvec with the stacked [A; Cr A], plus [B d; Cr B d], computed once
-    per disturbance segment. The clamp factors are computed from the rates as
-    Python floats and scale the clamped states only when some factor is
-    below 1; the four stage derivatives are combined by one product with
-    the RK4 weights. DivergenceError at the end of a block that leaves a
-    state that is not finite, and at every 200th step and the last step
-    when run stage by stage, so within 200 steps of the first such state.
+    A stage-by-stage step works in one buffer Z = [x | 1 | k1 | k2 | k3 | k4].
+    Stage m's derivative and rates are one matvec M[m] Z, where M[m] holds
+    [A; Cr A] on x, c_m [A; Cr A] on the previous stage's k (c = dt/2,
+    dt/2, dt) and [B d; Cr B d] on the 1; that column is rewritten only
+    when d changes. The clamp factors are computed from the rates as Python
+    floats, and the derivative, scaled by them when some factor is below 1,
+    goes straight into its slot of Z. The new state is one matvec N Z with
+    N = [I | 0 | dt/6 (1, 2, 2, 1) (x) I]. DivergenceError at the end of a
+    block that leaves a state that is not finite, and at every 200th step
+    and the last step when run stage by stage, so within 200 steps of the
+    first such state.
     """
     A, B = model.A, model.B
     n_x, n_d = B.shape
@@ -738,44 +762,49 @@ def _rk4_records(model, x, rows, seg, limits, dt, idx) -> np.ndarray:
         stack[j, :n_g, n_x:] = G @ Sj + g
     stack = stack.reshape(n_blk * w, n_x + n_d)
 
-    # stage by stage: row m of KR is stage m's [derivative; rates], which
-    # is AC xs plus the disturbance segment's row of BCd
+    # stage by stage, Z = [x | 1 | k1 | k2 | k3 | k4] holds the step's state
+    # and its clamped stage derivatives: M[0] Z is [derivative; rates] at x,
+    # and M[m] Z at x + c_m k_m for m = 1, 2, 3
     AC = np.vstack([A, Cr @ A])
     BCd = rows @ np.vstack([B, Cr @ B]).T
-    KR = np.empty((4, n_x + n_l))
-    K4 = KR[:, :n_x]
-    ys, ks, rs = list(KR), list(K4), list(KR[:, n_x:])
-    wts = dt / 6 * np.array([1.0, 2.0, 2.0, 1.0])
+    n_z = 5 * n_x + 1
+    kz = [slice(n_x + 1 + m * n_x, n_x + 1 + (m + 1) * n_x) for m in range(4)]
+    M = np.zeros((4, n_x + n_l, n_z))
+    M[:, :, :n_x] = AC
+    for m, c in enumerate((dt / 2, dt / 2, dt)):
+        M[m + 1, :, kz[m]] = c * AC
+    N = np.zeros((n_x, n_z))  # the new state x + dt/6 (k1 + 2 k2 + 2 k3 + k4)
+    N[:, :n_x] = eye
+    for m, c in enumerate((dt / 6, dt / 3, dt / 3, dt / 6)):
+        N[:, kz[m]] = c * eye
+    Z = np.zeros(n_z)
+    Z[n_x] = 1.0
+    xz = Z[:n_x]
+    y = np.empty(n_x + n_l)
+    yd, yr = y[:n_x], y[n_x:]
+    xn = np.empty(n_x)
+    fac = np.ones(n_l + 1)  # the clamp factors, and 1 for the states no limit owns
+    stages = [(M[m], Z[kz[m]]) for m in range(4)]
     bl = bounds.tolist()
-    one = [1.0]
-
-    def stage(xs: np.ndarray, m: int) -> bool:
-        """Stage m's clamped derivative at xs, under the current step's row
-        bdc of BCd, into ks[m]; True if it clamps."""
-        np.matmul(AC, xs, out=ys[m])
-        ys[m] += bdc
-        # bound/|rate| where |rate| > bound, else exactly 1 (nan too)
-        f = [b / abs(v) if abs(v) > b else 1.0 for v, b in zip(rs[m].tolist(), bl)]
-        if min(f) < 1.0:
-            ks[m] *= np.array(f + one).take(who)
-            return True
-        return False
 
     steps = int(idx[-1])
-    rec = idx.tolist()
-    ends = (np.flatnonzero(np.diff(seg)) + 1).tolist() + [steps]  # where d changes
-    seg = seg.tolist()
-    X = np.empty((len(rec), n_x))
+    # the records before the list of their steps: a run too long to hold
+    # fails in numpy, whose MemoryError names the size it asked for
+    X = np.empty((len(idx), n_x))
     X[0] = x
+    rec = idx.tolist()
+    ends = sorted({k0 for k0 in starts if 0 < k0 < steps}) + [steps]  # where d changes
+    s, s_col = bisect_right(starts, 0), -1  # d's row, and the row in M's column
     r, e, k = 1, 0, 0
     span = n_blk  # steps to try as one block; 0 while the clamp binds
     with np.errstate(over="ignore", invalid="ignore"):
         while k < steps:
             while ends[e] <= k:
                 e += 1
+                s = bisect_right(starts, k)
             if span:
                 J = min(span, ends[e] - k)
-                Y = (stack[: J * w] @ np.concatenate((x, rows[seg[k]]))).reshape(J, w)
+                Y = (stack[: J * w] @ np.concatenate((x, rows[s]))).reshape(J, w)
                 ok = (np.abs(Y[:, :n_g]) <= limit).all(axis=1)
                 p = J if ok.all() else int(ok.argmin())
                 if p:
@@ -787,19 +816,32 @@ def _rk4_records(model, x, rows, seg, limits, dt, idx) -> np.ndarray:
                 span = min(2 * span, n_blk) if p == J else 0
                 if not np.isfinite(x).all():
                     raise DivergenceError(k * dt)
+                if not span:
+                    xz[:] = x
             else:
-                bdc = BCd[seg[k]]
-                c1 = stage(x, 0)
-                c2 = stage(x + dt / 2 * ks[0], 1)
-                c3 = stage(x + dt / 2 * ks[1], 2)
-                c4 = stage(x + dt * ks[2], 3)
-                x = x + wts @ K4
+                if s != s_col:
+                    M[:, :, n_x] = BCd[s]
+                    s_col = s
+                clamped = False
+                for Mm, km in stages:
+                    Mm.dot(Z, out=y)
+                    # bound/|rate| where |rate| > bound, else exactly 1 (nan too)
+                    f = [b / abs(v) if abs(v) > b else 1.0 for v, b in zip(yr.tolist(), bl)]
+                    if min(f) < 1.0:
+                        fac[:n_l] = f
+                        np.multiply(yd, fac.take(who), out=km)
+                        clamped = True
+                    else:
+                        km[:] = yd
+                N.dot(Z, out=xn)
+                xz[:] = xn
                 k += 1
                 if rec[r] == k:
-                    X[r] = x
+                    X[r] = xn
                     r += 1
-                span = 0 if c1 or c2 or c3 or c4 else 1
-                if (k % _BLOCK_STEPS == 0 or k == steps) and not np.isfinite(x).all():
+                if not clamped:
+                    span, x = 1, xn.copy()
+                if (k % _BLOCK_STEPS == 0 or k == steps) and not np.isfinite(xn).all():
                     raise DivergenceError(k * dt)
     return X
 

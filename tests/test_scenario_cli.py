@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -434,6 +435,38 @@ def test_cli_simulate_divergence_exit_4(tmp_path):
     assert summary["scenario"] == doc["name"]
     assert 1.0 < summary["diverged_at_s"] < 60.0
     assert not (tmp_path / "traces.csv").exists()
+
+
+# address space of the child in the allocation tests: the interpreter with
+# numpy, scipy and click fits, the arrays these inputs ask for do not
+_CHILD_ADDRESS_SPACE = 512 << 20
+
+
+def _cap_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps allocations on Linux")
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--rate-limiter", "--dt", "1e-7"),  # 458 MiB of record indices
+    ("simulate", "--rate-limiter", "--dt", "1e-9"),  # 44.7 GiB of record indices
+    ("analyze", "--check", "theorem1", "--density", "1000000000"),  # 3.73 GiB of contour
+    ("export-loci", "--density", "1000000000"),
+], ids=["simulate-dt-1e-7", "simulate-dt-1e-9", "analyze-density-1e9", "export-loci-density-1e9"])
+def test_cli_input_too_large_to_allocate_exit_3(loads_path, tmp_path, argv):
+    # never run uncapped: the child's allocation fails at once under the cap
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run(
+        [sys.executable, "-m", "nyqscale.cli", argv[0], str(loads_path), *argv[1:],
+         "--out-dir", str(tmp_path)],
+        env=env, preexec_fn=_cap_address_space, timeout=120, capture_output=True, text=True)
+    assert res.returncode == 3, res.stderr
+    assert "Traceback" not in res.stderr
+    assert re.search(r"error: input too large: .*\d+(\.\d*)? [KMGT]iB", res.stderr), res.stderr
+    assert not (tmp_path / "traces.csv").exists() and not (tmp_path / "report.json").exists()
 
 
 def per_cell_csv(path, header, rows):

@@ -478,11 +478,18 @@ def off_grid_pulses_case():
     return n5_model(include_loads=True), pulses, 6.0, 1e-3, limits, 7
 
 
+def zero_bound_case():
+    # a bound of exactly 0 MW/s on bus 1: each of its clamp factors is 0
+    model, pulses, t_end, dt, _, dec = tight_bound_case()
+    return model, pulses, t_end, dt, {0: 0.0, 1: 0.05 * 6000.0}, dec
+
+
 CLAMPED_CASES = [
     pytest.param(clamped_n5_case, id="n5-loads-0.01pu"),
     pytest.param(clamped_wind_case, id="n5-wind-0.01pu"),
     pytest.param(tight_bound_case, id="tight-bound"),
     pytest.param(off_grid_pulses_case, id="off-grid-pulses"),
+    pytest.param(zero_bound_case, id="zero-bound"),
 ]
 
 
@@ -502,6 +509,41 @@ def assert_matches_clamped_reference(case):
 @pytest.mark.parametrize("make_case", CLAMPED_CASES)
 def test_simulate_rate_limiter_matches_stepwise_rk4(make_case):
     assert_matches_clamped_reference(make_case())
+
+
+def test_simulate_rate_limiter_zero_bound_holds_hydro_output_at_zero():
+    model, pulses, t_end, dt, limits, dec = zero_bound_case()
+    res = simulate(model, pulses, t_end=t_end, dt=dt, rate_limiter=True,
+                   rate_limits_mw_per_s=limits, record_decimation=dec)
+    assert np.all(res.actuator_mw["p_hydro_bus1"] == 0.0)
+    assert np.abs(res.actuator_mw["p_hydro_bus2"]).max() > 1.0
+
+
+def test_segment_starts_match_midpoint_searchsorted():
+    # step k takes rows[searchsorted(edges, (k + 0.5) dt, side="right")]
+    rng = np.random.default_rng(1501)
+    for trial in range(300):
+        dt = 10.0 ** rng.uniform(-4, 0)
+        steps = int(rng.integers(1, 2000))
+        mids = (np.arange(steps) + 0.5) * dt
+        on_mid = mids[rng.integers(0, steps, 4)]
+        edges = np.unique(np.concatenate([
+            rng.uniform(-2 * dt, (steps + 2) * dt, rng.integers(0, 6)),
+            on_mid,  # exactly on a midpoint
+            np.nextafter(on_mid, -np.inf), np.nextafter(on_mid, np.inf),
+            rng.integers(0, steps + 1, 2) * dt,  # on the step grid
+            [0.0] if trial % 2 else [],
+        ]))
+        starts = simkit._segment_starts(edges, dt, steps)
+        got = np.searchsorted(starts, np.arange(steps), side="right")
+        assert np.array_equal(got, np.searchsorted(edges, mids, side="right"))
+    # runs too long to list every midpoint: each start is the first step at
+    # or after its edge
+    for dt, steps in ((1e-9, 6 * 10**10), (1e-7, 6 * 10**8), (3e-3, 10**12)):
+        k = rng.integers(0, steps, 20)
+        edges = np.unique(np.concatenate([(k + 0.5) * dt, k * dt, rng.uniform(0, steps * dt, 20)]))
+        for t, k0 in zip(edges.tolist(), simkit._segment_starts(edges, dt, steps)):
+            assert (k0 == steps or (k0 + 0.5) * dt >= t) and (k0 == 0 or (k0 - 0.5) * dt < t)
 
 
 def test_simulate_rate_limiter_blocks_capped_by_stack_size(monkeypatch):
