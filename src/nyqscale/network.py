@@ -293,9 +293,8 @@ def normalize(net: PowerNetwork) -> NormalizedNetwork:
 
 def average_model(agents: Sequence, pade_order: int | None = None) -> TransferFunction:
     """Average-frequency disturbance response 1/(s M + F(s)) with
-    M = sum M_i and F(s) = sum(F_i(s) + D_i + R_i(s)/s) -- angle actuators
-    folded by the 1/s rule. This is the transfer from total disturbance
-    sum(d_i) to the average frequency.
+    M = sum M_i and F(s) = sum(F_i(s) + D_i). This is the transfer from
+    total disturbance sum(d_i) to the average frequency.
 
     Delayed actuator parts are only representable after rationalization;
     pass ``pade_order`` to allow that (frequency sweeps elsewhere always use
@@ -315,13 +314,6 @@ def average_model(agents: Sequence, pade_order: int | None = None) -> TransferFu
         terms = [a.freq_actuator_rational(pade_order)]
         if a.load_damping:
             terms.append(TransferFunction.constant(a.load_damping))
-        if not a.angle_actuator.num.is_zero:
-            terms.append(
-                TransferFunction(
-                    a.angle_actuator.num,
-                    a.angle_actuator.den * Polynomial([0.0, 1.0]),
-                )
-            )
         for t in terms:
             F_sum = t if F_sum is None else F_sum + t
     assert F_sum is not None

@@ -27,11 +27,12 @@ vertex evaluation per iteration for all brackets.
 A sweep assembles each sample's loop matrix and takes its eigenvalues on
 every CPU the process may use (its affinity mask; ``taskset`` is the only
 control): each batch of samples is split into contiguous row chunks, one
-per CPU, run by the calling thread and a pool of daemon threads, and each
-chunk fills its own rows of arrays the caller allocated. Each sample's
-matrix and solver call are those of a one-thread run, so the results are
-bit-identical whatever the chunking. Batches too small to pay for the
-hand-off run inline; a forked child starts a pool of its own.
+per CPU, run by the calling thread and a ``concurrent.futures`` thread
+pool, and each chunk fills its own rows of arrays the caller allocated.
+Each sample's matrix and solver call are those of a one-thread run, so the
+results are bit-identical whatever the chunking. Batches too small to pay
+for the hand-off run inline and never import ``concurrent.futures``; a
+forked child starts a pool of its own.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ from __future__ import annotations
 import cmath
 import math
 import os
-import threading
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from typing import Sequence
@@ -298,8 +298,8 @@ def winding_number(closed_curve: Sequence[complex], point: complex) -> int:
     """Signed winding number of a sampled closed curve about a point,
     anticlockwise positive, by accumulated argument increments.
 
-    The curve must be closed (first == last within 1e-9 of the endpoints'
-    magnitude) and stay off the point (no sample within
+    The curve must be finite, closed (first == last within 1e-9 of the
+    endpoints' magnitude) and stay off the point (no sample within
     1e-9*max(1, |point|) of it); a per-step argument increment of >= pi
     means the polyline cannot be disambiguated and is reported as
     undersampled. Both tolerances are local, so a curve that reaches 1e10
@@ -308,6 +308,8 @@ def winding_number(closed_curve: Sequence[complex], point: complex) -> int:
     z = np.asarray(closed_curve, dtype=complex)
     if len(z) < 3:
         raise InvalidInputError("need at least 3 samples")
+    if not np.isfinite(z).all():
+        raise InvalidInputError("curve samples must be finite")
     if abs(z[0] - z[-1]) > 1e-9 * max(1.0, abs(z[0]), abs(z[-1])):
         raise InvalidInputError("curve is not closed (first != last)")
     rel = z - point
@@ -543,81 +545,44 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _ChunkWorkers:
-    """Daemon threads that run the row chunks of every sweep in the process.
-
-    They start on first use, as many as the widest batch so far has asked
-    for, and take tasks from one queue, so a batch pays no thread start.
-    A forked child has none of its parent's threads: the pool is emptied
-    there (``os.register_at_fork``) and the child starts its own."""
-
-    def __init__(self) -> None:
-        self._empty()
-        if hasattr(os, "register_at_fork"):
-            os.register_at_fork(after_in_child=self._empty)
-
-    def _empty(self) -> None:
-        self._lock = threading.Lock()
-        self._tasks = None
-        self._threads = 0
-
-    def submit(self, fn, threads: int) -> None:
-        """Queue ``fn``, after growing the pool to at least ``threads``."""
-        with self._lock:
-            if self._tasks is None:
-                import queue
-
-                self._tasks = queue.SimpleQueue()
-            while self._threads < threads:
-                threading.Thread(target=self._serve, args=(self._tasks,),
-                                 name="nyqscale-sweep", daemon=True).start()
-                self._threads += 1
-            self._tasks.put(fn)
-
-    @staticmethod
-    def _serve(tasks) -> None:
-        while True:
-            tasks.get()()
-
-
-_WORKERS = _ChunkWorkers()
+# the sweep chunks' pool, made by the first batch that threads (two at once
+# leave a spare that drains and is dropped); a forked child makes its own
+_POOL = None
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=lambda: globals().update(_POOL=None))
 
 
 def _in_row_chunks(task, m: int) -> None:
     """Call ``task(lo, hi)`` on contiguous chunks that cover rows 0..m, one
     per usable CPU but none under ``_MIN_CHUNK_SAMPLES`` rows; a batch too
-    small for two chunks runs inline. The calling thread runs the first
-    chunk and then every chunk that no pool thread has started yet, so a
-    slow pool never leaves it waiting on work it could do itself. When all
-    chunks are done, the exception of the lowest chunk that raised one, if
-    any, re-raises here."""
+    small for two chunks runs inline. Chunks 1 up go to the pool; the
+    calling thread runs chunk 0 and then, last first, every chunk that no
+    pool thread has started yet (its future cancels), so a slow pool never
+    leaves it waiting on work it could do itself. When all chunks are done,
+    the exception of the lowest chunk that raised one, if any, re-raises
+    here."""
+    global _POOL
     chunks = min(_usable_cpus(), m // _MIN_CHUNK_SAMPLES)
     if chunks < 2:
         task(0, m)
         return
-    bounds = [m * c // chunks for c in range(chunks + 1)]
-    unclaimed = [threading.Lock() for _ in range(chunks)]
-    finished = [threading.Lock() for _ in range(chunks)]
-    for lock in finished:
-        lock.acquire()
-    errors: list[BaseException | None] = [None] * chunks
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor
 
-    def run(c: int) -> None:
-        if not unclaimed[c].acquire(blocking=False):
-            return  # another thread has it
+        _POOL = ThreadPoolExecutor(os.cpu_count() or 1, thread_name_prefix="nyqscale-sweep")
+    spans = [(m * c // chunks, m * (c + 1) // chunks) for c in range(chunks)]
+    futures = [_POOL.submit(task, *span) for span in spans[1:]]
+    errors: list[BaseException | None] = [None] * chunks
+    for c in (0, *range(chunks - 1, 0, -1)):  # the pool takes chunks from 1 up
+        if c and not futures[c - 1].cancel():
+            continue  # a pool thread has it
         try:
-            task(bounds[c], bounds[c + 1])
+            task(*spans[c])
         except BaseException as exc:
             errors[c] = exc
-        finally:
-            finished[c].release()
-
-    for c in range(1, chunks):
-        _WORKERS.submit(partial(run, c), chunks - 1)
-    for c in (0, *range(chunks - 1, 0, -1)):  # the pool takes chunks from 1 up
-        run(c)
-    for lock in finished:
-        lock.acquire()
+    for c, future in enumerate(futures, 1):
+        if not future.cancelled():
+            errors[c] = future.exception()
     for exc in errors:
         if exc is not None:
             raise exc
@@ -643,10 +608,11 @@ def eigenloci_sweep(
     12 levels; each level evaluates only the inserted samples.
 
     Each evaluated batch is assembled and solved in contiguous row chunks
-    on the usable CPUs (``_in_row_chunks``), with results bit-identical to
-    a one-thread run. A loop matrix that is not finite (a vertex value or
-    the lossy weight mu + epsilon overflows it) raises ContourError before
-    its chunk reaches ``eigvals``; so does a pole hit on the contour.
+    on the usable CPUs, by the caller and the module's thread pool
+    (``_in_row_chunks``), with results bit-identical to a one-thread run.
+    A loop matrix that is not finite (a vertex value or the lossy weight
+    mu + epsilon overflows it) raises ContourError before its chunk reaches
+    ``eigvals``; so does a pole hit on the contour.
     """
     if len(agents) != netN.n:
         raise InvalidInputError("agent count must match network size")

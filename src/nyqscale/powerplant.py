@@ -228,7 +228,7 @@ def make_ffr_controller(
 class Agent:
     """Per-bus swing dynamics d_i -> delta_i:
 
-        g_i(s) = 1 / (s^2 M + s*(sum F_k(s) + D) + R(s)).
+        g_i(s) = 1 / (s^2 M + s*(sum F_k(s) + D)).
 
     Frequency-actuator parts are kept as separate transfer functions so a
     delayed branch coexists exactly with delay-free ones. An agent is
@@ -242,7 +242,6 @@ class Agent:
     inertia: float
     f_parts: tuple[TransferFunction, ...]
     load_damping: float = 0.0
-    angle_actuator: TransferFunction = _ZERO_TF
     f_part_names: tuple[str, ...] = ()
     bus: int | None = None
     # g_rational's memo: Pade order (None without delay) -> TransferFunction
@@ -259,8 +258,6 @@ class Agent:
                 "f_part_names",
                 tuple(f"F{k + 1}" for k in range(len(self.f_parts))),
             )
-        if self.angle_actuator.delay_s:
-            raise InvalidInputError("delayed angle actuators are not supported")
 
     # -- structure ----------------------------------------------------------
     @property
@@ -294,10 +291,6 @@ class Agent:
         scale = np.abs(s_arr) ** 2 * self.inertia + np.abs(s_arr) * (
             scale + self.load_damping
         )
-        if not self.angle_actuator.num.is_zero:
-            rv = self.angle_actuator(s_arr)
-            chi = chi + rv
-            scale = scale + np.abs(rv)
         hit = np.abs(chi) <= 1e-12 * np.maximum(scale, 1e-300)
         if np.any(hit):
             bad = s_arr[hit] if s_arr.ndim else s_arr
@@ -318,12 +311,10 @@ class Agent:
         if self.load_damping:
             F = F + self.load_damping
         nF, dF = F.num, F.den
-        nR, dR = self.angle_actuator.num, self.angle_actuator.den
-        den = Polynomial([0.0, 0.0, self.inertia]) * dF * dR + _S * nF * dR + nR * dF
-        num = dF * dR
+        den = Polynomial([0.0, 0.0, self.inertia]) * dF + _S * nF
         if den.is_zero:
             raise AssemblyError("agent has no dynamics (algebraic node)")
-        g = self._rational[key] = TransferFunction(num, den)
+        g = self._rational[key] = TransferFunction(dF, den)
         return g
 
 
@@ -331,30 +322,25 @@ def assemble_agent(
     inertia_mw_s_per_hz: float,
     f_parts: Sequence[TransferFunction] = (),
     load_damping_mw_per_hz: float = 0.0,
-    angle_actuator: TransferFunction | None = None,
     part_names: Sequence[str] = (),
     bus: int | None = None,
 ) -> Agent:
     """Validate and build a per-bus agent. An algebraic node (no inertia, no
     actuators, no damping) cannot be an agent -- Kron-reduce it instead."""
-    R = angle_actuator if angle_actuator is not None else _ZERO_TF
     parts = tuple(f_parts)
-    all_f_zero = all(f.num.is_zero for f in parts)
     if (
         inertia_mw_s_per_hz == 0.0
         and load_damping_mw_per_hz == 0.0
-        and all_f_zero
-        and R.num.is_zero
+        and all(f.num.is_zero for f in parts)
     ):
         raise AssemblyError(
-            "algebraic node: all of M, F, R, D are zero; remove it by Kron "
+            "algebraic node: all of M, F, D are zero; remove it by Kron "
             "reduction before assembling agents"
         )
     return Agent(
         inertia=float(inertia_mw_s_per_hz),
         f_parts=parts,
         load_damping=float(load_damping_mw_per_hz),
-        angle_actuator=R,
         f_part_names=tuple(part_names),
         bus=bus,
     )

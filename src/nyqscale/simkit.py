@@ -156,8 +156,8 @@ def realize_state_space(
     frequency becomes an output expression); raw transfer functions must be
     strictly proper.
 
-    For connected lossless networks with no angle actuators the realization
-    carries exactly one zero eigenvalue: the uniform angle-shift mode.
+    For connected lossless networks the realization carries exactly one
+    zero eigenvalue: the uniform angle-shift mode.
     """
     n = net.n
     if len(agents) != n:
@@ -265,17 +265,9 @@ def realize_state_space(
 def _swing_block(agent: Agent, idx: int, pade_order: int) -> dict:
     """Local realization of one swing agent with input u and outputs
     (delta, omega, actuator parts). State layout: [delta, (omega), F-part
-    states..., R states...]."""
+    states...]."""
     sub = [(name, *_ccf(f.rational(pade_order)))
            for f, name in zip(agent.f_parts, agent.f_part_names)]
-    use_R = not agent.angle_actuator.num.is_zero
-    if use_R:
-        A_R, b_R, c_R, d_R = _ccf(agent.angle_actuator)
-    else:
-        A_R = np.zeros((0, 0))
-        b_R = np.zeros(0)
-        c_R = np.zeros(0)
-        d_R = 0.0
     d_total = agent.load_damping + sum(d for (_, _, _, _, d) in sub)
     M = agent.inertia
     has_omega_state = M > 0.0
@@ -286,7 +278,7 @@ def _swing_block(agent: Agent, idx: int, pade_order: int) -> dict:
         )
 
     n_sub = sum(A.shape[0] for (_, A, _, _, _) in sub)
-    m = 1 + (1 if has_omega_state else 0) + n_sub + A_R.shape[0]
+    m = 1 + (1 if has_omega_state else 0) + n_sub
     A = np.zeros((m, m))
     b = np.zeros(m)
     roles = [f"delta_bus{idx + 1}"]
@@ -302,39 +294,29 @@ def _swing_block(agent: Agent, idx: int, pade_order: int) -> dict:
         part_slices.append((name, pos, pos + k, cs, ds))
         roles.extend([f"{name}_bus{idx + 1}_x{j}" for j in range(k)])
         pos += k
-    sl_R = slice(pos, pos + A_R.shape[0])
-    roles.extend([f"R_bus{idx + 1}_x{j}" for j in range(A_R.shape[0])])
 
     c_delta = np.zeros(m)
     c_delta[i_delta] = 1.0
     sub_mats = [(A_s, b_s) for (_, A_s, b_s, _, _) in sub]
 
     if has_omega_state:
-        # delta' = omega; M omega' = u - D omega - sum y_k - y_R
+        # delta' = omega; M omega' = u - D omega - sum y_k
         A[i_delta, i_omega] = 1.0
         A[i_omega, i_omega] = -d_total / M
         for (A_s, b_s), (name, lo, hi, cs, ds) in zip(sub_mats, part_slices):
             A[i_omega, lo:hi] = -cs / M
             A[lo:hi, i_omega] = b_s
             A[lo:hi, lo:hi] = A_s
-        if use_R:
-            A[i_omega, sl_R] = -c_R / M
-            A[i_omega, i_delta] += -d_R / M
-            A[sl_R, sl_R] = A_R
-            A[sl_R, i_delta] = b_R
         b[i_omega] = 1.0 / M
         c_omega = np.zeros(m)
         c_omega[i_omega] = 1.0
         d_omega = 0.0
     else:
-        # algebraic: omega = (u - sum c x - y_R)/d_total
+        # algebraic: omega = (u - sum c x)/d_total
         kappa = d_total
         c_omega = np.zeros(m)
         for name, lo, hi, cs, ds in part_slices:
             c_omega[lo:hi] = -cs / kappa
-        if use_R:
-            c_omega[sl_R] = -c_R / kappa
-            c_omega[i_delta] += -d_R / kappa
         d_omega = 1.0 / kappa
         # delta' = omega; part states driven by omega
         A[i_delta, :] = c_omega
@@ -343,9 +325,6 @@ def _swing_block(agent: Agent, idx: int, pade_order: int) -> dict:
             A[lo:hi, lo:hi] = A_s
             A[lo:hi, :] += np.outer(b_s, c_omega)
             b[lo:hi] = b_s * d_omega
-        if use_R:
-            A[sl_R, sl_R] = A_R
-            A[sl_R, i_delta] = b_R
 
     actuators = []
     for name, lo, hi, cs, ds in part_slices:

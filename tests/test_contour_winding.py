@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,11 @@ def test_winding_undersampled_rejected():
     square = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j])
     with pytest.raises(InvalidInputError):
         winding_number(square[:-1], 0.0)  # not closed
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):  # no argument exists
+        curve = 2.0 * np.exp(1j * np.linspace(0, 2 * math.pi, 401))
+        curve[200] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            winding_number(curve, -1.0)
 
 
 def test_winding_tolerance_is_local_to_the_point():
@@ -624,8 +630,14 @@ def test_row_chunks_run_on_a_pool_thread(monkeypatch):
 
 def test_row_chunks_run_by_the_caller_when_the_pool_stalls(monkeypatch):
     monkeypatch.setattr(nyquist, "_usable_cpus", lambda: 3)
-    held = []  # a pool that has not started any of its tasks yet
-    monkeypatch.setattr(nyquist._WORKERS, "submit", lambda fn, threads: held.append(fn))
+    held = []  # the futures of a pool that has not started any of its tasks yet
+
+    class Stalled:
+        def submit(self, fn, *args):
+            held.append(Future())
+            return held[-1]
+
+    monkeypatch.setattr(nyquist, "_POOL", Stalled())
     ran = []
     m = 3 * nyquist._MIN_CHUNK_SAMPLES
     caller = threading.Thread(target=nyquist._in_row_chunks, daemon=True, args=(
@@ -637,8 +649,8 @@ def test_row_chunks_run_by_the_caller_when_the_pool_stalls(monkeypatch):
     assert sorted((lo, hi) for lo, hi, _ in ran) == [(0, m // 3), (m // 3, 2 * m // 3),
                                                       (2 * m // 3, m)]
     assert {th for _, _, th in ran} == {caller}
-    for fn in held:  # the late pool tasks find their chunks taken
-        fn()
+    for future in held:  # the late pool tasks find their chunks taken
+        assert not future.set_running_or_notify_cancel()
     assert len(ran) == 3
 
 
@@ -655,6 +667,16 @@ def test_row_chunks_reraise_a_pool_thread_exception(monkeypatch):
 
     with pytest.raises(RuntimeError, match="chunk at row"):
         nyquist._in_row_chunks(task, 2 * nyquist._MIN_CHUNK_SAMPLES)
+
+
+def test_row_chunks_reraise_the_lowest_chunk_exception(monkeypatch):
+    monkeypatch.setattr(nyquist, "_usable_cpus", lambda: 3)
+
+    def task(lo, hi):
+        raise RuntimeError(f"chunk at row {lo} failed")
+
+    with pytest.raises(RuntimeError, match="chunk at row 0 failed"):
+        nyquist._in_row_chunks(task, 3 * nyquist._MIN_CHUNK_SAMPLES)
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
