@@ -19,7 +19,6 @@ from .network import (
     NormalizedNetwork,
     OperatingPoint,
     PowerNetwork,
-    average_model,
     build_laplacian,
     kron_reduce,
     normalize,

@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -324,34 +325,24 @@ def _write_loci_svg(path: Path, sweep: LociSweep, policy=None, markers=()):
 
 
 def _scenario_policy(scn: Scenario, contour_r, contour_R, tau_max, hyperplane):
-    policy = scn.policy
-    point, normal = (-0.9 + 0j, 1.0 + 0j)
-    tau = 0.1
-    r = scn.contour_r or 0.75
-    R = scn.contour_R
-    if policy is not None:
-        point, normal = policy.hyperplane_point, policy.hyperplane_normal
-        tau = policy.tau_max
-        r = policy.r
-        R = policy.R if policy.R is not None else R
+    """The scenario's policy, or else the default one, with the options that
+    were given replacing its fields."""
+    policy = scn.policy or DecentralizedPolicy(
+        r=scn.contour_r or 0.75, hyperplane_point=-0.9 + 0j,
+        hyperplane_normal=1.0 + 0j, tau_max=0.1, R=scn.contour_R)
+    given = {"r": contour_r, "R": contour_R, "tau_max": tau_max}
     if hyperplane is not None:
-        point, normal = hyperplane
-    if tau_max is not None:
-        tau = tau_max
-    if contour_r is not None:
-        r = contour_r
-    if contour_R is not None:
-        R = contour_R
-    return DecentralizedPolicy(
-        r=r, hyperplane_point=point, hyperplane_normal=normal, tau_max=tau, R=R
-    )
+        given["hyperplane_point"], given["hyperplane_normal"] = hyperplane
+    return replace(policy, **{k: v for k, v in given.items() if v is not None})
 
 
-def _marker_list(scn: Scenario):
-    taus = sorted(
-        {f.delay_s for a in scn.agents for f in a.f_parts if f.delay_s > 0}
-    )
-    return [("pi_over_2tau", math.pi / (2 * t)) for t in taus]
+def _load(path):
+    """The scenario at ``path``, its normalized network, its agents, and one
+    pi_over_2tau marker per distinct actuator delay."""
+    scn = load_scenario(path)
+    taus = sorted({f.delay_s for a in scn.agents for f in a.f_parts if f.delay_s > 0})
+    markers = [("pi_over_2tau", math.pi / (2 * t)) for t in taus]
+    return scn, normalize(scn.network), list(scn.agents), markers
 
 
 def _resolve_contour(scn, netN, agents, kind, r, R, density, pade_order, markers):
@@ -391,11 +382,8 @@ def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
             density, tau_max, hyperplane, pade_order, epsilon, out_dir):
     """Run a stability check on a scenario and emit report + loci CSV."""
     with _input_errors():
-        scn = load_scenario(scenario_path)
+        scn, netN, agents, markers = _load(scenario_path)
         dens = scn.contour_density if density is None else density
-        netN = normalize(scn.network)
-        agents = list(scn.agents)
-        markers = _marker_list(scn)
 
         per_agent = None
         if check_name == "decentralized":
@@ -534,12 +522,7 @@ def export_loci(scenario_path, contour_kind, contour_r, contour_R, density,
                 pade_order, out_dir):
     """Emit vertex/eigenloci trajectories as CSV and an SVG quick-look."""
     with _input_errors():
-        scn = load_scenario(scenario_path)
-        if not scn.agents:
-            raise NyqscaleError("scenario has no agents")
-        netN = normalize(scn.network)
-        agents = list(scn.agents)
-        markers = _marker_list(scn)
+        scn, netN, agents, markers = _load(scenario_path)
         contour = _resolve_contour(
             scn, netN, agents, contour_kind, contour_r, contour_R,
             scn.contour_density if density is None else density, pade_order,

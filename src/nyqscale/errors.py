@@ -56,10 +56,6 @@ class NormalizationError(NyqscaleError):
     """Laplacian cannot be gamma-normalized (zero diagonal entry)."""
 
 
-class DegenerateModelError(NyqscaleError):
-    """Aggregate model has no dynamics (all-zero agents)."""
-
-
 class ContourError(NyqscaleError):
     """Contour construction failed (overlapping indentations, pole on the
     contour, bad radii)."""

@@ -1,12 +1,11 @@
-"""Coupling-Laplacian construction, Kron reduction, normalization, and the
-average (centre-of-inertia) frequency model.
+"""Coupling-Laplacian construction, Kron reduction and normalization.
 
 The Laplacian stored on :class:`PowerNetwork` is expressed in the package's
 dynamic unit system (power MW, frequency Hz, angle Hz*s), in which the
 normalization gamma_i = 2*L_ii makes the normalized spectrum land in [0, 1].
 `build_laplacian` itself is unit-agnostic: it combines whatever susceptance
 numbers it is given; published per-radian susceptances are scaled by 2*pi at
-scenario ingestion (see the scenario module and README).
+scenario ingestion (see the scenario module's docstring).
 
 Everything here is immutable after construction and pure.
 """
@@ -20,12 +19,10 @@ import numpy as np
 
 from .errors import (
     ConnectivityError,
-    DegenerateModelError,
     InvalidInputError,
     NormalizationError,
     ReductionError,
 )
-from .lti import Polynomial, TransferFunction
 
 __all__ = [
     "Line",
@@ -35,7 +32,6 @@ __all__ = [
     "build_laplacian",
     "kron_reduce",
     "normalize",
-    "average_model",
 ]
 
 ROW_SUM_ATOL = 1e-10
@@ -290,36 +286,3 @@ def normalize(net: PowerNetwork) -> NormalizedNetwork:
         U=U,
     )
 
-
-def average_model(agents: Sequence, pade_order: int | None = None) -> TransferFunction:
-    """Average-frequency disturbance response 1/(s M + F(s)) with
-    M = sum M_i and F(s) = sum(F_i(s) + D_i). This is the transfer from
-    total disturbance sum(d_i) to the average frequency.
-
-    Delayed actuator parts are only representable after rationalization;
-    pass ``pade_order`` to allow that (frequency sweeps elsewhere always use
-    the exact exponential). Without it a delayed part raises
-    InvalidInputError.
-    """
-    from .powerplant import Agent
-
-    if not agents:
-        raise DegenerateModelError("no agents")
-    M_total = 0.0
-    F_sum: TransferFunction | None = None
-    for a in agents:
-        if not isinstance(a, Agent):
-            raise InvalidInputError(f"expected an Agent, got {type(a).__name__}")
-        M_total += a.inertia
-        terms = [a.freq_actuator_rational(pade_order)]
-        if a.load_damping:
-            terms.append(TransferFunction.constant(a.load_damping))
-        for t in terms:
-            F_sum = t if F_sum is None else F_sum + t
-    assert F_sum is not None
-    if M_total == 0.0 and F_sum.num.is_zero:
-        raise DegenerateModelError("all-zero aggregate: no inertia and no actuators")
-    den = Polynomial([0.0, M_total]) * F_sum.den + F_sum.num
-    if den.is_zero:
-        raise DegenerateModelError("degenerate aggregate dynamics")
-    return TransferFunction(F_sum.den, den)

@@ -88,8 +88,6 @@ DEGENERATE_LOCI = 1e-12
 _MATCH_BLOCK_BYTES = 1 << 22
 # bytes of each block of n x n vertex-pair arrays in the hull-axis test
 _HULL_BLOCK_BYTES = 1 << 22
-# candidate closure radii evaluated per agent call in default_outer_radius
-_RADIUS_CHUNK = 8
 # vertex_axis_crossings stops a bracket at width <= XTOL + RTOL * omega
 CROSSING_XTOL = 1e-12
 CROSSING_RTOL = 1e-12
@@ -267,8 +265,7 @@ def default_outer_radius(agents: Sequence, gammas: Sequence[float] | None = None
     """Closure radius: at least 100x the largest agent pole/zero modulus,
     doubled until every vertex magnitude |gamma_i g_i(R)| falls below 1e-4
     (so the closure arc cannot contribute winding). Each agent is evaluated
-    once per chunk of ``_RADIUS_CHUNK`` doublings, and the first radius
-    that passes is returned."""
+    once at all 60 doublings, and the first radius that passes is returned."""
     moduli = [1.0]
     for a in agents:
         g = _agent_rational(a, pade_order)
@@ -276,16 +273,15 @@ def default_outer_radius(agents: Sequence, gammas: Sequence[float] | None = None
         moduli.extend(abs(z) for z in g.zeros)
     R0 = 100.0 * max(moduli)
     gam = list(gammas) if gammas is not None else [1.0] * len(agents)
-    for lo in range(0, 60, _RADIUS_CHUNK):
-        Rs = R0 * 2.0 ** np.arange(lo, min(lo + _RADIUS_CHUNK, 60))
-        worst = np.zeros(len(Rs))
-        with np.errstate(all="ignore"):
-            for a, gi in zip(agents, gam):
-                v = np.abs(gi * a(Rs.astype(complex)))
-                worst = np.where(v > worst, v, worst)  # max(worst, v), nan too
-        passed = np.flatnonzero(worst < 1e-4)
-        if passed.size:
-            return float(Rs[passed[0]])
+    Rs = R0 * 2.0 ** np.arange(60)
+    worst = np.zeros(len(Rs))
+    with np.errstate(all="ignore"):
+        for a, gi in zip(agents, gam):
+            v = np.abs(gi * a(Rs.astype(complex)))
+            worst = np.where(v > worst, v, worst)  # max(worst, v), nan too
+    passed = np.flatnonzero(worst < 1e-4)
+    if passed.size:
+        return float(Rs[passed[0]])
     raise ContourError("could not find a closure radius with negligible loci")
 
 

@@ -4,7 +4,8 @@ turbine + FFR controller, and per-bus agent assembly.
 
 Units at every boundary: power MW, frequency Hz, inertia MW*s/Hz
 (M = 2*W_kin/f0 with f0 = 50 Hz, so a kinetic energy given in GWs converts
-as M = 2*W_GWs*1000/50). Angle signals are in Hz*s; see the README.
+as M = 2*W_GWs*1000/50). Angle signals are in Hz*s; see the scenario
+module's docstring.
 """
 
 from __future__ import annotations

@@ -234,12 +234,8 @@ def realize_state_space(
         C_act[k] = -(row + feed[bus] * C_omega[bus])
         D_act[k] = -(feed[bus] * D_omega[bus])
 
-    C = np.vstack([C_delta, C_omega, C_act]) if len(act_rows_loc) else np.vstack(
-        [C_delta, C_omega]
-    )
-    D = np.vstack([np.zeros((n, n)), D_omega, D_act]) if len(act_rows_loc) else np.vstack(
-        [np.zeros((n, n)), D_omega]
-    )
+    C = np.vstack([C_delta, C_omega, C_act])
+    D = np.vstack([np.zeros((n, n)), D_omega, D_act])
     names = (
         [f"delta_bus{i + 1}" for i in range(n)]
         + [f"f_bus{i + 1}" for i in range(n)]

@@ -117,6 +117,43 @@ def test_theorem1_verdict_matches_eigen_oracle_small_batch():
     assert checked >= 15
 
 
+# ---------------------------------------------------------------- sampling misses
+def lightly_damped_pair():
+    """Two agents k w0^2 wr / ((s^2 + 2 zeta w0 s + w0^2)(s + wr)) on one
+    line, drawn from that family with default_rng(11). The closed loop has
+    a mode at 0.0935 +- 36.458j, next to agent 1's resonance (zeta ~ 3e-5)."""
+    w = 0.4989629298742979
+    params = [
+        (0.37822457174088947, 36.455398968833876, 2.9231980209396363e-05, 1.0032042976994182),
+        (-0.11312881674446286, 6.434280500777711, 1.5735363378000847e-05, 0.4957528351416189),
+    ]
+    agents = [
+        TF([k * w0**2 * wr],
+           np.polynomial.polynomial.polymul([w0**2, 2 * z * w0, 1.0], [wr, 1.0]))
+        for k, w0, z, wr in params
+    ]
+    return network_from_laplacian([[w, -w], [-w, w]]), agents
+
+
+def test_lightly_damped_pair_is_oracle_unstable():
+    net, agents = lightly_damped_pair()
+    eig = realize_state_space(net, agents).eigenvalues
+    top = eig[np.argmax(eig.real)]
+    assert top.real == pytest.approx(0.0935, abs=1e-4)
+    assert abs(top.imag) == pytest.approx(36.458, abs=1e-3)
+
+
+@pytest.mark.xfail(strict=True, reason="the default full-D sweep steps over the "
+                   "unstable mode: winding 0, N 0, no flagged sample")
+@pytest.mark.parametrize("check", ["fov", "theorem1"])
+def test_sampled_checks_see_a_lightly_damped_unstable_mode(check):
+    net, agents = lightly_damped_pair()
+    netN = normalize(net)
+    contour = _default_contour(netN, agents, "full-D", 0.0, None, 200, 3)
+    run = fov_check if check == "fov" else theorem1_check
+    assert run(netN, agents, contour).result == "unstable"
+
+
 # ---------------------------------------------------------------- lossy
 def test_lossy_high_gain_first_order_stable():
     netN = two_bus_norm(1.0)

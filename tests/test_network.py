@@ -1,4 +1,4 @@
-"""Laplacian building, Kron reduction, normalization, average model."""
+"""Laplacian building, Kron reduction and normalization."""
 
 import math
 
@@ -6,24 +6,14 @@ import numpy as np
 import pytest
 
 from nyqscale.errors import ConnectivityError, InvalidInputError, NormalizationError
-from nyqscale.lti import TransferFunction
 from nyqscale.network import (
     Line,
     OperatingPoint,
     PowerNetwork,
-    average_model,
     build_laplacian,
     kron_reduce,
     normalize,
 )
-from nyqscale.powerplant import (
-    WindParams,
-    assemble_agent,
-    make_ffr_controller,
-    make_wind_turbine,
-)
-
-TF = TransferFunction
 
 
 def random_connected_laplacian(rng, n):
@@ -146,38 +136,3 @@ def test_normalize_zero_diagonal_rejected():
     with pytest.raises((NormalizationError, InvalidInputError)):
         normalize(PowerNetwork.from_laplacian(np.zeros((2, 2))))
 
-
-# ---------------------------------------------------------------- averages
-def test_average_model_single_integrator():
-    g = average_model([assemble_agent(1.0)])
-    assert np.allclose(g.num.as_array(), [1.0])
-    assert np.allclose(g.den.as_array(), [0.0, 1.0])
-
-
-def test_average_model_delayed_agent_needs_pade_order():
-    h = make_wind_turbine(WindParams(10.0))
-    delayed = assemble_agent(1360.0, [make_ffr_controller(0.6, 1000.0, 0.1, h)])
-    with pytest.raises(InvalidInputError):
-        average_model([delayed])
-    with pytest.raises(InvalidInputError):
-        delayed.freq_actuator_rational(None)
-    assert average_model([delayed], pade_order=3).delay_s == 0.0
-
-
-def test_average_model_n5_totals():
-    # M = 2*110 GWs / 50 Hz = 4.4 GW s/Hz = 4400 MW s/Hz
-    w_kin_gws = [34.0, 22.5, 7.5, 33.0, 13.0]
-    agents = [assemble_agent(2 * w * 1000 / 50) for w in w_kin_gws]
-    g = average_model(agents)
-    den = g.den.as_array()
-    num = g.num.as_array()
-    assert den[1] / num[0] == pytest.approx(4400.0)
-
-
-def test_average_model_steady_state_final_value():
-    # derived final-value oracle: step -1400 MW against F(0)=3100+400 MW/Hz
-    fdes_like = TF([3100.0, 3100.0 * 6.5], np.polynomial.polynomial.polymul([1, 2], [1, 17]))
-    agents = [assemble_agent(4000.0, [fdes_like], load_damping_mw_per_hz=400.0)]
-    g = average_model(agents)
-    # final value of g(s) * (-1400/s) * s as s -> 0 equals -1400 * g(0)
-    assert -1400.0 * g(0.0) == pytest.approx(-0.4, rel=1e-9)

@@ -165,6 +165,58 @@ def test_cli_analyze_decentralized_wind_stable_exit_0(wind_path, tmp_path):
     assert float(marked[0].split(",")[0]) == pytest.approx(math.pi / 0.2, rel=1e-9)
 
 
+BUNDLED = ["n5_hydro_loads", "n5_hydro_d0", "n5_hydro_wind"]
+
+
+def run_cli(tmp_path, name, *argv):
+    """Run the CLI with ``--out-dir tmp_path/name``; return that directory."""
+    out = tmp_path / name
+    res = CliRunner().invoke(main, [*argv, "--out-dir", str(out)])
+    assert res.exit_code in (0, 1, 2), res.output
+    return out
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_cli_default_policy_equals_the_bundled_policy(name, tmp_path):
+    # every bundled policy block is the default one, so a scenario without
+    # hyperplane and tau_max_s (no policy of its own) analyzes the same
+    path = bundled_scenario_path(name)
+    doc = json.loads(path.read_text())
+    del doc["policy"]["hyperplane"], doc["policy"]["tau_max_s"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc))
+    assert load_scenario(bare).policy is None
+    outs = [run_cli(tmp_path, str(i), "analyze", str(p), "--check", "decentralized")
+            for i, p in enumerate((path, bare))]
+    for fn in ("report.json", "loci.csv"):
+        assert (outs[0] / fn).read_bytes() == (outs[1] / fn).read_bytes(), fn
+
+
+def test_cli_policy_options_replace_the_scenario_policy(wind_path, tmp_path):
+    def per_agent(tag, *options):
+        out = run_cli(tmp_path, tag, "analyze", str(wind_path),
+                      "--check", "decentralized", *options)
+        return json.loads((out / "report.json").read_text())["per_agent"]
+
+    base = per_agent("base")
+    # the hyperplane point moves from -0.9 to -0.5 along its unit normal
+    shifted = per_agent("shifted", "--hyperplane=-0.5,0,1,0")
+    slow = per_agent("slow", "--tau-max", "0.2")
+    assert len(base) == len(shifted) == len(slow) == 5
+    for b, h, t in zip(base, shifted, slow):
+        assert h["min_hyperplane_margin"] == pytest.approx(
+            b["min_hyperplane_margin"] - 0.4, abs=1e-12)
+        assert t["pi_over_2tau"] == pytest.approx(math.pi / 0.4, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_cli_export_loci_csv_equals_analyze_theorem1(name, tmp_path):
+    path = str(bundled_scenario_path(name))
+    exported = run_cli(tmp_path, "export", "export-loci", path)
+    analyzed = run_cli(tmp_path, "analyze", "analyze", path, "--check", "theorem1")
+    assert (exported / "loci.csv").read_bytes() == (analyzed / "loci.csv").read_bytes()
+
+
 def run_fresh_python(code: str) -> subprocess.CompletedProcess:
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
