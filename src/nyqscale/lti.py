@@ -105,9 +105,6 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial(npp.polyadd(self.as_array(), other.as_array()))
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(npp.polysub(self.as_array(), other.as_array()))
-
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
             return Polynomial(npp.polymul(self.as_array(), other.as_array()))

@@ -301,7 +301,11 @@ def loads_scenario(doc: dict) -> Scenario:
     angles = net_doc.get("operating_point", {}).get("angles_rad")
     op = OperatingPoint(angles) if angles is not None else OperatingPoint.flat(len(bus_ids))
     network = build_laplacian(lines, op, len(bus_ids))
-    algebraic = [index[b] for b in net_doc.get("algebraic_buses", [])]
+    algebraic = []
+    for k, b in enumerate(net_doc.get("algebraic_buses", [])):
+        if b not in index:
+            raise ScenarioError([f"$.network.algebraic_buses[{k}]: unknown bus id {b}"])
+        algebraic.append(index[b])
     if algebraic:
         network = kron_reduce(network, algebraic)
         bus_ids = [b for i, b in enumerate(bus_ids) if i not in set(algebraic)]
@@ -310,7 +314,13 @@ def loads_scenario(doc: dict) -> Scenario:
     agents_doc = doc["agents"]
     k_fcr = agents_doc.get("fcr_design_k_MW_per_Hz")
     f_des = make_fdes(k_fcr) if k_fcr else None
-    per_bus = {a["bus"]: a for a in agents_doc["buses"]}
+    per_bus, dup = {}, set()
+    for a in agents_doc["buses"]:
+        if a["bus"] in per_bus:
+            dup.add(a["bus"])
+        per_bus[a["bus"]] = a
+    if dup:
+        raise ScenarioError([f"$.agents.buses: duplicate bus id(s) {sorted(dup)}"])
     for b in per_bus:
         if b not in index:
             raise ScenarioError([f"$.agents.buses: unknown bus id {b}"])

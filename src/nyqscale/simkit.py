@@ -164,7 +164,7 @@ def realize_state_space(
         raise InvalidInputError("agent count must match bus count")
     L = net.laplacian
 
-    blocks = []  # per agent: dict with local matrices
+    blocks = []  # per agent: (A, b, c_delta, c_omega, d_omega, roles, parts)
     for idx, a in enumerate(agents):
         if isinstance(a, Agent):
             blocks.append(_swing_block(a, idx, pade_order))
@@ -176,77 +176,55 @@ def realize_state_space(
                 f"{type(a).__name__}"
             )
 
-    offsets = []
-    total = 0
-    for blk in blocks:
-        offsets.append(total)
-        total += blk["A"].shape[0]
-
+    total = sum(len(blk[1]) for blk in blocks)
+    n_act = sum(len(blk[6]) for blk in blocks)
     A_blk = np.zeros((total, total))
     B_blk = np.zeros((total, n))
     C_delta = np.zeros((n, total))
     Cw_loc = np.zeros((n, total))
     Dw_loc = np.zeros((n, n))
+    C_act = np.zeros((n_act, total))  # each part's c, scattered to its states
+    d_act = np.zeros(n_act)  # each part's feedthrough from its bus frequency
     roles: list[str] = []
     act_blocks: list[_ActuatorBlock] = []
-    act_rows_loc: list[np.ndarray] = []
-    act_feed_loc: list[np.ndarray] = []
-    act_names: list[str] = []
 
-    for idx, (blk, off) in enumerate(zip(blocks, offsets)):
-        m = blk["A"].shape[0]
-        sl = slice(off, off + m)
-        A_blk[sl, sl] = blk["A"]
-        B_blk[sl, idx] = blk["b"]
-        C_delta[idx, sl] = blk["c_delta"]
-        Cw_loc[idx, sl] = blk["c_omega"]
-        Dw_loc[idx, idx] = blk["d_omega"]
-        roles.extend(blk["roles"])
-        for part in blk["actuators"]:
-            row = np.zeros(total)
-            row[sl] = part["c"]
-            act_rows_loc.append(row)
-            feed = np.zeros(n)
-            feed[idx] = part["d"]
-            act_feed_loc.append(feed)
-            act_names.append(f"p_{part['name']}_bus{idx + 1}")
-            act_blocks.append(
-                _ActuatorBlock(
-                    bus=idx,
-                    name=part["name"],
-                    state_slice=slice(off + part["lo"], off + part["hi"]),
-                    c_local=part["c_block"],
-                )
-            )
+    off = 0
+    for idx, (A, b, c_delta, c_omega, d_omega, blk_roles, parts) in enumerate(blocks):
+        sl = slice(off, off + len(b))
+        A_blk[sl, sl] = A
+        B_blk[sl, idx] = b
+        C_delta[idx, sl] = c_delta
+        Cw_loc[idx, sl] = c_omega
+        Dw_loc[idx, idx] = d_omega
+        roles.extend(blk_roles)
+        for name, lo, hi, c, d, _, _ in parts:
+            k = len(act_blocks)
+            C_act[k, off + lo : off + hi] = c
+            d_act[k] = d
+            act_blocks.append(_ActuatorBlock(
+                bus=idx, name=name, state_slice=slice(off + lo, off + hi), c_local=c))
+        off = sl.stop
 
     # close the loop: u = d - L delta
     A_cl = A_blk - B_blk @ L @ C_delta
-    B_cl = B_blk
     # omega rows: omega = Cw_loc x + Dw_loc u
     C_omega = Cw_loc - Dw_loc @ L @ C_delta
-    D_omega = Dw_loc
-    # actuator rows measure y = F(s) omega; injection is -y
-    C_act = np.zeros((len(act_rows_loc), total))
-    D_act = np.zeros((len(act_rows_loc), n))
-    for k, (row, feed) in enumerate(zip(act_rows_loc, act_feed_loc)):
-        # y_k = c x + d_k * omega_bus, omega itself may be algebraic
-        bus = act_blocks[k].bus
-        C_act[k] = -(row + feed[bus] * C_omega[bus])
-        D_act[k] = -(feed[bus] * D_omega[bus])
-
-    C = np.vstack([C_delta, C_omega, C_act])
-    D = np.vstack([np.zeros((n, n)), D_omega, D_act])
+    # actuator rows measure y_k = c x + d_k omega_bus, where omega itself may
+    # be algebraic; the injection is -y_k
+    buses = [blk.bus for blk in act_blocks]
+    C = np.vstack([C_delta, C_omega, -(C_act + d_act[:, None] * C_omega[buses])])
+    D = np.vstack([np.zeros((n, n)), Dw_loc, -(d_act[:, None] * Dw_loc[buses])])
     names = (
         [f"delta_bus{i + 1}" for i in range(n)]
         + [f"f_bus{i + 1}" for i in range(n)]
-        + act_names
+        + [f"p_{blk.name}_bus{blk.bus + 1}" for blk in act_blocks]
     )
     inertia = np.array(
         [a.inertia if isinstance(a, Agent) else 0.0 for a in agents]
     )
     return StateSpaceModel(
         A=A_cl,
-        B=B_cl,
+        B=B_blk,
         C=C,
         D=D,
         output_names=tuple(names),
@@ -258,101 +236,67 @@ def realize_state_space(
     )
 
 
-def _swing_block(agent: Agent, idx: int, pade_order: int) -> dict:
+def _swing_block(agent: Agent, idx: int, pade_order: int) -> tuple:
     """Local realization of one swing agent with input u and outputs
-    (delta, omega, actuator parts). State layout: [delta, (omega), F-part
-    states...]."""
-    sub = [(name, *_ccf(f.rational(pade_order)))
-           for f, name in zip(agent.f_parts, agent.f_part_names)]
-    d_total = agent.load_damping + sum(d for (_, _, _, _, d) in sub)
+    (delta, omega, actuator parts), as (A, b, c_delta, c_omega, d_omega,
+    roles, parts) with one (name, lo, hi, c, d, A_s, b_s) per actuator part.
+    State 0 is delta, state 1 is omega when M > 0, and the part states
+    follow."""
     M = agent.inertia
     has_omega_state = M > 0.0
+    roles = [f"delta_bus{idx + 1}"]
+    if has_omega_state:
+        roles.append(f"omega_bus{idx + 1}")
+    parts = []
+    pos = len(roles)
+    for f, name in zip(agent.f_parts, agent.f_part_names):
+        A_s, b_s, c, d = _ccf(f.rational(pade_order))
+        k = len(b_s)
+        parts.append((name, pos, pos + k, c, d, A_s, b_s))
+        roles.extend([f"{name}_bus{idx + 1}_x{j}" for j in range(k)])
+        pos += k
+    d_total = agent.load_damping + sum(part[4] for part in parts)
     if not has_omega_state and d_total == 0.0:
         raise RealizationError(
             f"agent {idx}: zero inertia needs direct frequency damping "
             "(D or an actuator feedthrough) for algebraic elimination"
         )
 
-    n_sub = sum(A.shape[0] for (_, A, _, _, _) in sub)
-    m = 1 + (1 if has_omega_state else 0) + n_sub
+    m = pos
     A = np.zeros((m, m))
     b = np.zeros(m)
-    roles = [f"delta_bus{idx + 1}"]
-    i_delta = 0
-    pos = 1
-    if has_omega_state:
-        i_omega = pos
-        roles.append(f"omega_bus{idx + 1}")
-        pos += 1
-    part_slices = []
-    for name, As, bs, cs, ds in sub:
-        k = As.shape[0]
-        part_slices.append((name, pos, pos + k, cs, ds))
-        roles.extend([f"{name}_bus{idx + 1}_x{j}" for j in range(k)])
-        pos += k
-
     c_delta = np.zeros(m)
-    c_delta[i_delta] = 1.0
-    sub_mats = [(A_s, b_s) for (_, A_s, b_s, _, _) in sub]
-
+    c_delta[0] = 1.0
+    c_omega = np.zeros(m)
     if has_omega_state:
         # delta' = omega; M omega' = u - D omega - sum y_k
-        A[i_delta, i_omega] = 1.0
-        A[i_omega, i_omega] = -d_total / M
-        for (A_s, b_s), (name, lo, hi, cs, ds) in zip(sub_mats, part_slices):
-            A[i_omega, lo:hi] = -cs / M
-            A[lo:hi, i_omega] = b_s
+        A[0, 1] = 1.0
+        A[1, 1] = -d_total / M
+        for _, lo, hi, c, _, A_s, b_s in parts:
+            A[1, lo:hi] = -c / M
+            A[lo:hi, 1] = b_s
             A[lo:hi, lo:hi] = A_s
-        b[i_omega] = 1.0 / M
-        c_omega = np.zeros(m)
-        c_omega[i_omega] = 1.0
+        b[1] = 1.0 / M
+        c_omega[1] = 1.0
         d_omega = 0.0
     else:
         # algebraic: omega = (u - sum c x)/d_total
-        kappa = d_total
-        c_omega = np.zeros(m)
-        for name, lo, hi, cs, ds in part_slices:
-            c_omega[lo:hi] = -cs / kappa
-        d_omega = 1.0 / kappa
+        for _, lo, hi, c, _, _, _ in parts:
+            c_omega[lo:hi] = -c / d_total
+        d_omega = 1.0 / d_total
         # delta' = omega; part states driven by omega
-        A[i_delta, :] = c_omega
-        b[i_delta] = d_omega
-        for (A_s, b_s), (name, lo, hi, cs, ds) in zip(sub_mats, part_slices):
+        A[0, :] = c_omega
+        b[0] = d_omega
+        for _, lo, hi, _, _, A_s, b_s in parts:
             A[lo:hi, lo:hi] = A_s
             A[lo:hi, :] += np.outer(b_s, c_omega)
             b[lo:hi] = b_s * d_omega
-
-    actuators = []
-    for name, lo, hi, cs, ds in part_slices:
-        actuators.append(
-            {
-                "name": name,
-                "lo": lo,
-                "hi": hi,
-                "c_block": cs,
-                "d": ds,
-                "c": _scatter(m, lo, hi, cs),
-            }
-        )
-    return {
-        "A": A,
-        "b": b,
-        "c_delta": c_delta,
-        "c_omega": c_omega,
-        "d_omega": d_omega,
-        "roles": roles,
-        "actuators": actuators,
-    }
+    return A, b, c_delta, c_omega, d_omega, roles, parts
 
 
-def _scatter(m, lo, hi, cs):
-    row = np.zeros(m)
-    row[lo:hi] = cs
-    return row
-
-
-def _tf_block(g: TransferFunction, idx: int, pade_order: int) -> dict:
-    """Local realization of a raw transfer-function agent u -> delta."""
+def _tf_block(g: TransferFunction, idx: int, pade_order: int) -> tuple:
+    """Local realization of a raw transfer-function agent u -> delta, in
+    _swing_block's layout, with no actuator parts."""
     g = g.rational(pade_order)
     if not g.is_strictly_proper:
         raise RealizationError(
@@ -360,19 +304,9 @@ def _tf_block(g: TransferFunction, idx: int, pade_order: int) -> dict:
             "proper (angle cannot feed through instantaneously)"
         )
     A, b, c, d0 = _ccf(g)
-    m = A.shape[0]
     # omega = delta' = c(Ax + bu)
-    c_omega = c @ A
-    d_omega = float(c @ b)
-    return {
-        "A": A,
-        "b": b,
-        "c_delta": c,
-        "c_omega": c_omega,
-        "d_omega": d_omega,
-        "roles": [f"g_bus{idx + 1}_x{j}" for j in range(m)],
-        "actuators": [],
-    }
+    roles = [f"g_bus{idx + 1}_x{j}" for j in range(len(b))]
+    return A, b, c, c @ A, float(c @ b), roles, []
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,30 @@ def test_scenario_unknown_line_bus(loads_path, tmp_path):
     assert any("unknown bus id 99" in v for v in err.value.violations)
 
 
+def test_scenario_unknown_algebraic_bus():
+    doc = load_scenario(bundled_scenario_path("n5_hydro_loads")).to_json_dict()
+    doc["network"]["algebraic_buses"] = [999]
+    with pytest.raises(ScenarioError) as err:
+        loads_scenario(doc)
+    assert err.value.violations == ["$.network.algebraic_buses[0]: unknown bus id 999"]
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--check", "theorem1"],
+                                  ["simulate", "--t-end", "2"]])
+def test_scenario_duplicate_agent_bus_exit_3(tmp_path, argv):
+    # a second row for bus 4 must not silently replace the first one
+    doc = load_scenario(bundled_scenario_path("n5_hydro_loads")).to_json_dict()
+    row = next(a for a in doc["agents"]["buses"] if a["bus"] == 4)
+    doc["agents"]["buses"].append(dict(row, W_kin_GWs=99.0))
+    with pytest.raises(ScenarioError) as err:
+        loads_scenario(doc)
+    assert err.value.violations == ["$.agents.buses: duplicate bus id(s) [4]"]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, [argv[0], str(path), *argv[1:], "--out-dir", str(tmp_path)])
+    assert res.exit_code == 3, res.output
+
+
 def test_scenario_missing_file_raises():
     with pytest.raises(ScenarioError):
         load_scenario("/nonexistent/path.json")
@@ -470,6 +494,9 @@ def test_cli_malformed_option_exit_3(wind_path, tmp_path, command, option, value
         # -1 is inadmissible, but the ray left of -2 is admissible
         ("n5_hydro_wind", None,
          ["analyze", "--check", "decentralized", "--hyperplane", "-2,0,-1,0"]),
+        # a Kron-reduced bus that the network does not have
+        ("n5_hydro_loads", ("network", "algebraic_buses", [999]), ["analyze"]),
+        ("n5_hydro_loads", ("network", "algebraic_buses", [999]), ["simulate"]),
     ],
 )
 def test_cli_malformed_value_exit_3(tmp_path, name, patch, argv):

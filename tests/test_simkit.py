@@ -135,6 +135,30 @@ def test_realize_biproper_raw_tf_rejected():
         realize_state_space(net, [biproper, biproper])
 
 
+def test_realize_actuator_rows_equal_minus_part_times_frequency():
+    # bus 1 swings with a strictly proper part; bus 2 has M = 0 and D > 0
+    # with a biproper part (a feedthrough) and a delayed part. Each actuator
+    # output must be -F_k(s) times its bus frequency, F_k at Pade order 3.
+    net = network_from_laplacian([[1.5, -1.5], [-1.5, 1.5]])
+    parts = [
+        [TF([2.0], [1.0, 0.5])],
+        [TF([1.0, 3.0], [2.0, 1.0]), TF([0.8], [1.0, 0.3], delay_s=0.2)],
+    ]
+    agents = [assemble_agent(2.0, parts[0]), assemble_agent(0.0, parts[1], 1.2)]
+    model = realize_state_space(net, agents, pade_order=3)
+    n = model.n_buses
+    rows = [(bus, f.rational(3)) for bus in range(n) for f in parts[bus]]
+    assert len(model.C) == 2 * n + len(rows)
+    assert np.any(model.D[2 * n :] != 0)
+
+    for s in (0.3j, 2j, 1 + 5j):
+        H = model.C @ np.linalg.solve(s * np.eye(model.n_states) - model.A, model.B) + model.D
+        for k, (bus, F) in enumerate(rows):
+            want = -F(s) * H[n + bus]
+            err = np.abs(H[2 * n + k] - want).max()
+            assert err <= 1e-9 * np.abs(want).max(), (s, k)
+
+
 def test_realize_n5_hydro_d0_has_unstable_eigen():
     # paper's instability claim for the load-free hydro-FCR system
     model = n5_model(include_loads=False)
