@@ -353,7 +353,7 @@ def _resolve_contour(scn, netN, agents, kind, r, R, density, pade_order, markers
     kind = kind or scn.contour_kind
     r = scn.contour_r if r is None else r
     R = scn.contour_R if R is None else R
-    return _default_contour(netN, agents, kind, 0.0 if kind == "full-D" else r, R,
+    return _default_contour(netN.gamma, agents, kind, 0.0 if kind == "full-D" else r, R,
                             density, pade_order, extra=[w for _, w in markers])
 
 

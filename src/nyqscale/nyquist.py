@@ -24,6 +24,14 @@ test takes every sample's vertex pairs in whole-array passes. The vertex's
 real-axis crossings are refined by vectorised Illinois regula falsi, one
 vertex evaluation per iteration for all brackets.
 
+All four checks build their contour with one rule (``_default_contour``:
+closure radius, jw-axis indentations, indentation radius) and evaluate
+vertices through ``_vertices``, which turns a pole hit into ContourError.
+The network checks refine their samples in ``eigenloci_sweep``; the
+decentralized screening evaluates its contour once, and its crossing
+diagnostic brackets sign changes per axis segment on its own denser grid
+(DECISIONS.md D5).
+
 A sweep assembles each sample's loop matrix and takes its eigenvalues on
 every CPU the process may use (its affinity mask; ``taskset`` is the only
 control): each batch of samples is split into contiguous row chunks, one
@@ -88,6 +96,12 @@ DEGENERATE_LOCI = 1e-12
 _MATCH_BLOCK_BYTES = 1 << 22
 # bytes of each block of n x n vertex-pair arrays in the hull-axis test
 _HULL_BLOCK_BYTES = 1 << 22
+# points per decade of vertex_axis_crossings' log grid. A delayed vertex runs
+# along the negative real axis at |v| << 1 and crosses it every pi/tau rad/s
+# (about 31 rad/s on n5_hydro_wind) up to R (about 5,260 rad/s); 400 per
+# decade spaces the grid about 30 rad/s apart there and brackets all 502
+# crossings, where the contour's 200 per decade bracket only 358
+CROSSING_DENSITY = 400
 # vertex_axis_crossings stops a bracket at width <= XTOL + RTOL * omega
 CROSSING_XTOL = 1e-12
 CROSSING_RTOL = 1e-12
@@ -335,13 +349,6 @@ def _checked_distance(rel: np.ndarray, point: complex) -> float:
     return closest
 
 
-def _det_arg_steps(eigs: np.ndarray) -> np.ndarray:
-    """|argument increment| of det(I + Q) = prod_k (1 + lambda_k) between
-    consecutive rows of per-sample eigenvalues."""
-    phase = np.angle(eigs + 1.0).sum(axis=1)
-    return np.abs(np.angle(np.exp(1j * np.diff(phase))))
-
-
 def _match_indices(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
     """Branch matching: greedy minimal-distance assignment with an optimal
     (Hungarian) fallback when the greedy cost exceeds twice the row-minimum
@@ -527,9 +534,16 @@ class LociSweep:
         )
 
 
-def _vertices(agents: Sequence, gamma: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Vertex values gamma_i g_i(s), one column per agent."""
-    return np.stack([g * a(s) for a, g in zip(agents, gamma)], axis=1)
+def _vertices(agents: Sequence, gamma: Sequence[float], s: np.ndarray) -> np.ndarray:
+    """Vertex values gamma_i g_i(s), one column per agent; a contour point
+    on an agent pole raises ContourError."""
+    try:
+        return np.stack([g * a(s) for a, g in zip(agents, gamma)], axis=1)
+    except PoleHitError as exc:
+        raise ContourError(
+            f"vertex evaluation hit a pole at s = {exc.s}; re-route the contour "
+            "(add a jw-axis indentation there or adjust r)"
+        ) from None
 
 
 def _usable_cpus() -> int:
@@ -598,10 +612,11 @@ def eigenloci_sweep(
     nonzero eigenloci of L'G'(s). mode "full": the lossy full-rank loop
     U^T G'(s) U diag(mu + epsilon).
 
-    Vertex values gamma_i g_i(s) are recorded at every sample. Consecutive
-    samples whose argument of det(I + Q(s)) = prod_k (1 + lambda_k(s))
-    steps by >= pi/2 are bisected along the contour's own geometry, up to
-    12 levels; each level evaluates only the inserted samples.
+    Vertex values gamma_i g_i(s) are recorded at every sample, with each
+    sample's argument of det(I + Q(s)) = prod_k (1 + lambda_k(s)).
+    Consecutive samples whose argument steps by >= pi/2 are bisected along
+    the contour's own geometry, up to 12 levels; each level evaluates only
+    the inserted samples and inserts only their arguments.
 
     Each evaluated batch is assembled and solved in contiguous row chunks
     on the usable CPUs, by the caller and the module's thread pool
@@ -622,13 +637,7 @@ def eigenloci_sweep(
         weights = netN.mu + epsilon
 
     def evaluate(points: np.ndarray):
-        try:
-            verts = _vertices(agents, netN.gamma, points)
-        except PoleHitError as exc:
-            raise ContourError(
-                f"loop evaluation hit a pole at s = {exc.s}; re-route the "
-                "contour (add a jw-axis indentation there or adjust r)"
-            ) from None
+        verts = _vertices(agents, netN.gamma, points)
         m, k = len(points), U.shape[1]
         mats = np.empty((m, k, k), dtype=complex)
         eigs = np.empty((m, k), dtype=complex)
@@ -648,29 +657,29 @@ def eigenloci_sweep(
             eigs[lo:hi] = np.linalg.eigvals(block)
 
         _in_row_chunks(solve, m)
-        return eigs, verts
+        return eigs, verts, np.angle(eigs + 1.0).sum(axis=1)
 
     seg = np.array([k for k, _ in contour.nodes])
     t = np.array([t for _, t in contour.nodes])
     pts = contour.upper_points()
-    eigs, verts = evaluate(pts)
-    jumps = _det_arg_steps(eigs)
-    for _level in range(MAX_REFINE_LEVELS):
+    eigs, verts, phase = evaluate(pts)
+    for level in range(MAX_REFINE_LEVELS + 1):
+        jumps = np.abs(np.angle(np.exp(1j * np.diff(phase))))
         split = np.flatnonzero(
             (jumps >= REFINE_JUMP) & (seg[1:] == seg[:-1]) & (np.abs(np.diff(t)) > 1e-12)
         )
-        if not split.size:
+        if not split.size or level == MAX_REFINE_LEVELS:
             break
         new_t = 0.5 * (t[split] + t[split + 1])
         new_pts = contour.upper_points(zip(seg[split].tolist(), new_t.tolist()))
-        new_eigs, new_verts = evaluate(new_pts)
+        new_eigs, new_verts, new_phase = evaluate(new_pts)
         at = split + 1
         seg = np.insert(seg, at, seg[split])
         t = np.insert(t, at, new_t)
         pts = np.insert(pts, at, new_pts)
         eigs = np.insert(eigs, at, new_eigs, axis=0)
         verts = np.insert(verts, at, new_verts, axis=0)
-        jumps = _det_arg_steps(eigs)
+        phase = np.insert(phase, at, new_phase)
 
     return LociSweep(
         contour=contour.with_nodes(zip(seg.tolist(), t.tolist())),
@@ -762,13 +771,6 @@ def _agent_rational(a, pade_order: int) -> TransferFunction:
     return a.g_rational(pade_order) if isinstance(a, Agent) else a
 
 
-def _agent_axis_poles(agents, pade_order: int) -> list[float]:
-    omegas: list[float] = []
-    for a in agents:
-        omegas.extend(abs(p.imag) for p in jw_axis_poles(_agent_rational(a, pade_order)))
-    return sorted(set(w for w in omegas if w > 0))
-
-
 def _count_unstable_loop_poles(
     agents, gamma: np.ndarray, U: np.ndarray, pade_order: int, r: float
 ) -> tuple[int, list[str]]:
@@ -833,30 +835,22 @@ def _count_unstable_loop_poles(
 # ---------------------------------------------------------------------------
 
 
-def _min_nonzero_feature(agents, pade_order: int) -> float:
-    """Smallest nonzero pole/zero modulus across the agents; the origin
-    indentation must stay well below it so the contour cannot exempt slow
-    closed-loop poles."""
-    best = math.inf
-    for a in agents:
-        g = _agent_rational(a, pade_order)
-        for p in list(g.poles) + list(g.zeros):
-            m = abs(p)
-            if m > 1e-9:
-                best = min(best, m)
-    return best
-
-
-def _default_contour(netN, agents, kind, r, R, density, pade_order, extra=()):
+def _default_contour(gammas, agents, kind, r, R, density, pade_order, extra=()):
+    """The contour rule of every check: a closure radius R (when None) from
+    ``default_outer_radius``, at least 100*r; an RHP indentation around each
+    imaginary-axis agent pole; and an indentation radius of 1e-4*R, capped
+    at 1e-3 times the smallest nonzero agent pole or zero modulus so that the
+    origin indentation cannot exempt slow closed-loop poles. ``extra`` are
+    frequencies the axis samples exactly."""
     if R is None:
-        R = default_outer_radius(agents, netN.gamma, pade_order)
+        R = default_outer_radius(agents, gammas, pade_order)
         if r:
             R = max(R, 100.0 * r)
-    feature = _min_nonzero_feature(agents, pade_order)
-    rho = 1e-4 * R
-    if math.isfinite(feature):
-        rho = min(rho, 1e-3 * feature)
-    jw = _agent_axis_poles(agents, pade_order)
+    rho, jw = 1e-4 * R, []
+    for a in agents:
+        g = _agent_rational(a, pade_order)
+        rho = min([rho, *(1e-3 * abs(p) for p in g.poles + g.zeros if abs(p) > 1e-9)])
+        jw += jw_axis_poles(g)
     return make_contour(kind, r, R, density=density, jw_pole_list=jw,
                         indent_radius=rho, extra_axis_omegas=extra)
 
@@ -876,7 +870,7 @@ def theorem1_check(
     swept with exact exponentials but their N comes from the Pade form.
     """
     if contour is None:
-        contour = _default_contour(netN, agents, "full-D", 0.0, None, density, pade_order)
+        contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, density, pade_order)
     N, notes = _count_unstable_loop_poles(agents, netN.gamma, netN.U_hat, pade_order,
                                           contour.inner_radius)
     sweep = eigenloci_sweep(netN, agents, contour, mode="interarea")
@@ -897,7 +891,7 @@ def lossy_exponential_check(
         raise InvalidInputError("lossy check needs a finite epsilon > 0; use "
                                 "theorem1_check for the lossless network")
     if contour is None:
-        contour = _default_contour(netN, agents, "full-D", 0.0, None, density, pade_order)
+        contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, density, pade_order)
     N, notes = _count_unstable_loop_poles(agents, netN.gamma, netN.U, pade_order,
                                           contour.inner_radius)
     sweep = eigenloci_sweep(netN, agents, contour, mode="full", epsilon=epsilon)
@@ -1030,7 +1024,7 @@ def fov_check(
     region -- violations are returned as a failed verdict listing agents and
     pole moduli.
     """
-    r_gate = contour.inner_radius if contour.kind == "D_r" else 0.0
+    r_gate = contour.inner_radius
     violations: list[Violation] = []
     for idx, a in enumerate(agents):
         g = _agent_rational(a, pade_order)
@@ -1143,19 +1137,20 @@ def decentralized_check(
 
     Every agent passing this against the same policy keeps the network free
     of unstable interarea modes faster than r.
+
+    The D_r contour follows ``_default_contour``, with an exact sample at
+    pi/(2 tau_max) and, when ``policy.R`` is None, R >= 2*pi/tau_max.
     """
     if gamma_bound <= 0:
         raise InvalidInputError("gamma bound must be positive")
     g_rat = _agent_rational(agent, pade_order)
+    w_delay = math.pi / (2 * policy.tau_max)
     R = policy.R
     if R is None:
-        R = default_outer_radius([agent], [gamma_bound], pade_order)
-        R = max(R, 100.0 * policy.r, 4.0 * math.pi / (2 * policy.tau_max))
-    jw = _agent_axis_poles([agent], pade_order)
-    contour = make_contour(
-        "D_r", policy.r, R, density=density, jw_pole_list=jw,
-        extra_axis_omegas=(math.pi / (2 * policy.tau_max),),
-    )
+        R = max(default_outer_radius([agent], [gamma_bound], pade_order),
+                100.0 * policy.r, 4.0 * w_delay)
+    contour = _default_contour([gamma_bound], [agent], "D_r", policy.r, R, density,
+                               pade_order, extra=(w_delay,))
     violations: list[Violation] = []
     try:
         inside = rhp_poles_in_region(g_rat, policy.r)
@@ -1178,12 +1173,7 @@ def decentralized_check(
     roles = np.array(contour.node_roles())
     keep = roles != "closure"
     pts = contour.upper_points()[keep]
-    try:
-        v = gamma_bound * agent(pts)
-    except PoleHitError as exc:
-        raise ContourError(
-            f"vertex evaluation hit a pole at s = {exc.s}; adjust the policy r"
-        ) from None
+    v = _vertices([agent], [gamma_bound], pts)[:, 0]
     scale_tol = 1e-12 * (1.0 + np.abs(v))
     in_bad_region = (v.real <= -1.0) & (v.imag > scale_tol)
     if in_bad_region.any():
@@ -1199,7 +1189,7 @@ def decentralized_check(
     on_axis = roles[keep] == "axis"
     omega = pts[on_axis].imag
     v_axis = v[on_axis]
-    fast = omega > math.pi / (2 * policy.tau_max)
+    fast = omega > w_delay
     side = policy.side(v_axis[fast])
     if side.size and side.min() <= 0.0:
         first = int(np.argmax(side <= 0.0))
@@ -1213,11 +1203,13 @@ def decentralized_check(
     diagnostics = {
         "check": "decentralized",
         "gamma_bound": gamma_bound,
-        "pi_over_2tau": math.pi / (2 * policy.tau_max),
+        "pi_over_2tau": w_delay,
         "min_hyperplane_margin": float(side.min()) if side.size else None,
-        "vertex_axis_crossings": vertex_axis_crossings(
-            agent, gamma_bound, max(policy.r, 1e-6), R
-        ),
+        # per axis segment, so no bracket straddles an indented jw-axis pole
+        "vertex_axis_crossings": [
+            c for sg in contour.segments if sg.kind == "axis"
+            for c in vertex_axis_crossings(agent, gamma_bound, sg.a, sg.b)
+        ],
     }
     if violations:
         return Verdict(
@@ -1228,25 +1220,24 @@ def decentralized_check(
     return Verdict(result="stable", diagnostics=diagnostics)
 
 
-def vertex_axis_crossings(
-    agent,
-    gamma: float,
-    omega_lo: float,
-    omega_hi: float,
-    density: int = 400,
-) -> list[dict]:
+def vertex_axis_crossings(agent, gamma: float, omega_lo: float, omega_hi: float) -> list[dict]:
     """Real-axis crossings of the vertex gamma*g(jw) for w in [lo, hi]:
-    sign changes of Im on a log grid, refined on the exact evaluator by
-    Illinois regula falsi, vectorised over all brackets (one evaluation per
-    iteration), until each bracket is at most 1e-12 + 1e-12*w wide. A
-    bracket whose ends do not have opposite signs (a NaN end) is skipped;
-    one with a zero end resolves to that end. Returns [{omega_rad_s, re}] sorted by
-    frequency."""
+    sign changes of Im on a log grid of ``CROSSING_DENSITY`` points per
+    decade (its own grid, not the contour's nodes: DECISIONS.md D5), refined
+    on the exact evaluator by Illinois regula falsi, vectorised over all
+    brackets (one evaluation per iteration), until each bracket is at most
+    1e-12 + 1e-12*w wide. A bracket whose ends do not have opposite signs (a
+    NaN end) is skipped; one with a zero end resolves to that end. [lo, hi]
+    must hold no jw-axis pole, where Im flips sign without a crossing and
+    the refinement would converge onto the pole; ``decentralized_check``
+    calls it once per axis segment of its contour. Returns
+    [{omega_rad_s, re}] sorted by frequency."""
 
     def im_vertex(w: np.ndarray) -> np.ndarray:
         return np.imag(gamma * agent(1j * w))
 
-    grid = np.geomspace(omega_lo, omega_hi, max(64, int(density * math.log10(omega_hi / omega_lo))))
+    n = max(64, int(CROSSING_DENSITY * math.log10(omega_hi / omega_lo)))
+    grid = np.geomspace(omega_lo, omega_hi, n)
     vals = im_vertex(grid)
     i = np.flatnonzero(np.diff(np.signbit(vals)))
     a, b = grid[i], grid[i + 1]

@@ -105,7 +105,7 @@ def test_criterion_2_siso_reduction_exactness():
         w = rng.uniform(0.2, 3.0)
         netN = normalize(network_from_laplacian([[w, -w], [-w, w]]))
         g = random_stable_proper_tf(rng)
-        contour = _default_contour(netN, [g, g], "full-D", 0.0, None, 200, 3)
+        contour = _default_contour(netN.gamma, [g, g], "full-D", 0.0, None, 200, 3)
         sweep = eigenloci_sweep(netN, [g, g], contour)
         w_multi, _ = sweep.total_winding(-1.0)
         scalar_curve = netN.mu[1] * netN.gamma[0] * g(sweep.s_full)
@@ -171,7 +171,7 @@ def test_criterion_3_d0_pole_band_and_fov_failure(n5_d0):
         poles_ok = poles_ok and match and inside_disc
     expected_pattern = [0, 2, 2]  # RHP poles at buses 1-3
     netN = normalize(n5_d0.network)
-    contour = _default_contour(netN, list(n5_d0.agents), "full-D", 0.0, None, 200, 3)
+    contour = _default_contour(netN.gamma, list(n5_d0.agents), "full-D", 0.0, None, 200, 3)
     verdict = fov_check(netN, list(n5_d0.agents), contour)
     fov_fails = verdict.result == "unstable"
     elapsed = time.time() - t0

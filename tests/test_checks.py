@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from nyqscale.errors import InvalidInputError
 from nyqscale.lti import TransferFunction, poly_roots
-from nyqscale.network import normalize
+from nyqscale.network import PowerNetwork, normalize
 from nyqscale.nyquist import (
     DecentralizedPolicy,
     decentralized_check,
@@ -149,9 +149,37 @@ def test_lightly_damped_pair_is_oracle_unstable():
 def test_sampled_checks_see_a_lightly_damped_unstable_mode(check):
     net, agents = lightly_damped_pair()
     netN = normalize(net)
-    contour = _default_contour(netN, agents, "full-D", 0.0, None, 200, 3)
+    contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, 200, 3)
     run = fov_check if check == "fov" else theorem1_check
     assert run(netN, agents, contour).result == "unstable"
+
+
+def signed_triangle():
+    """w12 = w13 = 1 and w23 = -0.3, so mu = (0, 0.286, 1.214), with agents
+    7/(gamma_i (s + 1)^3). The closed loop has max Re +0.0204."""
+    L = [[2.0, -1.0, -1.0], [-1.0, 0.7, 0.3], [-1.0, 0.3, 0.7]]
+    net = PowerNetwork.from_laplacian(L, flags=("nonpositive-edge-weight",))
+    netN = normalize(net)
+    return net, netN, [TF([7.0 / g], [1.0, 3.0, 3.0, 1.0]) for g in netN.gamma]
+
+
+@pytest.mark.parametrize("extra", [(), (math.sqrt(3),)], ids=["default", "sqrt3-node"])
+def test_theorem1_and_oracle_see_the_signed_triangle_unstable(extra):
+    net, netN, agents = signed_triangle()
+    assert realize_state_space(net, agents).eigenvalues.real.max() == pytest.approx(
+        0.0204, abs=1e-4)
+    contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, 200, 3, extra=extra)
+    v = theorem1_check(netN, agents, contour)
+    assert (v.result, v.winding_count, v.n_required) == ("unstable", -2, 0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="fov_check tests only the "
+                   "ray (-inf, -1], which needs mu_n <= 1; a signed Laplacian breaks that")
+@pytest.mark.parametrize("extra", [(), (math.sqrt(3),)], ids=["default", "sqrt3-node"])
+def test_fov_is_not_stable_on_the_signed_triangle(extra):
+    _, netN, agents = signed_triangle()
+    contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, 200, 3, extra=extra)
+    assert fov_check(netN, agents, contour).result != "stable"
 
 
 # ---------------------------------------------------------------- lossy
@@ -239,7 +267,7 @@ def test_default_contour_and_checks_root_each_agent_once(name, monkeypatch):
     monkeypatch.setattr(lti, "poly_roots", lambda p: calls.append(p) or roots(p))
     kind = scn.contour_kind
     r = 0.0 if kind == "full-D" else scn.contour_r
-    contour = _default_contour(netN, agents, kind, r, None, scn.contour_density, 3)
+    contour = _default_contour(netN.gamma, agents, kind, r, None, scn.contour_density, 3)
     theorem1_check(netN, agents, contour)
     fov_check(netN, agents, contour)
     # one denominator and one numerator per agent
@@ -252,8 +280,8 @@ def test_checks_agree_on_agents_and_their_rational_forms():
     _, netN, agents = _n5("n5_hydro_loads")
     assert not any(a.has_delay for a in agents)
     tfs = [a.g_rational() for a in agents]
-    c_agents = _default_contour(netN, agents, "D_r", 0.75, None, 200, 3)
-    c_tfs = _default_contour(netN, tfs, "D_r", 0.75, None, 200, 3)
+    c_agents = _default_contour(netN.gamma, agents, "D_r", 0.75, None, 200, 3)
+    c_tfs = _default_contour(netN.gamma, tfs, "D_r", 0.75, None, 200, 3)
     assert c_tfs == c_agents
     checks = [
         lambda ags: theorem1_check(netN, ags, c_agents),
@@ -281,7 +309,7 @@ def test_theorem1_d0_dr_counts_poles_in_contour_region(r):
     # N and Z both count only poles with |p| >= r: the d0 agents' RHP poles
     # sit at modulus 0.35, inside every one of these discs
     scn, netN, agents = _n5("n5_hydro_d0")
-    contour = _default_contour(netN, agents, "D_r", r, None, 200, 3)
+    contour = _default_contour(netN.gamma, agents, "D_r", r, None, 200, 3)
     v = theorem1_check(netN, agents, contour)
     Z = _oracle_unstable_count(scn, r=r)
     assert v.n_required == 0
@@ -413,6 +441,22 @@ def test_vertex_axis_crossings_match_brentq_on_bundled_agents(name):
                                             rel=1e-8, abs=1e-12)
         total += len(ref)
     assert total == {"n5_hydro_loads": 4, "n5_hydro_wind": 502, "n5_hydro_d0": 0}[name]
+
+
+@pytest.mark.parametrize("omegas", [(3.0,), (3.0, 3.05)], ids=["one-pair", "close-pairs"])
+def test_decentralized_agent_with_jw_axis_poles_gets_a_verdict(omegas):
+    # 1/(prod_w (s^2 + w^2) * (100 s + 1)): the indentations follow the
+    # network rule (radius <= 1e-3 * 0.01 rad/s), so 3 and 3.05 rad/s do not
+    # overlap. Im of the vertex changes sign only across the poles, so there
+    # is no crossing; brackets taken across a pole would converge onto it
+    den = [1.0, 100.0]
+    for w in omegas:
+        den = np.polynomial.polynomial.polymul(den, [w * w, 0.0, 1.0])
+    v = decentralized_check(TF([1.0], den), gamma_bound=0.5, policy=POLICY)
+    # around each pole the indentation swings the vertex through Re < -1
+    assert [viol.condition for viol in v.violated_conditions] == [
+        "vertex-in-top-left-of-minus-one"]
+    assert v.diagnostics["vertex_axis_crossings"] == []
 
 
 def test_decentralized_unstable_pole_inside_region_fails():

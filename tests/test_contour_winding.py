@@ -173,7 +173,7 @@ def test_winding_tolerance_is_local_to_the_point():
     scn = load_scenario(bundled_scenario_path("n5_hydro_wind"))
     netN = normalize(scn.network)
     agents = list(scn.agents)
-    s = _default_contour(netN, agents, "full-D", 0.0, None, scn.contour_density, 3).samples
+    s = _default_contour(netN.gamma, agents, "full-D", 0.0, None, scn.contour_density, 3).samples
     for i in (3, 4):
         damped = assemble_agent(agents[i].inertia, load_damping_mw_per_hz=0.01)
         curve = netN.gamma[i] * damped.g_value(s)
@@ -311,7 +311,7 @@ def bundled_sweeps():
         agents = list(scn.agents)
         for kind in (scn.contour_kind, "full-D"):
             r = 0.0 if kind == "full-D" else scn.contour_r
-            contour = _default_contour(netN, agents, kind, r, scn.contour_R,
+            contour = _default_contour(netN.gamma, agents, kind, r, scn.contour_R,
                                        scn.contour_density, 3)
             sweeps[name, kind] = eigenloci_sweep(netN, agents, contour)
     return sweeps
@@ -349,7 +349,7 @@ def test_branches_equal_sequential_matching_ring16():
         L[[i, j], [i, j]] += 1e4
     netN = normalize(network_from_laplacian(L))
     agents = [scn.agents[i % 5] for i in range(n)]
-    contour = _default_contour(netN, agents, "D_r", 0.75, None, 100, 3)
+    contour = _default_contour(netN.gamma, agents, "D_r", 0.75, None, 100, 3)
     sweep = eigenloci_sweep(netN, agents, contour)
     eigs = sweep.eigs_upper
     _, strict = nyquist._nearest_permutations(
@@ -539,7 +539,7 @@ def _ring16_sweep_inputs(tmp_path):
                                  gen.ring_lines(16), random.Random(3))
     scn = load_scenario(gen.write(tmp_path / "ring16.json", doc))
     netN, agents = normalize(scn.network), list(scn.agents)
-    contour = _default_contour(netN, agents, scn.contour_kind, scn.contour_r,
+    contour = _default_contour(netN.gamma, agents, scn.contour_kind, scn.contour_r,
                                scn.contour_R, scn.contour_density, 3)
     return netN, agents, contour
 

@@ -119,6 +119,19 @@ def test_scenario_duplicate_agent_bus_exit_3(tmp_path, argv):
     assert res.exit_code == 3, res.output
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the stressed angles make "
+                   "the Laplacian indefinite, and the connectivity test reads mu_2 < 0 as "
+                   "a disconnected graph (exit 3); the oracle has a real RHP eigenvalue")
+def test_cli_indefinite_stressed_operating_point_exit_1(tmp_path):
+    doc = load_scenario(bundled_scenario_path("n5_hydro_loads")).to_json_dict()
+    doc["network"]["operating_point"]["angles_rad"] = [0.9, 0.0, 0.0, 2.2, 2.2]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["analyze", str(path), "--check", "theorem1",
+                                    "--out-dir", str(tmp_path)])
+    assert res.exit_code == 1, res.output
+
+
 def test_scenario_missing_file_raises():
     with pytest.raises(ScenarioError):
         load_scenario("/nonexistent/path.json")
