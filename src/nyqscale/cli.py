@@ -24,7 +24,6 @@ from .network import normalize
 # default_outer_radius and make_contour are unused here but stay module
 # attributes: perfbench/spans.py wraps cli's copies of them by name
 from .nyquist import (
-    DecentralizedPolicy,
     LociSweep,
     Verdict,
     decentralized_check,
@@ -36,7 +35,7 @@ from .nyquist import (
     theorem1_check,
     _default_contour,
 )
-from .scenario import Scenario, load_scenario
+from .scenario import load_scenario
 from .simkit import realize_state_space, simulate as run_simulation
 
 EXIT_STABLE = 0
@@ -135,12 +134,11 @@ def _write_report(out_dir: Path, payload: dict):
     click.echo(f"report: {path}")
 
 
-# rows formatted per block of loci.csv, where each row is formatted and
-# kept on its own; larger blocks only hold more text at once
-_CSV_BLOCK_ROWS = 32
-# rows formatted per block of traces.csv: one % formats a whole block, so
-# larger blocks than loci.csv's spread the per-block calls over more cells
-_TRACES_BLOCK_ROWS = 512
+# rows formatted per block of loci.csv and traces.csv: traces.csv formats a
+# whole block with one %, so large blocks spread the per-block calls over
+# many cells; loci.csv formats row by row, and a block only sets how much
+# text is held at once
+_CSV_BLOCK_ROWS = 512
 
 
 def _write_csv(path: Path, header, columns, formats):
@@ -153,8 +151,8 @@ def _write_csv(path: Path, header, columns, formats):
     table = np.column_stack(columns)
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        for lo in range(0, len(table), _TRACES_BLOCK_ROWS):
-            block = table[lo:lo + _TRACES_BLOCK_ROWS]
+        for lo in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[lo:lo + _CSV_BLOCK_ROWS]
             fh.write(fmt * len(block) % tuple(block.ravel().tolist()))
 
 
@@ -270,9 +268,9 @@ def _svg_polyline(zs, color, dash=""):
     return "".join(out)
 
 
-def _write_loci_svg(path: Path, sweep: LociSweep, policy=None, markers=()):
-    """Static SVG polyline plot of vertices and branches, clipped to a box
-    around the critical point."""
+def _write_loci_svg(path: Path, sweep: LociSweep, policy, markers=()):
+    """Static SVG polyline plot of vertices, branches and the policy's
+    hyperplane, clipped to a box around the critical point."""
     half, size = _SVG_HALF, _SVG_SIZE
     palette = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
                "#8c564b", "#e377c2", "#7f7f7f"]
@@ -295,14 +293,12 @@ def _write_loci_svg(path: Path, sweep: LociSweep, policy=None, markers=()):
                 dash='stroke-dasharray="4 3"',
             )
         )
-    if policy is not None:
-        n = policy.hyperplane_normal
-        p0 = policy.hyperplane_point
-        tangent = complex(-n.imag, n.real)
-        body.append(
-            _svg_polyline([p0 - 20 * tangent, p0 + 20 * tangent], "#444444",
-                          'stroke-dasharray="6 4"')
-        )
+    n, p0 = policy.hyperplane_normal, policy.hyperplane_point
+    tangent = complex(-n.imag, n.real)
+    body.append(
+        _svg_polyline([p0 - 20 * tangent, p0 + 20 * tangent], "#444444",
+                      'stroke-dasharray="6 4"')
+    )
     mx, my = _svg_px(complex(-1.0, 0.0))
     body.append(
         f'<path d="M{mx - 5},{my - 5} L{mx + 5},{my + 5} M{mx - 5},{my + 5} '
@@ -324,18 +320,6 @@ def _write_loci_svg(path: Path, sweep: LociSweep, policy=None, markers=()):
     click.echo(f"svg: {path}")
 
 
-def _scenario_policy(scn: Scenario, contour_r, contour_R, tau_max, hyperplane):
-    """The scenario's policy, or else the default one, with the options that
-    were given replacing its fields."""
-    policy = scn.policy or DecentralizedPolicy(
-        r=scn.contour_r or 0.75, hyperplane_point=-0.9 + 0j,
-        hyperplane_normal=1.0 + 0j, tau_max=0.1, R=scn.contour_R)
-    given = {"r": contour_r, "R": contour_R, "tau_max": tau_max}
-    if hyperplane is not None:
-        given["hyperplane_point"], given["hyperplane_normal"] = hyperplane
-    return replace(policy, **{k: v for k, v in given.items() if v is not None})
-
-
 def _load(path):
     """The scenario at ``path``, its normalized network, its agents, and one
     pi_over_2tau marker per distinct actuator delay."""
@@ -352,7 +336,7 @@ def _resolve_contour(scn, netN, agents, kind, r, R, density, pade_order, markers
         kind = "D_r"
     kind = kind or scn.contour_kind
     r = scn.contour_r if r is None else r
-    R = scn.contour_R if R is None else R
+    R = scn.policy.R if R is None else R
     return _default_contour(netN.gamma, agents, kind, 0.0 if kind == "full-D" else r, R,
                             density, pade_order, extra=[w for _, w in markers])
 
@@ -387,7 +371,11 @@ def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
 
         per_agent = None
         if check_name == "decentralized":
-            policy = _scenario_policy(scn, contour_r, contour_R, tau_max, hyperplane)
+            # the scenario's policy, with the options given replacing its fields
+            given = {"r": contour_r, "R": contour_R, "tau_max": tau_max}
+            if hyperplane is not None:
+                given["hyperplane_point"], given["hyperplane_normal"] = hyperplane
+            policy = replace(scn.policy, **{k: v for k, v in given.items() if v is not None})
             per_agent = [
                 decentralized_check(a, float(g), policy, density=dens,
                                     pade_order=pade_order)
@@ -484,8 +472,7 @@ def simulate(scenario_path, dt, t_end, pade_order, rate_limiter,
                 pulses,
                 t_end=t_end if t_end is not None else scn.t_end_s,
                 dt=dt if dt is not None else scn.dt_s,
-                rate_limiter=rate_limiter,
-                rate_limits_mw_per_s=scn.hydro_rate_limits_mw_per_s,
+                rate_limits_mw_per_s=scn.hydro_rate_limits_mw_per_s if rate_limiter else None,
                 record_decimation=scn.record_decimation,
             )
         except DivergenceError as exc:

@@ -274,7 +274,7 @@ def make_contour(
     )
 
 
-def default_outer_radius(agents: Sequence, gammas: Sequence[float] | None = None,
+def default_outer_radius(agents: Sequence, gammas: Sequence[float],
                          pade_order: int = 3) -> float:
     """Closure radius: at least 100x the largest agent pole/zero modulus,
     doubled until every vertex magnitude |gamma_i g_i(R)| falls below 1e-4
@@ -286,11 +286,10 @@ def default_outer_radius(agents: Sequence, gammas: Sequence[float] | None = None
         moduli.extend(abs(p) for p in g.poles)
         moduli.extend(abs(z) for z in g.zeros)
     R0 = 100.0 * max(moduli)
-    gam = list(gammas) if gammas is not None else [1.0] * len(agents)
     Rs = R0 * 2.0 ** np.arange(60)
     worst = np.zeros(len(Rs))
     with np.errstate(all="ignore"):
-        for a, gi in zip(agents, gam):
+        for a, gi in zip(agents, gammas):
             v = np.abs(gi * a(Rs.astype(complex)))
             worst = np.where(v > worst, v, worst)  # max(worst, v), nan too
     passed = np.flatnonzero(worst < 1e-4)
@@ -602,14 +601,13 @@ def eigenloci_sweep(
     netN: NormalizedNetwork,
     agents: Sequence,
     contour: Contour,
-    mode: str = "interarea",
-    epsilon: float = 0.0,
+    epsilon: float | None = None,
 ) -> LociSweep:
     """Eigenvalue trajectories of the loop matrix along the contour.
 
-    mode "interarea": the (n-1)x(n-1) projected return ratio
+    ``epsilon`` None: the (n-1)x(n-1) projected return ratio
     Uhat^T G'(s) Uhat diag(mu_2..mu_n) -- its eigenvalues are exactly the
-    nonzero eigenloci of L'G'(s). mode "full": the lossy full-rank loop
+    nonzero eigenloci of L'G'(s). A number: the lossy full-rank loop
     U^T G'(s) U diag(mu + epsilon).
 
     Vertex values gamma_i g_i(s) are recorded at every sample, with each
@@ -627,9 +625,7 @@ def eigenloci_sweep(
     """
     if len(agents) != netN.n:
         raise InvalidInputError("agent count must match network size")
-    if mode not in ("interarea", "full"):
-        raise InvalidInputError(f"unknown sweep mode: {mode!r}")
-    if mode == "interarea":
+    if epsilon is None:
         U = netN.U_hat
         weights = netN.mu_hat
     else:
@@ -873,7 +869,7 @@ def theorem1_check(
         contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, density, pade_order)
     N, notes = _count_unstable_loop_poles(agents, netN.gamma, netN.U_hat, pade_order,
                                           contour.inner_radius)
-    sweep = eigenloci_sweep(netN, agents, contour, mode="interarea")
+    sweep = eigenloci_sweep(netN, agents, contour)
     return replace(_winding_verdict(sweep, N, notes, check="theorem1"), sweep=sweep)
 
 
@@ -894,7 +890,7 @@ def lossy_exponential_check(
         contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, density, pade_order)
     N, notes = _count_unstable_loop_poles(agents, netN.gamma, netN.U, pade_order,
                                           contour.inner_radius)
-    sweep = eigenloci_sweep(netN, agents, contour, mode="full", epsilon=epsilon)
+    sweep = eigenloci_sweep(netN, agents, contour, epsilon)
     return _winding_verdict(sweep, N, notes, check="lossy")
 
 
@@ -1040,7 +1036,7 @@ def fov_check(
                     },
                 )
             )
-    sweep = eigenloci_sweep(netN, agents, contour, mode="interarea")
+    sweep = eigenloci_sweep(netN, agents, contour)
     verts = sweep.vertices_upper
     min_x = _hull_ray_min_x(verts)
     worst_i = int(np.argmin(min_x))

@@ -48,24 +48,20 @@ _S = Polynomial([0.0, 1.0])
 
 @dataclass(frozen=True)
 class HydroParams:
-    """Hydro servo/turbine parameters (seconds, per-unit gate).
-
-    ``rate_limit_pu_s`` only matters for time-domain simulation; the linear
-    analysis never sees it.
+    """Hydro servo/turbine parameters (seconds, per-unit gate) of the linear
+    turbine model. The servo's rate bound is a simulation setting: the
+    scenario turns it into MW/s per bus (``hydro_rate_limits_mw_per_s``).
     """
 
     servo_time_s: float
     water_time_s: float
     initial_gate_pu: float
-    rate_limit_pu_s: float = 0.1
 
     def __post_init__(self):
         if self.servo_time_s <= 0 or self.water_time_s <= 0:
             raise InvalidInputError("servo and water time constants must be > 0")
         if not (0.0 < self.initial_gate_pu <= 1.0):
             raise InvalidInputError("initial gate must be in (0, 1]")
-        if self.rate_limit_pu_s <= 0:
-            raise InvalidInputError("rate limit must be > 0")
 
     @property
     def z(self) -> float:
@@ -244,7 +240,6 @@ class Agent:
     f_parts: tuple[TransferFunction, ...]
     load_damping: float = 0.0
     f_part_names: tuple[str, ...] = ()
-    bus: int | None = None
     # g_rational's memo: Pade order (None without delay) -> TransferFunction
     _rational: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -324,10 +319,10 @@ def assemble_agent(
     f_parts: Sequence[TransferFunction] = (),
     load_damping_mw_per_hz: float = 0.0,
     part_names: Sequence[str] = (),
-    bus: int | None = None,
 ) -> Agent:
-    """Validate and build a per-bus agent. An algebraic node (no inertia, no
-    actuators, no damping) cannot be an agent -- Kron-reduce it instead."""
+    """Validate and build a per-bus agent; its bus is its position in the
+    agent list. An algebraic node (no inertia, no actuators, no damping)
+    cannot be an agent -- Kron-reduce it instead."""
     parts = tuple(f_parts)
     if (
         inertia_mw_s_per_hz == 0.0
@@ -343,5 +338,4 @@ def assemble_agent(
         f_parts=parts,
         load_damping=float(load_damping_mw_per_hz),
         f_part_names=tuple(part_names),
-        bus=bus,
     )

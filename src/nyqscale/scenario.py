@@ -186,17 +186,22 @@ SHARE_SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Scenario:
-    """Parsed, validated, cross-referenced scenario."""
+    """Parsed, validated, cross-referenced scenario.
+
+    ``policy`` is the one decentralized policy every agent is screened
+    against: each field the file's policy block gives, else the default
+    (hyperplane through -0.9 with normal 1, tau_max 0.1 s, r 0.75 rad/s,
+    no R). Its ``R`` is also the analysis contour's closure radius.
+    """
 
     name: str
     description: str
     network: PowerNetwork
     agents: tuple[Agent, ...]
     bus_ids: tuple[int, ...]
-    policy: DecentralizedPolicy | None
+    policy: DecentralizedPolicy
     contour_kind: str
     contour_r: float
-    contour_R: float | None
     contour_density: int
     disturbance: tuple[Pulse, ...]
     dt_s: float
@@ -355,17 +360,13 @@ def loads_scenario(doc: dict) -> Scenario:
         parts, names = [], []
         if "hydro" in spec_a:
             h = spec_a["hydro"]
-            params = HydroParams(
-                servo_time_s=h["T_y"],
-                water_time_s=h["T_w"],
-                initial_gate_pu=h["g0"],
-                rate_limit_pu_s=h.get("rate_limit_pu_s", 0.1),
-            )
-            turbine = make_hydro_turbine(params)
+            turbine = make_hydro_turbine(HydroParams(
+                servo_time_s=h["T_y"], water_time_s=h["T_w"], initial_gate_pu=h["g0"]))
             parts.append(make_fcr_controller(h["fcr_share"], f_des, turbine).actuator)
             names.append("hydro")
             if "P_gen_MW" in h:
-                rate_limits[i] = params.rate_limit_pu_s * float(h["P_gen_MW"])
+                # the servo's rate bound, 0.1 pu/s unless the file gives one
+                rate_limits[i] = h.get("rate_limit_pu_s", 0.1) * float(h["P_gen_MW"])
         if "wind" in spec_a:
             w = spec_a["wind"]
             turbine = make_wind_turbine(
@@ -382,7 +383,6 @@ def loads_scenario(doc: dict) -> Scenario:
             parts,
             load_damping_mw_per_hz=float(spec_a.get("D_MW_per_Hz", 0.0)),
             part_names=names,
-            bus=i,
         )
     missing = [bus_ids[i] for i, a in enumerate(agents) if a is None]
     if missing:
@@ -392,20 +392,17 @@ def loads_scenario(doc: dict) -> Scenario:
         )
 
     pol_doc = doc.get("policy", {})
-    policy = None
-    if "hyperplane" in pol_doc and "tau_max_s" in pol_doc:
-        hp = pol_doc["hyperplane"]
+    cont = pol_doc.get("contour", {})
+    hp = pol_doc.get("hyperplane", {"point": [-0.9, 0.0], "normal": [1.0, 0.0]})
+    policy = DecentralizedPolicy(
         # the per-agent policy always needs a strictly positive D_r radius,
         # even when the scenario's analysis contour is the full D-contour
-        r_policy = float(pol_doc.get("contour", {}).get("r_rad_s") or 0.75)
-        policy = DecentralizedPolicy(
-            r=r_policy,
-            hyperplane_point=complex(hp["point"][0], hp["point"][1]),
-            hyperplane_normal=complex(hp["normal"][0], hp["normal"][1]),
-            tau_max=float(pol_doc["tau_max_s"]),
-            R=pol_doc.get("contour", {}).get("R_rad_s"),
-        )
-    cont = pol_doc.get("contour", {})
+        r=float(cont.get("r_rad_s") or 0.75),
+        hyperplane_point=complex(*hp["point"]),
+        hyperplane_normal=complex(*hp["normal"]),
+        tau_max=float(pol_doc.get("tau_max_s", 0.1)),
+        R=cont.get("R_rad_s"),
+    )
 
     dist_doc = doc.get("disturbance")
     pulses: tuple[Pulse, ...] = ()
@@ -435,7 +432,6 @@ def loads_scenario(doc: dict) -> Scenario:
         policy=policy,
         contour_kind=cont.get("kind", "D_r" if cont.get("r_rad_s") else "full-D"),
         contour_r=float(cont.get("r_rad_s", 0.0)),
-        contour_R=cont.get("R_rad_s"),
         contour_density=int(cont.get("density", 200)),
         disturbance=pulses,
         dt_s=float(out_doc.get("dt_s", 1e-3)),

@@ -341,7 +341,6 @@ class SimulationResult:
     actuator_mw: Mapping[str, np.ndarray]
     omega_avg_hz: np.ndarray
     omega_coi_hz: np.ndarray
-    diverged_at_s: float | None = None
 
     def __post_init__(self):
         t = np.asarray(self.time_s, dtype=float)
@@ -366,7 +365,8 @@ class SimulationResult:
             "max_abs_tie_flow_mw": float(np.abs(self.tie_flow_mw).max()),
             "omega_avg_final_hz": float(self.omega_avg_hz[-1]),
             "omega_coi_final_hz": float(self.omega_coi_hz[-1]),
-            "diverged_at_s": self.diverged_at_s,
+            # a diverged run raises DivergenceError instead of returning
+            "diverged_at_s": None,
         }
 
 
@@ -376,7 +376,6 @@ def simulate(
     t_end: float,
     dt: float = 1e-3,
     x0: np.ndarray | None = None,
-    rate_limiter: bool = False,
     rate_limits_mw_per_s: Mapping[int, float] | None = None,
     record_decimation: int = 1,
 ) -> SimulationResult:
@@ -385,19 +384,21 @@ def simulate(
     States are recorded at t = j*dt for every multiple j of
     ``record_decimation`` and at the last step, j = round(t_end/dt).
 
-    Without a binding rate limit (``rate_limiter`` off, or no hydro bound
-    given) the system is linear and the pulses piecewise constant, so the
-    records are the exact zero-order-hold solution: each step between
-    records, split at the pulse edges, applies x <- Phi x + Gamma d with
+    Without a hydro rate bound (``rate_limits_mw_per_s`` None, empty, or
+    naming no bus with a hydro block) the system is linear and the pulses
+    piecewise constant, so the records are the exact zero-order-hold
+    solution: each step between records, split at the pulse edges, applies
+    x <- Phi x + Gamma d with
     [[Phi, Gamma], [0, I]] = expm([[A h, B h], [0, 0]]) (Van Loan 1978),
     computed once per distinct step length h. Runs of equal steps under
     one d advance in blocks through the stacked powers [Phi^j | S_j], so
     records can differ from one-step-at-a-time stepping in the last bits.
     ``dt`` then only sets the record grid.
 
-    With the hydro servo rate limiter the named actuator blocks' state
-    derivatives are clamped so the actuator output rate stays within the
-    per-bus MW/s bound (one below 0, or NaN, raises InvalidInputError).
+    Given ``rate_limits_mw_per_s``, the hydro actuator blocks of the listed
+    buses have their state derivatives clamped so the actuator output rate
+    stays within the bus's MW/s bound (one below 0, or NaN, raises
+    InvalidInputError).
     That is nonlinear, and classical fixed-step RK4 at ``dt`` integrates
     it, with the disturbance taken at each step's midpoint.
     A step whose four stage rates all lie within the bounds is the linear
@@ -432,16 +433,13 @@ def simulate(
             raise InvalidInputError(f"disturbance bus {p.bus} out of range")
 
     limits = []
-    if rate_limiter:
-        for blk in model.actuator_blocks:
-            bound = None
-            if rate_limits_mw_per_s and blk.bus in rate_limits_mw_per_s:
-                bound = rate_limits_mw_per_s[blk.bus]
-            if bound is not None and blk.name == "hydro":
-                if not bound >= 0:
-                    raise InvalidInputError(
-                        f"rate limit of bus {blk.bus} must be >= 0 MW/s, got {bound}")
-                limits.append((blk.state_slice, blk.c_local, float(bound)))
+    for blk in model.actuator_blocks:
+        bound = (rate_limits_mw_per_s or {}).get(blk.bus)
+        if bound is not None and blk.name == "hydro":
+            if not bound >= 0:
+                raise InvalidInputError(
+                    f"rate limit of bus {blk.bus} must be >= 0 MW/s, got {bound}")
+            limits.append((blk.state_slice, blk.c_local, float(bound)))
 
     steps = int(round(t_end / dt))
     x = np.zeros(model.n_states) if x0 is None else np.asarray(x0, dtype=float).copy()

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from nyqscale.errors import InvalidInputError
+from nyqscale import cli
+from nyqscale.errors import BoundaryAmbiguityError, InvalidInputError
 from nyqscale.lti import TransferFunction, poly_roots
 from nyqscale.network import PowerNetwork, normalize
 from nyqscale.nyquist import (
     DecentralizedPolicy,
     decentralized_check,
     default_outer_radius,
+    eigenloci_sweep,
     fov_check,
     lossy_exponential_check,
     make_contour,
@@ -304,6 +306,18 @@ def test_lossy_d0_full_d_matches_oracle():
     assert v.winding_count == v.n_required - Z
 
 
+def test_sweep_epsilon_selects_the_lossy_loop():
+    # epsilon None sweeps the n-1 interarea loci; a number sweeps all n loci
+    # of U^T G' U diag(mu + epsilon), whose summed winding is the lossy check's
+    _, netN, agents = _n5("n5_hydro_d0")
+    contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, 200, 3)
+    assert eigenloci_sweep(netN, agents, contour).eigs_upper.shape[1] == netN.n - 1
+    sweep = eigenloci_sweep(netN, agents, contour, 0.1)
+    assert sweep.eigs_upper.shape[1] == netN.n
+    winding, _ = sweep.total_winding(-1.0)
+    assert winding == lossy_exponential_check(netN, agents, 0.1, contour).winding_count
+
+
 @pytest.mark.parametrize("r", [0.75, 5.0, 10.0])
 def test_theorem1_d0_dr_counts_poles_in_contour_region(r):
     # N and Z both count only poles with |p| >= r: the d0 agents' RHP poles
@@ -457,6 +471,32 @@ def test_decentralized_agent_with_jw_axis_poles_gets_a_verdict(omegas):
     assert [viol.condition for viol in v.violated_conditions] == [
         "vertex-in-top-left-of-minus-one"]
     assert v.diagnostics["vertex_axis_crossings"] == []
+
+
+# 1/(((s - 0.1)^2 + 0.75^2 - 0.01)(s + 1)): an RHP pair of modulus exactly
+# 0.75, on the D_r radius r = 0.75 (DECISIONS.md D7)
+ON_RADIUS = TF([1.0], np.polynomial.polynomial.polymul([0.5625, -0.2, 1.0], [1.0, 1.0]))
+
+
+def test_decentralized_pole_on_the_radius_is_inconclusive():
+    # the screening reports this agent on its own and would keep the others'
+    v = decentralized_check(ON_RADIUS, gamma_bound=0.5, policy=POLICY)
+    assert v.result == "inconclusive"
+    assert [viol.condition for viol in v.violated_conditions] == ["pole-on-contour"]
+
+
+@pytest.mark.parametrize("check", [theorem1_check, fov_check], ids=["theorem1", "fov"])
+def test_network_check_with_a_pole_on_the_radius_raises(check):
+    # the network checks cannot form the count N, so they raise; the CLI exits 3
+    netN = two_bus_norm(1.0)
+    agents = [ON_RADIUS, ON_RADIUS]
+    contour = _default_contour(netN.gamma, agents, "D_r", 0.75, None, 200, 3)
+    with pytest.raises(BoundaryAmbiguityError):
+        check(netN, agents, contour)
+    with pytest.raises(SystemExit) as exit_:
+        with cli._input_errors():
+            check(netN, agents, contour)
+    assert exit_.value.code == cli.EXIT_INPUT_ERROR
 
 
 def test_decentralized_unstable_pole_inside_region_fails():

@@ -311,7 +311,7 @@ def bundled_sweeps():
         agents = list(scn.agents)
         for kind in (scn.contour_kind, "full-D"):
             r = 0.0 if kind == "full-D" else scn.contour_r
-            contour = _default_contour(netN.gamma, agents, kind, r, scn.contour_R,
+            contour = _default_contour(netN.gamma, agents, kind, r, scn.policy.R,
                                        scn.contour_density, 3)
             sweeps[name, kind] = eigenloci_sweep(netN, agents, contour)
     return sweeps
@@ -540,7 +540,7 @@ def _ring16_sweep_inputs(tmp_path):
     scn = load_scenario(gen.write(tmp_path / "ring16.json", doc))
     netN, agents = normalize(scn.network), list(scn.agents)
     contour = _default_contour(netN.gamma, agents, scn.contour_kind, scn.contour_r,
-                               scn.contour_R, scn.contour_density, 3)
+                               scn.policy.R, scn.contour_density, 3)
     return netN, agents, contour
 
 
@@ -685,7 +685,7 @@ def test_sweep_rejects_a_loop_matrix_that_is_not_finite(monkeypatch, tmp_path, c
     netN, agents, contour = _ring16_sweep_inputs(tmp_path)
     _threaded(monkeypatch, cpus)
     with pytest.raises(ContourError, match="not finite at s = \\(0.75\\+0j\\)"):
-        eigenloci_sweep(netN, agents, contour, mode="full", epsilon=1e308)
+        eigenloci_sweep(netN, agents, contour, 1e308)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="fork after threads: Linux only")

@@ -216,13 +216,13 @@ def run_cli(tmp_path, name, *argv):
 @pytest.mark.parametrize("name", BUNDLED)
 def test_cli_default_policy_equals_the_bundled_policy(name, tmp_path):
     # every bundled policy block is the default one, so a scenario without
-    # hyperplane and tau_max_s (no policy of its own) analyzes the same
+    # hyperplane and tau_max_s (the defaults fill them in) analyzes the same
     path = bundled_scenario_path(name)
     doc = json.loads(path.read_text())
     del doc["policy"]["hyperplane"], doc["policy"]["tau_max_s"]
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps(doc))
-    assert load_scenario(bare).policy is None
+    assert load_scenario(bare).policy == load_scenario(path).policy
     outs = [run_cli(tmp_path, str(i), "analyze", str(p), "--check", "decentralized")
             for i, p in enumerate((path, bare))]
     for fn in ("report.json", "loci.csv"):
@@ -244,6 +244,38 @@ def test_cli_policy_options_replace_the_scenario_policy(wind_path, tmp_path):
         assert h["min_hyperplane_margin"] == pytest.approx(
             b["min_hyperplane_margin"] - 0.4, abs=1e-12)
         assert t["pi_over_2tau"] == pytest.approx(math.pi / 0.4, rel=1e-12)
+
+
+def wind_policy_copy(wind_path, tmp_path, **policy):
+    """n5_hydro_wind with its policy fields updated by ``policy``; a field
+    given as None is deleted."""
+    doc = json.loads(wind_path.read_text())
+    for key, value in policy.items():
+        if value is None:
+            del doc["policy"][key]
+        else:
+            doc["policy"][key] = value
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_cli_file_hyperplane_without_tau_max_exit_3(wind_path, tmp_path):
+    # the file's hyperplane is the policy's even without tau_max_s, and one
+    # through -5 admits -1 (DECISIONS.md D2)
+    path = wind_policy_copy(wind_path, tmp_path, tau_max_s=None,
+                            hyperplane={"point": [-5, 0], "normal": [1, 0]})
+    res = CliRunner().invoke(main, ["analyze", str(path), "--check", "decentralized",
+                                    "--out-dir", str(tmp_path / "out")])
+    assert res.exit_code == 3, res.output
+    assert "hyperplane must leave all of (-inf, -1] inadmissible" in res.output
+
+
+def test_cli_file_tau_max_without_hyperplane_sets_pi_over_2tau(wind_path, tmp_path):
+    path = wind_policy_copy(wind_path, tmp_path, tau_max_s=0.001, hyperplane=None)
+    out = run_cli(tmp_path, "out", "analyze", str(path), "--check", "decentralized")
+    per_agent = json.loads((out / "report.json").read_text())["per_agent"]
+    assert [a["pi_over_2tau"] for a in per_agent] == [math.pi / 0.002] * 5
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -598,7 +630,7 @@ TRICKY = np.array([0.0, -0.0, 1.0 / 3.0, -2.5e-7, 123456789.123, 1e300, -7.0, 4e
 def test_write_traces_csv_matches_per_cell_formatting(tmp_path):
     # two full blocks of rows and a partial third
     rng = np.random.default_rng(5)
-    tricky = np.resize(TRICKY, 2 * cli._TRACES_BLOCK_ROWS + 7)
+    tricky = np.resize(TRICKY, 2 * cli._CSV_BLOCK_ROWS + 7)
     T = len(tricky)
     freq = np.vstack([tricky, rng.normal(size=T)])
     tie = np.vstack([rng.normal(scale=1e3, size=T), tricky[::-1]])
@@ -629,7 +661,7 @@ def test_write_loci_csv_matches_per_cell_formatting(tmp_path):
     # more rows than the writer formats in one block, on both halves
     rng = np.random.default_rng(6)
     omega = np.concatenate([[0.0, 0.5, 1.0, math.pi / 0.2, 2.0, 7.5, 10.0, 1e3, 2e3],
-                            np.linspace(20.0, 900.0, 40)])
+                            np.linspace(20.0, 900.0, cli._CSV_BLOCK_ROWS + 7)])
     m = len(omega)
     tricky = np.resize(TRICKY, m)
     branches = np.empty((m, 2), dtype=complex)

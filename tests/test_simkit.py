@@ -207,7 +207,6 @@ def n5_agents(include_loads=True):
                 parts,
                 load_damping_mw_per_hz=N5_D[i] if include_loads else 0.0,
                 part_names=names,
-                bus=i,
             )
         )
     return agents
@@ -323,7 +322,6 @@ def test_simulate_rk4_path_matches_zoh_when_clamp_never_binds():
     pulses = [Pulse(bus=1, amplitude_mw=-1400.0, t_start_s=0.5, t_end_s=5.5)]
     zoh = simulate(model, pulses, t_end=8.0, dt=1e-3, record_decimation=20)
     rk4 = simulate(model, pulses, t_end=8.0, dt=1e-3, record_decimation=20,
-                   rate_limiter=True,
                    rate_limits_mw_per_s={0: 1e12, 1: 1e12, 2: 1e12})
     assert np.array_equal(zoh.time_s, rk4.time_s)
     assert np.abs(zoh.frequency_hz - rk4.frequency_hz).max() <= 1e-8
@@ -418,7 +416,6 @@ def test_simulate_rate_limiter_slows_hydro():
         pulses,
         t_end=3.0,
         dt=1e-3,
-        rate_limiter=True,
         rate_limits_mw_per_s={0: 0.1 * 9000.0, 1: 0.1 * 6000.0, 2: 0.1 * 2000.0},
         record_decimation=5,
     )
@@ -435,11 +432,11 @@ def test_simulate_rate_limiter_rejects_negative_or_nan_bound(bound):
     model = n5_model(include_loads=True)
     with pytest.raises(InvalidInputError):
         simulate(model, [Pulse(bus=1, amplitude_mw=-1400.0)], t_end=1.0, dt=1e-3,
-                 rate_limiter=True, rate_limits_mw_per_s={0: bound})
+                 rate_limits_mw_per_s={0: bound})
 
 
 def clamped_reference(model, pulses, t_end, dt, rate_limits, record_decimation):
-    """simulate(..., rate_limiter=True) stepped by rk4_clamped_reference:
+    """simulate(..., rate_limits_mw_per_s=...) stepped by rk4_clamped_reference:
     the same record grid, limits, midpoint disturbance and output rows."""
     n = model.n_buses
 
@@ -519,7 +516,7 @@ CLAMPED_CASES = [
 
 def assert_matches_clamped_reference(case):
     model, pulses, t_end, dt, limits, dec = case
-    res = simulate(model, pulses, t_end=t_end, dt=dt, rate_limiter=True,
+    res = simulate(model, pulses, t_end=t_end, dt=dt,
                    rate_limits_mw_per_s=limits, record_decimation=dec)
     T, freq, tie, act = clamped_reference(model, pulses, t_end, dt, limits, dec)
     assert np.array_equal(res.time_s, T)
@@ -537,7 +534,7 @@ def test_simulate_rate_limiter_matches_stepwise_rk4(make_case):
 
 def test_simulate_rate_limiter_zero_bound_holds_hydro_output_at_zero():
     model, pulses, t_end, dt, limits, dec = zero_bound_case()
-    res = simulate(model, pulses, t_end=t_end, dt=dt, rate_limiter=True,
+    res = simulate(model, pulses, t_end=t_end, dt=dt,
                    rate_limits_mw_per_s=limits, record_decimation=dec)
     assert np.all(res.actuator_mw["p_hydro_bus1"] == 0.0)
     assert np.abs(res.actuator_mw["p_hydro_bus2"]).max() > 1.0
@@ -590,7 +587,7 @@ def test_simulate_rate_limiter_divergence_within_200_steps():
                                                c_local=np.ones(1)),),
     )
     x0, dt = np.array([1e300, 1e6]), 1e-3
-    kw = dict(dt=dt, x0=x0, rate_limiter=True, rate_limits_mw_per_s={0: 1.0})
+    kw = dict(dt=dt, x0=x0, rate_limits_mw_per_s={0: 1.0})
     with pytest.raises(DivergenceError) as err:
         simulate(model, [], t_end=5.0, **kw)
     t = err.value.t
