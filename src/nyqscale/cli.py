@@ -268,6 +268,21 @@ def _svg_polyline(zs, color, dash=""):
     return "".join(out)
 
 
+def _svg_line(p0: complex, direction: complex) -> list[complex]:
+    """End points of the line p0 + t*direction within the polyline clip box
+    (none if it misses the box or runs along an edge); a coordinate cut by
+    the box is set to exactly its bound, which ``_svg_polyline`` keeps."""
+    bound = _SVG_HALF * 1.5
+    p, d = np.array([p0.real, p0.imag]), np.array([direction.real, direction.imag])
+    with np.errstate(divide="ignore", invalid="ignore"):  # d = 0: t is +-inf or NaN
+        t = np.sort([(-bound - p) / d, (bound - p) / d], axis=0)
+    lo, hi = t[0].max(), t[1].min()
+    if not lo < hi:
+        return []
+    ends = p0 + np.array([lo, hi]) * direction
+    return list(np.clip(ends.real, -bound, bound) + 1j * np.clip(ends.imag, -bound, bound))
+
+
 def _write_loci_svg(path: Path, sweep: LociSweep, policy, markers=()):
     """Static SVG polyline plot of vertices, branches and the policy's
     hyperplane, clipped to a box around the critical point."""
@@ -293,11 +308,9 @@ def _write_loci_svg(path: Path, sweep: LociSweep, policy, markers=()):
                 dash='stroke-dasharray="4 3"',
             )
         )
-    n, p0 = policy.hyperplane_normal, policy.hyperplane_point
-    tangent = complex(-n.imag, n.real)
     body.append(
-        _svg_polyline([p0 - 20 * tangent, p0 + 20 * tangent], "#444444",
-                      'stroke-dasharray="6 4"')
+        _svg_polyline(_svg_line(policy.hyperplane_point, 1j * policy.hyperplane_normal),
+                      "#444444", 'stroke-dasharray="6 4"')
     )
     mx, my = _svg_px(complex(-1.0, 0.0))
     body.append(
@@ -335,7 +348,7 @@ def _resolve_contour(scn, netN, agents, kind, r, R, density, pade_order, markers
     if r is not None:
         kind = "D_r"
     kind = kind or scn.contour_kind
-    r = scn.contour_r if r is None else r
+    r = scn.policy.r if r is None else r
     R = scn.policy.R if R is None else R
     return _default_contour(netN.gamma, agents, kind, 0.0 if kind == "full-D" else r, R,
                             density, pade_order, extra=[w for _, w in markers])

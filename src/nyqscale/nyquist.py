@@ -14,15 +14,13 @@ The eigenloci taken together encircle -1 as often as the scalar curve
 det(I + Q(s)) = prod_k (1 + lambda_k(s)) encircles 0, so the theorem-1 and
 lossy windings, and the sweep's refinement, use the summed argument of the
 per-sample eigenvalues in solver order. Eigenvalues are matched into
-continuous branches only for export and plots: every consecutive pair of
-samples is matched at once, by its row-wise nearest neighbours where those
-are a strict permutation, else by a batched greedy assignment where its
-distances are distinct and its cost is clear of the Hungarian threshold.
-Only the remaining samples run the per-sample greedy/Hungarian assignment,
-so the branches equal a sample-by-sample matching exactly. The FOV hull
-test takes every sample's vertex pairs in whole-array passes. The vertex's
-real-axis crossings are refined by vectorised Illinois regula falsi, one
-vertex evaluation per iteration for all brackets.
+continuous branches only for export and plots: every pair of consecutive
+solver rows gets a greedy minimal-distance assignment, taken for all pairs
+at once, or the optimal one where the greedy cost is over twice its lower
+bound, and the pairs are composed along the contour (DECISIONS.md D8).
+The FOV hull test takes every sample's vertex pairs in whole-array passes.
+The vertex's real-axis crossings are refined by vectorised Illinois regula
+falsi, one vertex evaluation per iteration for all brackets.
 
 All four checks build their contour with one rule (``_default_contour``:
 closure radius, jw-axis indentations, indentation radius) and evaluate
@@ -348,117 +346,43 @@ def _checked_distance(rel: np.ndarray, point: complex) -> float:
     return closest
 
 
-def _match_indices(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
-    """Branch matching: greedy minimal-distance assignment with an optimal
-    (Hungarian) fallback when the greedy cost exceeds twice the row-minimum
-    lower bound."""
-    k = len(prev)
-    if k == 1:
-        return np.array([0])
-    D = np.abs(prev[:, None] - cur[None, :])
-    order = np.argsort(D, axis=None)
-    rows_taken = np.zeros(k, dtype=bool)
-    cols_taken = np.zeros(k, dtype=bool)
-    assign = np.full(k, -1)
-    cost = 0.0
-    for flat in order:
-        i, j = divmod(int(flat), k)
-        if rows_taken[i] or cols_taken[j]:
-            continue
-        assign[i] = j
-        rows_taken[i] = True
-        cols_taken[j] = True
-        cost += D[i, j]
-        if rows_taken.all():
-            break
-    lower = float(D.min(axis=1).sum())
-    if cost > 2.0 * lower + 1e-300:
-        from scipy.optimize import linear_sum_assignment
-
-        ri, ci = linear_sum_assignment(D)
-        assign = np.empty(k, dtype=int)
-        assign[ri] = ci
-    return assign
-
-
-def _nearest_permutations(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise nearest neighbours of a block of (k, k) distance matrices,
-    and whether each is strict: a permutation whose every row minimum is
-    unique. Greedy matching then returns that permutation, for any
-    reordering of the rows, without reaching its fallback."""
-    a = D.argmin(axis=2)
-    d_min = np.take_along_axis(D, a[:, :, None], axis=2)
-    unique_min = ((D <= d_min).sum(axis=2) == 1).all(axis=1)
-    is_perm = (np.sort(a, axis=1) == np.arange(D.shape[1])).all(axis=1)
-    return a, unique_min & is_perm
-
-
-def _greedy_assignments(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_match_indices``' greedy assignment of every (k, k) distance matrix
-    in a block, in k rounds of masked argmin, and whether it is safe to use
-    in its place: all k*k distances finite and distinct (so the greedy order
-    depends neither on the sort nor on the order of the rows), and the
-    greedy cost at most 2*lower*(1 - 1e-12) (so the Hungarian fallback does
-    not run, whichever order the row minima are summed in). The picks are
-    masked in place: a contiguous ``D`` is left overwritten."""
-    rows, k, _ = D.shape
-    flat = D.reshape(rows, k * k)
-    grid = flat.reshape(rows, k, k)  # a view of flat
-    ranked = np.sort(flat, axis=1)
-    safe = np.isfinite(ranked[:, -1]) & (ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
-    del ranked
-    lower = D.min(axis=2).sum(axis=1)
-    assign = np.empty((rows, k), dtype=np.intp)
-    cost = np.zeros(rows)
-    r = np.arange(rows)
-    for _ in range(k):
-        pick = flat.argmin(axis=1)
-        i, j = np.divmod(pick, k)
-        cost += flat[r, pick]
-        assign[r, i] = j
-        grid[r, i, :] = np.inf
-        grid[r, :, j] = np.inf
-    return assign, safe & (cost <= 2.0 * lower * (1.0 - 1e-12))
-
-
 def _match_branches(eigs: np.ndarray) -> np.ndarray:
-    """Rows of ``eigs`` reordered into continuous branches: row i is
-    matched to the already matched row i-1 as ``_match_indices`` would.
+    """Rows of ``eigs`` (finite, as a sweep's are) reordered into branches.
 
-    The distance matrices of all consecutive rows are taken in blocks of at
-    most ``_MATCH_BLOCK_BYTES``. A transition whose nearest neighbours form
-    a strict permutation uses it; the others get the batched greedy
-    assignment when its distances are distinct and its cost is clear of the
-    Hungarian threshold. Both results hold for any reordering of row i-1,
-    so they are computed on the raw rows and only composed along the
-    contour. Every remaining transition (ties, costs near or above the
-    threshold, non-finite values) calls ``_match_indices`` on the matched
-    row itself, so the result equals the sample-by-sample matching exactly.
+    Each pair of consecutive solver rows is matched by one rule: the greedy
+    minimal-distance assignment, in k rounds of masked argmin, so a tie goes
+    to the first flat index; or the optimal (Hungarian) one where the greedy
+    cost exceeds twice the row-minimum lower bound. The distance matrices
+    are taken in blocks of at most ``_MATCH_BLOCK_BYTES``, and the pairs'
+    assignments are composed along the contour.
     """
     m, k = eigs.shape
     if k <= 1:
         return eigs.copy()
-    assign = np.zeros((m, k), dtype=np.intp)
-    known = np.zeros(m, dtype=bool)
+    order = np.empty((m, k), dtype=np.intp)  # each row's assignment, then composed
+    order[0] = np.arange(k)
     rows = max(1, _MATCH_BLOCK_BYTES // (16 * k * k))
     for lo in range(1, m, rows):
         hi = min(lo + rows, m)
         D = np.abs(eigs[lo - 1:hi - 1, :, None] - eigs[lo:hi, None, :])
-        a, ok = _nearest_permutations(D)
-        rest = np.flatnonzero(~ok)
-        if rest.size:
-            D = D[rest]  # a copy, which the greedy pass overwrites
-            a[rest], ok[rest] = _greedy_assignments(D)
-        del D  # before the next block's arrays
-        assign[lo:hi] = a
-        known[lo:hi] = ok
-    order = np.empty((m, k), dtype=np.intp)
-    order[0] = np.arange(k)
+        lower = D.min(axis=2).sum(axis=1)
+        flat = D.reshape(hi - lo, k * k)  # a view of D: picks are masked in place
+        r = np.arange(hi - lo)
+        cost = np.zeros(hi - lo)
+        for _ in range(k):
+            pick = flat.argmin(axis=1)
+            i, j = np.divmod(pick, k)
+            cost += flat[r, pick]
+            order[lo + r, i] = j
+            D[r, i, :] = np.inf
+            D[r, :, j] = np.inf
+        del D, flat  # before the next block's arrays
+        for t in np.flatnonzero(cost > 2.0 * lower + 1e-300) + lo:
+            from scipy.optimize import linear_sum_assignment
+
+            order[t] = linear_sum_assignment(np.abs(eigs[t - 1, :, None] - eigs[t]))[1]
     for i in range(1, m):
-        if known[i]:
-            order[i] = assign[i][order[i - 1]]
-        else:
-            order[i] = _match_indices(eigs[i - 1][order[i - 1]], eigs[i])
+        order[i] = order[i][order[i - 1]]
     return np.take_along_axis(eigs, order, axis=1)
 
 
@@ -476,12 +400,7 @@ class LociSweep:
     in solver order; windings come from their summed argument, which needs
     no branch identity. ``branches_upper`` matches them into continuous
     curves (a bijection between consecutive samples) on first use, for
-    export and plots only: the nearest-neighbour and greedy assignments of
-    all consecutive samples are taken in batched passes, and the greedy /
-    Hungarian ``_match_indices`` runs only where neither is safe (no strict
-    permutation; tied distances or a greedy cost near or above the
-    Hungarian threshold), so the result is the sample-by-sample matching
-    exactly.
+    export and plots only, by ``_match_branches``.
     ``flagged`` lists the samples whose determinant argument step still
     reaches pi/2 when refinement stops.
     """

@@ -191,7 +191,8 @@ class Scenario:
     ``policy`` is the one decentralized policy every agent is screened
     against: each field the file's policy block gives, else the default
     (hyperplane through -0.9 with normal 1, tau_max 0.1 s, r 0.75 rad/s,
-    no R). Its ``R`` is also the analysis contour's closure radius.
+    no R). Its ``r`` and ``R`` are also the analysis contour's D_r radius
+    and closure radius.
     """
 
     name: str
@@ -201,7 +202,6 @@ class Scenario:
     bus_ids: tuple[int, ...]
     policy: DecentralizedPolicy
     contour_kind: str
-    contour_r: float
     contour_density: int
     disturbance: tuple[Pulse, ...]
     dt_s: float
@@ -396,7 +396,8 @@ def loads_scenario(doc: dict) -> Scenario:
     hp = pol_doc.get("hyperplane", {"point": [-0.9, 0.0], "normal": [1.0, 0.0]})
     policy = DecentralizedPolicy(
         # the per-agent policy always needs a strictly positive D_r radius,
-        # even when the scenario's analysis contour is the full D-contour
+        # even when the scenario's analysis contour is the full D-contour;
+        # a D_r analysis contour takes the same radius
         r=float(cont.get("r_rad_s") or 0.75),
         hyperplane_point=complex(*hp["point"]),
         hyperplane_normal=complex(*hp["normal"]),
@@ -431,7 +432,6 @@ def loads_scenario(doc: dict) -> Scenario:
         bus_ids=tuple(bus_ids),
         policy=policy,
         contour_kind=cont.get("kind", "D_r" if cont.get("r_rad_s") else "full-D"),
-        contour_r=float(cont.get("r_rad_s", 0.0)),
         contour_density=int(cont.get("density", 200)),
         disturbance=pulses,
         dt_s=float(out_doc.get("dt_s", 1e-3)),

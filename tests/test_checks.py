@@ -268,7 +268,7 @@ def test_default_contour_and_checks_root_each_agent_once(name, monkeypatch):
     roots = lti.poly_roots
     monkeypatch.setattr(lti, "poly_roots", lambda p: calls.append(p) or roots(p))
     kind = scn.contour_kind
-    r = 0.0 if kind == "full-D" else scn.contour_r
+    r = 0.0 if kind == "full-D" else scn.policy.r
     contour = _default_contour(netN.gamma, agents, kind, r, None, scn.contour_density, 3)
     theorem1_check(netN, agents, contour)
     fov_check(netN, agents, contour)

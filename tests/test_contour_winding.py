@@ -310,24 +310,11 @@ def bundled_sweeps():
         netN = normalize(scn.network)
         agents = list(scn.agents)
         for kind in (scn.contour_kind, "full-D"):
-            r = 0.0 if kind == "full-D" else scn.contour_r
+            r = 0.0 if kind == "full-D" else scn.policy.r
             contour = _default_contour(netN.gamma, agents, kind, r, scn.policy.R,
                                        scn.contour_density, 3)
             sweeps[name, kind] = eigenloci_sweep(netN, agents, contour)
     return sweeps
-
-
-def _recorded_fallbacks(monkeypatch):
-    """The ``cur`` rows that reach ``_match_indices``."""
-    rows = []
-    original = nyquist._match_indices
-
-    def recorded(prev, cur):
-        rows.append(cur.copy())
-        return original(prev, cur)
-
-    monkeypatch.setattr(nyquist, "_match_indices", recorded)
-    return rows
 
 
 def test_branches_equal_sequential_matching_bundled(bundled_sweeps):
@@ -339,7 +326,8 @@ def test_branches_equal_sequential_matching_bundled(bundled_sweeps):
 
 def test_branches_equal_sequential_matching_ring16():
     # a 16-bus ring of the n5_hydro_d0 agents: its loop eigenvalues come in
-    # near-degenerate pairs, which the strict nearest-neighbour test rejects
+    # near-degenerate pairs, so most rows' nearest neighbours are no strict
+    # permutation (a row minimum ties, or two rows share a nearest column)
     scn = load_scenario(bundled_scenario_path("n5_hydro_d0"))
     n = 16
     L = np.zeros((n, n))
@@ -352,13 +340,16 @@ def test_branches_equal_sequential_matching_ring16():
     contour = _default_contour(netN.gamma, agents, "D_r", 0.75, None, 100, 3)
     sweep = eigenloci_sweep(netN, agents, contour)
     eigs = sweep.eigs_upper
-    _, strict = nyquist._nearest_permutations(
-        np.abs(eigs[:-1, :, None] - eigs[1:, None, :]))
+    D = np.abs(eigs[:-1, :, None] - eigs[1:, None, :])
+    nearest = D.argmin(axis=2)
+    unique_min = ((D <= D.min(axis=2, keepdims=True)).sum(axis=2) == 1).all(axis=1)
+    is_perm = (np.sort(nearest, axis=1) == np.arange(D.shape[1])).all(axis=1)
+    strict = unique_min & is_perm
     assert (~strict).sum() > len(strict) // 2
     assert np.array_equal(sweep.branches_upper, sequential_branches(eigs))
 
 
-def test_branches_equal_sequential_matching_near_tie(monkeypatch):
+def test_branches_equal_sequential_matching_near_tie():
     # two branches crossing 1e-9 apart, in a shuffled solver order, with
     # rows of exact ties (equal eigenvalues, equidistant neighbours)
     rng = np.random.default_rng(11)
@@ -368,11 +359,7 @@ def test_branches_equal_sequential_matching_near_tie(monkeypatch):
     eigs[6] = [0.0, 1.0, 2.9, 3.1]
     for row in eigs:
         rng.shuffle(row)
-    ref = sequential_branches(eigs)
-    calls = _recorded_fallbacks(monkeypatch)
-    got = nyquist._match_branches(eigs)
-    assert np.array_equal(got, ref)
-    assert 0 < len(calls) < len(eigs) - 1
+    assert np.array_equal(nyquist._match_branches(eigs), sequential_branches(eigs))
     # eigenvalues on an integer lattice: distances tie across and within rows
     rng = np.random.default_rng(40)
     lattice = (rng.integers(-2, 3, (6, 5)) + 1j * rng.integers(-2, 3, (6, 5))).astype(complex)
@@ -434,25 +421,34 @@ def test_batched_greedy_equals_sequential_matching(monkeypatch, block_rows):
     for k, eigs in sets.items():
         if block_rows is not None:
             monkeypatch.setattr(nyquist, "_MATCH_BLOCK_BYTES", 16 * k * k * block_rows)
-        fallbacks = _recorded_fallbacks(monkeypatch)
         assert np.array_equal(nyquist._match_branches(eigs), sequential_branches(eigs)), k
-        _, strict = nyquist._nearest_permutations(
-            np.abs(eigs[:-1, :, None] - eigs[1:, None, :]))
-        # the greedy pass, not the per-row fallback, takes most rejected rows
-        assert len(fallbacks) < (~strict).sum() // 2 + 3, k
-        if k == 2:
-            for i in (11, 21):
-                assert any(np.array_equal(row, eigs[i]) for row in fallbacks), i
         monkeypatch.undo()
 
 
-def test_greedy_assignments_equal_match_indices_where_accepted():
-    rng = np.random.default_rng(8)
-    eigs = rng.normal(size=(80, 6)) + 1j * rng.normal(size=(80, 6))
-    assign, ok = nyquist._greedy_assignments(np.abs(eigs[:-1, :, None] - eigs[1:, None, :]))
-    assert ok.any() and not ok.all()
-    for i in np.flatnonzero(ok):
-        assert np.array_equal(assign[i], nyquist._match_indices(eigs[i], eigs[i + 1]))
+def test_match_branches_takes_the_optimal_assignment_past_the_guard():
+    # greedy pairs 1.9 -> 1 (0.9), then 0 -> 10: cost 10.9 > 2 * (1 + 0.9),
+    # so the optimal assignment 0 -> 1, 1.9 -> 10 (cost 9.1) is taken
+    eigs = np.array([[0.0, 1.9], [1.0, 10.0]], dtype=complex)
+    assert np.array_equal(nyquist._match_branches(eigs)[1], [1.0, 10.0])
+    assert np.array_equal(sequential_branches(eigs)[1], [1.0, 10.0])
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+def test_match_branches_breaks_ties_alike_across_block_boundaries(monkeypatch, block_rows):
+    # rows 2 -> 3 and 3 -> 4 tie exactly. From 0, the values 1 and 3 are 1
+    # and 3 away; from 2, both are 1 away. The first flat index, 0 -> 1,
+    # wins; the other pick, 2 -> 1, then 0 -> 3, would cost 4 = 2 * lower,
+    # which keeps the greedy assignment too. Row 3 -> 4 ties the same way.
+    rng = np.random.default_rng(5)
+    eigs = _near_degenerate_pairs(rng, 2)
+    eigs[2], eigs[3], eigs[4] = [0.0, 2.0], [1.0, 3.0], [2.0, 0.0]
+    for i in (2, 3):
+        D = np.abs(eigs[i][:, None] - eigs[i + 1][None, :])
+        assert (D == D.min()).sum() == 3
+    ref = sequential_branches(eigs)
+    assert {(ref[2, c], ref[3, c], ref[4, c]) for c in range(2)} == {(0, 1, 2), (2, 3, 0)}
+    monkeypatch.setattr(nyquist, "_MATCH_BLOCK_BYTES", 16 * 2 * 2 * block_rows)
+    assert np.array_equal(nyquist._match_branches(eigs), ref)
 
 
 @pytest.mark.parametrize("block_rows", [None, 7])
@@ -539,7 +535,7 @@ def _ring16_sweep_inputs(tmp_path):
                                  gen.ring_lines(16), random.Random(3))
     scn = load_scenario(gen.write(tmp_path / "ring16.json", doc))
     netN, agents = normalize(scn.network), list(scn.agents)
-    contour = _default_contour(netN.gamma, agents, scn.contour_kind, scn.contour_r,
+    contour = _default_contour(netN.gamma, agents, scn.contour_kind, scn.policy.r,
                                scn.policy.R, scn.contour_density, 3)
     return netN, agents, contour
 

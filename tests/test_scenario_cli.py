@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from nyqscale import cli
-from nyqscale.cli import _svg_polyline, _write_loci_csv, _write_traces_csv, main
+from nyqscale.cli import _svg_line, _svg_polyline, _write_loci_csv, _write_traces_csv, main
 from nyqscale.errors import ScenarioError
 from nyqscale.scenario import bundled_scenario_path, load_scenario, loads_scenario
 from nyqscale.simkit import SimulationResult
@@ -278,6 +278,16 @@ def test_cli_file_tau_max_without_hyperplane_sets_pi_over_2tau(wind_path, tmp_pa
     assert [a["pi_over_2tau"] for a in per_agent] == [math.pi / 0.002] * 5
 
 
+def test_cli_file_d_r_without_radius_takes_the_policy_radius(wind_path, tmp_path):
+    # the policy's default r = 0.75 rad/s is the D_r analysis contour's
+    # radius too, as n5_hydro_wind gives it explicitly
+    path = wind_policy_copy(wind_path, tmp_path, contour={"kind": "D_r", "density": 200})
+    copy = run_cli(tmp_path, "copy", "analyze", str(path), "--check", "theorem1")
+    bundled = run_cli(tmp_path, "bundled", "analyze", str(wind_path), "--check", "theorem1")
+    for name in ("report.json", "loci.csv"):
+        assert (copy / name).read_bytes() == (bundled / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_cli_export_loci_csv_equals_analyze_theorem1(name, tmp_path):
     path = str(bundled_scenario_path(name))
@@ -451,6 +461,17 @@ def test_cli_export_loci_marker_present(wind_path, tmp_path):
     assert omega == pytest.approx(math.pi / 0.2, rel=1e-9)
     svg = (tmp_path / "loci.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_cli_export_loci_draws_the_policy_hyperplane(name, tmp_path):
+    # line 14, after the two axes, five vertices and four branches: the
+    # hyperplane Re z = -0.9 across the whole clip box |Re z|, |Im z| <= 9
+    out = run_cli(tmp_path, "export", "export-loci", str(bundled_scenario_path(name)))
+    line = (out / "loci.svg").read_text().splitlines()[13]
+    assert line.count("<polyline") == 1 and 'stroke="#444444"' in line
+    points = re.search(r'points="([^"]*)"', line).group(1).split()
+    assert points == ["272.00,800.00", "272.00,-160.00"]
 
 
 def test_cli_export_loci_empty_agents_exit_3(loads_path, tmp_path):
@@ -739,3 +760,12 @@ def test_svg_polyline_matches_per_point_loop_at_the_clip_box():
         assert (_svg_polyline(points, "red", 'stroke-dasharray="4 3"')
                 == svg_polyline_loop(points, "red", 'stroke-dasharray="4 3"'))
     assert _svg_polyline(zs, "k").count("<polyline") == 3
+
+
+def test_svg_line_ends_on_the_clip_box():
+    # a diagonal through the origin ends in two corners, a steep line ends
+    # on the bottom and top edges, and lines that miss the box have no ends
+    assert _svg_line(0j, (1 + 1j) / math.sqrt(2)) == [-9 - 9j, 9 + 9j]
+    assert _svg_line(8 + 8j, 1 + 2j) == [-0.5 - 9j, 8.5 + 9j]
+    assert _svg_line(-9.5 + 0j, 1j) == [] and _svg_line(0 + 20j, 1 + 0j) == []
+    assert _svg_line(30 + 0j, 1 + 1j) == []

@@ -9,7 +9,7 @@ from numpy.polynomial import polynomial as npp
 from nyqscale.errors import DivergenceError
 from nyqscale.lti import TransferFunction
 from nyqscale.network import PowerNetwork
-from nyqscale.nyquist import _agent_rational, _match_indices
+from nyqscale.nyquist import _agent_rational
 from nyqscale.scenario import bundled_scenario_path, load_scenario
 from nyqscale.simkit import _zoh_step
 
@@ -111,12 +111,49 @@ def ray_crossing_winding(curve, point) -> int:
     return crossings
 
 
+def match_indices(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
+    """Reference assignment of one pair of rows: greedy minimal-distance
+    matching in a stable sort of the distances (a tie goes to the first flat
+    index), with an optimal (Hungarian) fallback when the greedy cost
+    exceeds twice the row-minimum lower bound."""
+    k = len(prev)
+    if k == 1:
+        return np.array([0])
+    D = np.abs(prev[:, None] - cur[None, :])
+    order = np.argsort(D, axis=None, kind="stable")
+    rows_taken = np.zeros(k, dtype=bool)
+    cols_taken = np.zeros(k, dtype=bool)
+    assign = np.full(k, -1)
+    cost = 0.0
+    for flat in order:
+        i, j = divmod(int(flat), k)
+        if rows_taken[i] or cols_taken[j]:
+            continue
+        assign[i] = j
+        rows_taken[i] = True
+        cols_taken[j] = True
+        cost += D[i, j]
+        if rows_taken.all():
+            break
+    lower = float(D.min(axis=1).sum())
+    if cost > 2.0 * lower + 1e-300:
+        from scipy.optimize import linear_sum_assignment
+
+        ri, ci = linear_sum_assignment(D)
+        assign = np.empty(k, dtype=int)
+        assign[ri] = ci
+    return assign
+
+
 def sequential_branches(eigs) -> np.ndarray:
-    """Reference branch matching: each sample's eigenvalues reordered by
-    ``_match_indices`` against the previous, already matched, sample."""
-    matched = np.array(eigs, dtype=complex)
-    for i in range(1, matched.shape[0]):
-        matched[i] = matched[i][_match_indices(matched[i - 1], matched[i])]
+    """Reference branch matching: ``match_indices`` of each pair of
+    consecutive raw rows, one pair at a time, composed along the rows."""
+    eigs = np.array(eigs, dtype=complex)
+    order = np.arange(eigs.shape[1])
+    matched = eigs.copy()
+    for i in range(1, eigs.shape[0]):
+        order = match_indices(eigs[i - 1], eigs[i])[order]
+        matched[i] = eigs[i][order]
     return matched
 
 
