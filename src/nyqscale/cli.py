@@ -369,8 +369,8 @@ def main():
               help="D_r radius [rad/s]; accepts 0.37*2pi")
 @click.option("--contour-R", "contour_R", type=float, default=None)
 @click.option("--density", type=int, default=None, help="samples per decade")
-@click.option("--tau-max", type=float, default=None)
-@click.option("--hyperplane", type=_Hyperplane(), default=None)
+@click.option("--tau-max", type=float, default=None, help="--check decentralized only")
+@click.option("--hyperplane", type=_Hyperplane(), default=None, help="--check decentralized only")
 @click.option("--pade-order", type=click.IntRange(1, 5), default=3, show_default=True)
 @click.option("--epsilon", type=float, default=0.01, show_default=True,
               help="Laplacian shift for --check lossy")
@@ -378,6 +378,13 @@ def main():
 def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
             density, tau_max, hyperplane, pade_order, epsilon, out_dir):
     """Run a stability check on a scenario and emit report + loci CSV."""
+    # options the check would not read are refused, not dropped
+    if check_name == "decentralized":
+        unread = ["--contour-kind full-D"] if contour_kind == "full-D" else []
+    else:
+        unread = [o for o, v in (("--tau-max", tau_max), ("--hyperplane", hyperplane)) if v is not None]
+    if unread:
+        raise click.UsageError(f"--check {check_name} does not read {' and '.join(unread)}")
     with _input_errors():
         scn, netN, agents, markers = _load(scenario_path)
         dens = scn.contour_density if density is None else density

@@ -22,13 +22,13 @@ The FOV hull test takes every sample's vertex pairs in whole-array passes.
 The vertex's real-axis crossings are refined by vectorised Illinois regula
 falsi, one vertex evaluation per iteration for all brackets.
 
-All four checks build their contour with one rule (``_default_contour``:
-closure radius, jw-axis indentations, indentation radius) and evaluate
-vertices through ``_vertices``, which turns a pole hit into ContourError.
-The network checks refine their samples in ``eigenloci_sweep``; the
-decentralized screening evaluates its contour once, and its crossing
-diagnostic brackets sign changes per axis segment on its own denser grid
-(DECISIONS.md D5).
+All four checks build their contour with one rule (``_default_contour``)
+and evaluate vertices through ``_vertices``, which turns a pole hit into
+ContourError. Theorem 1 and its lossy variant are one winding count on two
+loops (``_winding_check``). The decentralized screening evaluates its
+contour once, not in ``eigenloci_sweep``, and brackets axis crossings on
+its own denser grid (DECISIONS.md D5). Each check builds one Verdict from
+the violations it found (D9); only a pole on the screening's D_r exits first.
 
 A sweep assembles each sample's loop matrix and takes its eigenvalues on
 every CPU the process may use (its affinity mask; ``taskset`` is the only
@@ -784,12 +784,7 @@ def theorem1_check(
     Necessary and sufficient (up to the marginal band); delayed agents are
     swept with exact exponentials but their N comes from the Pade form.
     """
-    if contour is None:
-        contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, density, pade_order)
-    N, notes = _count_unstable_loop_poles(agents, netN.gamma, netN.U_hat, pade_order,
-                                          contour.inner_radius)
-    sweep = eigenloci_sweep(netN, agents, contour)
-    return replace(_winding_verdict(sweep, N, notes, check="theorem1"), sweep=sweep)
+    return _winding_check(netN, agents, None, contour, density, pade_order)
 
 
 def lossy_exponential_check(
@@ -805,17 +800,23 @@ def lossy_exponential_check(
     if not 0 < epsilon < math.inf:
         raise InvalidInputError("lossy check needs a finite epsilon > 0; use "
                                 "theorem1_check for the lossless network")
+    # the report's loci stay the interarea ones: the caller sweeps those
+    return replace(_winding_check(netN, agents, epsilon, contour, density, pade_order),
+                   sweep=None)
+
+
+def _winding_check(netN, agents, epsilon, contour, density, pade_order) -> Verdict:
+    """The generalized Nyquist count of theorem 1 (``epsilon`` None: the loop
+    on Uhat) or of the lossy variant (on U, weighted by mu + epsilon). The
+    verdict follows from the one violation found, if any: a winding other
+    than N is unstable; zero loci, or loci through -1, are inconclusive."""
     if contour is None:
         contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, density, pade_order)
-    N, notes = _count_unstable_loop_poles(agents, netN.gamma, netN.U, pade_order,
+    U = netN.U_hat if epsilon is None else netN.U
+    N, notes = _count_unstable_loop_poles(agents, netN.gamma, U, pade_order,
                                           contour.inner_radius)
     sweep = eigenloci_sweep(netN, agents, contour, epsilon)
-    return _winding_verdict(sweep, N, notes, check="lossy")
-
-
-def _winding_verdict(sweep: LociSweep, N: int, notes: list[str], check: str) -> Verdict:
-    roles = np.array(sweep.contour.node_roles())
-    closure = roles == "closure"
+    closure = np.array(sweep.contour.node_roles()) == "closure"
     closure_mag = float(np.abs(sweep.eigs_upper[closure]).max()) if closure.any() else 0.0
     if closure_mag >= CLOSURE_LOCI_BOUND:
         raise ContourError(
@@ -824,59 +825,37 @@ def _winding_verdict(sweep: LociSweep, N: int, notes: list[str], check: str) -> 
         )
     max_loci = float(np.abs(sweep.eigs_upper).max())
     diagnostics = {
-        "check": check,
+        "check": "theorem1" if epsilon is None else "lossy",
         "max_loci_magnitude": max_loci,
         "closure_max_magnitude": closure_mag,
         "flagged_samples": list(sweep.flagged),
         "notes": notes,
     }
+    winding = violation = None
     if max_loci < DEGENERATE_LOCI:
-        return Verdict(
-            result="inconclusive",
-            winding_count=None,
-            n_required=N,
-            violated_conditions=(
-                Violation("degenerate-loop", None, "all loci identically zero"),
-            ),
-            diagnostics=diagnostics,
-        )
-    dist, s_at, val = sweep.closest_approach(-1.0)
-    diagnostics["closest_approach"] = {
-        "distance": dist,
-        "s": complex(s_at),
-        "value": complex(val),
-    }
-    try:
-        winding, _ = sweep.total_winding(-1.0)
-    except MarginalStabilityError:
-        return Verdict(
-            result="inconclusive",
-            winding_count=None,
-            n_required=N,
-            violated_conditions=(
-                Violation("loci-touch-minus-one", abs(s_at.imag), dist),
-            ),
-            diagnostics=diagnostics,
-        )
-    if winding == N:
-        return Verdict(
-            result="stable",
-            winding_count=winding,
-            n_required=N,
-            diagnostics=diagnostics,
-        )
+        violation = Violation("degenerate-loop", None, "all loci identically zero")
+    else:
+        dist, s_at, val = sweep.closest_approach(-1.0)
+        diagnostics["closest_approach"] = {
+            "distance": dist,
+            "s": complex(s_at),
+            "value": complex(val),
+        }
+        try:
+            winding, _ = sweep.total_winding(-1.0)
+        except MarginalStabilityError:
+            violation = Violation("loci-touch-minus-one", abs(s_at.imag), dist)
+        if winding is not None and winding != N:
+            violation = Violation("winding-mismatch", None,
+                                  f"summed winding {winding} != required {N}")
     return Verdict(
-        result="unstable",
+        result=("stable" if violation is None
+                else "inconclusive" if winding is None else "unstable"),
         winding_count=winding,
         n_required=N,
-        violated_conditions=(
-            Violation(
-                "winding-mismatch",
-                None,
-                f"summed winding {winding} != required {N}",
-            ),
-        ),
+        violated_conditions=() if violation is None else (violation,),
         diagnostics=diagnostics,
+        sweep=sweep,
     )
 
 
@@ -940,59 +919,33 @@ def fov_check(
     pole moduli.
     """
     r_gate = contour.inner_radius
-    violations: list[Violation] = []
-    for idx, a in enumerate(agents):
-        g = _agent_rational(a, pade_order)
-        poles = rhp_poles_in_region(g, r_gate)
-        if poles:
-            violations.append(
-                Violation(
-                    "pole-gate",
-                    None,
-                    {
-                        "agent": idx,
-                        "pole_moduli_rad_s": [abs(p) for p in poles],
-                    },
-                )
-            )
+    gated = [rhp_poles_in_region(_agent_rational(a, pade_order), r_gate) for a in agents]
+    violations = [
+        Violation("pole-gate", None, {"agent": idx, "pole_moduli_rad_s": [abs(p) for p in poles]})
+        for idx, poles in enumerate(gated) if poles
+    ]
     sweep = eigenloci_sweep(netN, agents, contour)
-    verts = sweep.vertices_upper
-    min_x = _hull_ray_min_x(verts)
+    min_x = _hull_ray_min_x(sweep.vertices_upper)
     worst_i = int(np.argmin(min_x))
     worst = float(min_x[worst_i])
+    freq = float(sweep.s_upper[worst_i].imag)
     diagnostics = {
         "check": "fov",
         "worst_hull_axis_x": worst,
-        "worst_frequency_rad_s": float(sweep.s_upper[worst_i].imag),
+        "worst_frequency_rad_s": freq,
         "pole_gate_r": r_gate,
     }
     ray_failed = worst <= -1.0 - FOV_MARGIN_BAND
-    marginal = abs(worst + 1.0) <= FOV_MARGIN_BAND
-    if ray_failed:
-        violations.append(
-            Violation(
-                "fov-ray",
-                float(sweep.s_upper[worst_i].imag),
-                worst,
-            )
-        )
-    if violations:
-        return Verdict(
-            result="unstable",
-            violated_conditions=tuple(violations),
-            diagnostics=diagnostics,
-            sweep=sweep,
-        )
-    if marginal:
-        return Verdict(
-            result="inconclusive",
-            violated_conditions=(
-                Violation("fov-ray-marginal", diagnostics["worst_frequency_rad_s"], worst),
-            ),
-            diagnostics=diagnostics,
-            sweep=sweep,
-        )
-    return Verdict(result="stable", diagnostics=diagnostics, sweep=sweep)
+    # within the band of -1, and nothing else failed
+    marginal = not (ray_failed or violations) and abs(worst + 1.0) <= FOV_MARGIN_BAND
+    if ray_failed or marginal:
+        violations.append(Violation("fov-ray-marginal" if marginal else "fov-ray", freq, worst))
+    return Verdict(
+        result="inconclusive" if marginal else "unstable" if violations else "stable",
+        violated_conditions=tuple(violations),
+        diagnostics=diagnostics,
+        sweep=sweep,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1058,7 +1011,6 @@ def decentralized_check(
     """
     if gamma_bound <= 0:
         raise InvalidInputError("gamma bound must be positive")
-    g_rat = _agent_rational(agent, pade_order)
     w_delay = math.pi / (2 * policy.tau_max)
     R = policy.R
     if R is None:
@@ -1066,15 +1018,15 @@ def decentralized_check(
                 100.0 * policy.r, 4.0 * w_delay)
     contour = _default_contour([gamma_bound], [agent], "D_r", policy.r, R, density,
                                pade_order, extra=(w_delay,))
-    violations: list[Violation] = []
     try:
-        inside = rhp_poles_in_region(g_rat, policy.r)
+        inside = rhp_poles_in_region(_agent_rational(agent, pade_order), policy.r)
     except BoundaryAmbiguityError as exc:
         return Verdict(
             result="inconclusive",
             violated_conditions=(Violation("pole-on-contour", policy.r, str(exc)),),
             diagnostics={"check": "decentralized"},
         )
+    violations: list[Violation] = []
     if inside:
         violations.append(
             Violation(
@@ -1126,13 +1078,11 @@ def decentralized_check(
             for c in vertex_axis_crossings(agent, gamma_bound, sg.a, sg.b)
         ],
     }
-    if violations:
-        return Verdict(
-            result="unstable",
-            violated_conditions=tuple(violations),
-            diagnostics=diagnostics,
-        )
-    return Verdict(result="stable", diagnostics=diagnostics)
+    return Verdict(
+        result="unstable" if violations else "stable",
+        violated_conditions=tuple(violations),
+        diagnostics=diagnostics,
+    )
 
 
 def vertex_axis_crossings(agent, gamma: float, omega_lo: float, omega_hi: float) -> list[dict]:

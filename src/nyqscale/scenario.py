@@ -26,6 +26,7 @@ from .errors import ScenarioError
 from .network import Line, OperatingPoint, PowerNetwork, build_laplacian, kron_reduce
 from .nyquist import DecentralizedPolicy
 from .powerplant import (
+    C_ROTOR_FLOOR_08,
     Agent,
     HydroParams,
     WindParams,
@@ -370,7 +371,7 @@ def loads_scenario(doc: dict) -> Scenario:
         if "wind" in spec_a:
             w = spec_a["wind"]
             turbine = make_wind_turbine(
-                WindParams(wind_speed_m_s=w["v_m_s"], c_omega=w.get("C_omega", 5.8e-3))
+                WindParams(wind_speed_m_s=w["v_m_s"], c_omega=w.get("C_omega", C_ROTOR_FLOOR_08))
             )
             parts.append(
                 make_ffr_controller(

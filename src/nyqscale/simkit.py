@@ -410,22 +410,16 @@ def simulate(
     so memory grows with the records, not with the steps. The clamp is off
     in all oracle comparisons.
 
-    Preconditions on both paths: dt <= 0.1/|lambda_max(A)| (the explicit
-    integrator's stability margin), else IntegratorConfigError. A state that
-    stops being finite raises DivergenceError: on the linear path at the
-    first such record; under the clamp at the end of the block that produced
-    it, or, among steps run stage by stage, at the next step that is a
-    multiple of 200 or the last one, so within 200 steps.
+    Under the clamp, dt <= 0.1/|lambda_max(A)| (RK4's stability margin),
+    else IntegratorConfigError; the linear path is exact at any dt. A state
+    that stops being finite raises DivergenceError: on the linear path at
+    the first such record; under the clamp at the end of the block that
+    produced it, or, among steps run stage by stage, at the next step that
+    is a multiple of 200 or the last one, so within 200 steps.
     """
     if not (0 < t_end < math.inf and 0 < dt < math.inf) or record_decimation < 1:
         raise InvalidInputError(
             "need finite positive t_end and dt, and record_decimation >= 1"
-        )
-    lam_max = float(np.abs(model.eigenvalues).max())
-    if lam_max > 0 and dt > 0.1 / lam_max:
-        raise IntegratorConfigError(
-            f"dt = {dt:.3g} s exceeds the stability margin "
-            f"0.1/|lambda_max| = {0.1 / lam_max:.3g} s"
         )
     n = model.n_buses
     for p in disturbance:
@@ -452,6 +446,12 @@ def simulate(
     T = idx * dt
     edges, rows = _disturbance_rows(disturbance, n)
     if limits:
+        lam_max = float(np.abs(model.eigenvalues).max())
+        if lam_max > 0 and dt > 0.1 / lam_max:
+            raise IntegratorConfigError(
+                f"dt = {dt:.3g} s exceeds the stability margin "
+                f"0.1/|lambda_max| = {0.1 / lam_max:.3g} s"
+            )
         X = _rk4_records(model, x, rows, _segment_starts(edges, dt, steps), limits,
                          dt, idx)
     else:

@@ -222,6 +222,53 @@ def test_lossy_detects_unstable_closed_loop():
     assert v_lossy.result == "unstable"
 
 
+# ------------------------------------------------------- every verdict branch
+# two buses, L = [[1, -1], [-1, 1]]: gamma = 2, mu = (0, 1), and each agent
+# K/(gamma (s+1)^3), so the interarea locus K/(s+1)^3 meets the real axis at
+# -K/8 for w = sqrt(3): inside -1 for K = 7, on it for 8, beyond it for 9
+_WINDING_KEYS = {"check", "max_loci_magnitude", "closure_max_magnitude", "flagged_samples",
+                 "notes", "closest_approach"}
+
+
+@pytest.mark.parametrize("K, theorem1, fov, lossy", [
+    (7, ("stable", 0, None), ("stable", None), ("stable", 0, None)),
+    (8, ("inconclusive", None, "loci-touch-minus-one"), ("inconclusive", "fov-ray-marginal"),
+     ("unstable", -2, "winding-mismatch")),
+    (9, ("unstable", -2, "winding-mismatch"), ("unstable", "fov-ray"),
+     ("unstable", -2, "winding-mismatch")),
+])
+def test_every_verdict_branch_on_a_cubic_lag(K, theorem1, fov, lossy):
+    netN = two_bus_norm(1.0)
+    assert np.allclose(netN.gamma, 2.0) and np.allclose(netN.mu, [0.0, 1.0])
+    g = TF([K / 2.0], [1.0, 3.0, 3.0, 1.0])
+    contour = _default_contour(netN.gamma, [g, g], "full-D", 0.0, None, 200, 3,
+                               extra=(math.sqrt(3.0),))
+    verdicts = {
+        "theorem1": (theorem1_check(netN, [g, g], contour), theorem1),
+        "lossy": (lossy_exponential_check(netN, [g, g], 0.1, contour), lossy),
+    }
+    for check, (v, (result, winding, condition)) in verdicts.items():
+        assert (v.result, v.winding_count, v.n_required) == (result, winding, 0)
+        assert [c.condition for c in v.violated_conditions] == ([condition] if condition else [])
+        assert set(v.diagnostics) == _WINDING_KEYS and v.diagnostics["check"] == check
+    v1, vl = verdicts["theorem1"][0], verdicts["lossy"][0]
+    # theorem 1 hands back its interarea sweep; the lossy one is not reported
+    assert v1.sweep is not None and v1.sweep.eigs_upper.shape[1] == 1
+    assert vl.sweep is None
+    if theorem1[2] == "loci-touch-minus-one":
+        touch = v1.violated_conditions[0]
+        assert touch.frequency_rad_s == pytest.approx(math.sqrt(3.0))
+        assert touch.value < 1e-9
+
+    vf = fov_check(netN, [g, g], contour)
+    assert vf.result == fov[0] and vf.winding_count is None and vf.sweep is not None
+    assert [c.condition for c in vf.violated_conditions] == ([fov[1]] if fov[1] else [])
+    assert vf.diagnostics["worst_hull_axis_x"] == pytest.approx(-K / 8.0)
+    for c in vf.violated_conditions:
+        assert (c.frequency_rad_s, c.value) == (pytest.approx(math.sqrt(3.0)),
+                                                pytest.approx(-K / 8.0))
+
+
 # ------------------------------------------------- bundled N5 vs the oracle
 def _n5(name):
     scn = load_scenario(bundled_scenario_path(name))

@@ -246,6 +246,28 @@ def test_cli_policy_options_replace_the_scenario_policy(wind_path, tmp_path):
         assert t["pi_over_2tau"] == pytest.approx(math.pi / 0.4, rel=1e-12)
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["--check", "theorem1", "--tau-max", "0.2"], "--tau-max"),
+    (["--check", "fov", "--hyperplane=-5,0,1,0"], "--hyperplane"),
+    (["--check", "decentralized", "--contour-kind", "full-D"], "--contour-kind full-D"),
+])
+def test_cli_analyze_refuses_an_option_its_check_does_not_read(wind_path, tmp_path, argv,
+                                                               option):
+    out = tmp_path / "out"
+    res = CliRunner().invoke(main, ["analyze", str(wind_path), *argv, "--out-dir", str(out)])
+    assert res.exit_code == 3, res.output
+    assert f"does not read {option}" in res.output
+    assert not out.exists()
+
+
+def test_cli_decentralized_accepts_its_own_contour_kind(wind_path, tmp_path):
+    plain = run_cli(tmp_path, "plain", "analyze", str(wind_path), "--check", "decentralized")
+    named = run_cli(tmp_path, "named", "analyze", str(wind_path), "--check", "decentralized",
+                    "--contour-kind", "D_r")
+    for name in ("report.json", "loci.csv"):
+        assert (plain / name).read_bytes() == (named / name).read_bytes(), name
+
+
 def wind_policy_copy(wind_path, tmp_path, **policy):
     """n5_hydro_wind with its policy fields updated by ``policy``; a field
     given as None is deleted."""
@@ -395,7 +417,7 @@ def test_cli_simulate_dt_too_large_exit_3(loads_path, tmp_path):
     runner = CliRunner()
     res = runner.invoke(
         main,
-        ["simulate", str(loads_path), "--dt", "0.5", "--t-end", "1",
+        ["simulate", str(loads_path), "--dt", "0.5", "--t-end", "1", "--rate-limiter",
          "--out-dir", str(tmp_path)],
     )
     assert res.exit_code == 3

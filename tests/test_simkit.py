@@ -402,9 +402,26 @@ def test_simulate_shorter_than_half_a_step_records_only_the_start():
 
 
 def test_simulate_dt_gate():
+    # the gate guards RK4, which runs only under a rate bound
     model = n5_model()
     with pytest.raises(IntegratorConfigError):
-        simulate(model, [], t_end=1.0, dt=0.5)
+        simulate(model, [], t_end=1.0, dt=0.5, rate_limits_mw_per_s={0: 900.0})
+
+
+@pytest.mark.parametrize("name", ["n5_hydro_wind", "n5_hydro_loads"])
+def test_simulate_linear_path_takes_any_dt(name):
+    # the zero-order hold is exact at any step: dt = 0.01 s (over RK4's
+    # 0.1/|lambda_max| = 0.00189 s on n5_hydro_wind) records what
+    # dt = 1e-3 s records every 10th step
+    scn = load_scenario(bundled_scenario_path(name))
+    model = realize_state_space(scn.network, list(scn.agents))
+    fine = simulate(model, scn.disturbance, t_end=scn.t_end_s, dt=1e-3, record_decimation=10)
+    coarse = simulate(model, scn.disturbance, t_end=scn.t_end_s, dt=0.01)
+    assert np.allclose(coarse.time_s, fine.time_s, rtol=0, atol=1e-9)
+    assert np.abs(coarse.frequency_hz - fine.frequency_hz).max() <= 1e-9
+    assert np.abs(coarse.tie_flow_mw - fine.tie_flow_mw).max() <= 1e-6
+    for key, mw in fine.actuator_mw.items():
+        assert np.abs(coarse.actuator_mw[key] - mw).max() <= 1e-6
 
 
 def test_simulate_rate_limiter_slows_hydro():
