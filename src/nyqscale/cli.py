@@ -50,6 +50,7 @@ _VERDICT_EXIT = {
     "inconclusive": EXIT_INCONCLUSIVE,
 }
 
+_LOSSY_EPSILON = 0.01  # --check lossy's --epsilon when the option is not given
 # decentralized_check diagnostics copied into each report.json per_agent entry
 _AGENT_DIAGNOSTICS = ("min_hyperplane_margin", "pi_over_2tau", "vertex_axis_crossings")
 
@@ -161,12 +162,11 @@ def _write_loci_csv(path: Path, sweep: LociSweep, markers=()):
     one row per sample of the closed contour: the upper chain, then its
     conjugate mirror in reverse order.
 
-    Only the upper rows are formatted, a block at a time. A mirrored row is
-    the text of its upper row with the sign of the omega cell and of every
-    _im cell toggled, since %.12g of -x is "-" + %.12g of x (+-0 included).
-    A row with a non-finite cell is formatted from its mirrored values
-    instead, because nan carries no sign. Marker tags are matched over the
-    full omega column."""
+    Only the upper rows are formatted, once each, a block at a time. A
+    mirrored row is the text of its upper row with the sign of the omega
+    cell and of every _im cell toggled, since %.12g of -x is "-" + %.12g of
+    x (+-0 and +-inf included); a nan cell, which carries no sign, stays
+    "nan". Marker tags are matched over the full omega column."""
     omega, br, vx = sweep.s_upper.imag, sweep.branches_upper, sweep.vertices_upper
     m = len(omega)
     header = ["omega_rad_s"]
@@ -183,37 +183,25 @@ def _write_loci_csv(path: Path, sweep: LociSweep, markers=()):
             for row in np.flatnonzero(np.abs(omega_full - w_mark) <= 1e-9 * max(1.0, w_mark)):
                 tags[row] = name
         ends = [f",{tag}\r\n" for tag in tags]
-    # "\0" marks the cells whose sign a mirrored row toggles
-    pairs = br.shape[1] + vx.shape[1]
-    marked = "\0%.12g" + ",%.12g,\0%.12g" * pairs
-    plain = marked.replace("\0", "")
-
-    def cells(lo, hi, sign=1.0):
-        """Rows lo:hi as cells: omega, then re and im of each complex
-        column; sign -1 gives their mirrored (conjugate) rows."""
-        z = np.hstack([br[lo:hi], vx[lo:hi]])
-        reim = np.stack([z.real, sign * z.imag], axis=-1).reshape(hi - lo, -1)
-        return np.hstack([sign * omega[lo:hi, None], reim])
-
+    # "\0" marks the cells whose sign a mirrored row toggles; the complex
+    # columns viewed as floats are their re, im pairs
+    marked = "\0%.12g" + ",%.12g,\0%.12g" * (br.shape[1] + vx.shape[1])
+    reim = np.hstack([br, vx]).view(float)
     upper: list[str] = []
-    finite = np.empty(m, dtype=bool)
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         for lo in range(0, m, _CSV_BLOCK_ROWS):
             hi = min(lo + _CSV_BLOCK_ROWS, m)
-            block = cells(lo, hi)
-            finite[lo:hi] = np.isfinite(block).all(axis=1)
+            block = np.hstack([omega[lo:hi, None], reim[lo:hi]])
             lines = [marked % tuple(row) for row in block.tolist()]
             upper += lines
             fh.write("".join(map(str.__add__, lines, ends[lo:hi])).replace("\0", ""))
-        for lo in range(m, 2 * m - 1, _CSV_BLOCK_ROWS):
-            hi = min(lo + _CSV_BLOCK_ROWS, 2 * m - 1)
-            text = []
-            for row in range(lo, hi):
-                u = 2 * m - 2 - row
-                line = upper[u] if finite[u] else plain % tuple(cells(u, u + 1, -1.0)[0].tolist())
-                text.append(line + ends[row])
-            fh.write("".join(text).replace("\0-", "\1").replace("\0", "-").replace("\1", ""))
+        mirrored = upper[-2::-1]
+        for lo in range(0, m - 1, _CSV_BLOCK_ROWS):
+            hi = min(lo + _CSV_BLOCK_ROWS, m - 1)
+            text = "".join(map(str.__add__, mirrored[lo:hi], ends[m + lo:m + hi]))
+            fh.write(text.replace("\0nan", "nan").replace("\0-", "\1").replace("\0", "-")
+                     .replace("\1", ""))
     click.echo(f"loci: {path}")
 
 
@@ -343,9 +331,11 @@ def _load(path):
 
 
 def _resolve_contour(scn, netN, agents, kind, r, R, density, pade_order, markers):
-    """The contour of a command's options: an explicit ``r`` means D_r,
-    unset options fall back to the scenario, and full-D means r = 0."""
+    """The contour of the options: an explicit ``r`` means D_r (refused beside
+    full-D), unset options fall back to the scenario; full-D means r = 0."""
     if r is not None:
+        if kind == "full-D":
+            raise click.UsageError("--contour-kind full-D does not read --contour-r")
         kind = "D_r"
     kind = kind or scn.contour_kind
     r = scn.policy.r if r is None else r
@@ -372,17 +362,19 @@ def main():
 @click.option("--tau-max", type=float, default=None, help="--check decentralized only")
 @click.option("--hyperplane", type=_Hyperplane(), default=None, help="--check decentralized only")
 @click.option("--pade-order", type=click.IntRange(1, 5), default=3, show_default=True)
-@click.option("--epsilon", type=float, default=0.01, show_default=True,
-              help="Laplacian shift for --check lossy")
+@click.option("--epsilon", type=float, default=None,
+              help=f"Laplacian shift for --check lossy  [default: {_LOSSY_EPSILON}]")
 @click.option("--out-dir", type=str, default="out", show_default=True)
 def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
             density, tau_max, hyperplane, pade_order, epsilon, out_dir):
     """Run a stability check on a scenario and emit report + loci CSV."""
     # options the check would not read are refused, not dropped
-    if check_name == "decentralized":
-        unread = ["--contour-kind full-D"] if contour_kind == "full-D" else []
-    else:
-        unread = [o for o, v in (("--tau-max", tau_max), ("--hyperplane", hyperplane)) if v is not None]
+    unread = [o for o, v, reader in (("--tau-max", tau_max, "decentralized"),
+                                     ("--hyperplane", hyperplane, "decentralized"),
+                                     ("--epsilon", epsilon, "lossy"))
+              if v is not None and check_name != reader]
+    if check_name == "decentralized" and contour_kind == "full-D":
+        unread.append("--contour-kind full-D")
     if unread:
         raise click.UsageError(f"--check {check_name} does not read {' and '.join(unread)}")
     with _input_errors():
@@ -424,8 +416,9 @@ def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
                 verdict = theorem1_check(netN, agents, contour,
                                          pade_order=pade_order)
             elif check_name == "lossy":
-                verdict = lossy_exponential_check(netN, agents, epsilon,
-                                                  contour, pade_order=pade_order)
+                verdict = lossy_exponential_check(
+                    netN, agents, _LOSSY_EPSILON if epsilon is None else epsilon,
+                    contour, pade_order=pade_order)
             else:
                 verdict = fov_check(netN, agents, contour, pade_order=pade_order)
 

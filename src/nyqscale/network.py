@@ -83,18 +83,12 @@ class OperatingPoint:
 
 @dataclass(frozen=True)
 class PowerNetwork:
-    """Bus/line description plus the coupling Laplacian.
-
-    ``flags`` records construction warnings; in particular
-    ``"nonpositive-edge-weight"`` marks operating points where some
-    cos(delta_i - delta_l) <= 0, in which case Laplacian-PSD-dependent
-    claims are not guaranteed.
-    """
+    """Bus/line description plus the coupling Laplacian, whose positive
+    off-diagonal entries, if any, are its negative edge weights."""
 
     n: int
     lines: tuple[Line, ...]
     laplacian: np.ndarray
-    flags: tuple[str, ...] = ()
 
     def __post_init__(self):
         L = np.asarray(self.laplacian, dtype=float)
@@ -110,10 +104,10 @@ class PowerNetwork:
         object.__setattr__(self, "laplacian", L)
 
     @classmethod
-    def from_laplacian(cls, L, flags=()) -> "PowerNetwork":
+    def from_laplacian(cls, L) -> "PowerNetwork":
         """Wrap an explicitly given Laplacian (tests, random suites)."""
         L = np.asarray(L, dtype=float)
-        return cls(n=L.shape[0], lines=(), laplacian=L, flags=tuple(flags))
+        return cls(n=L.shape[0], lines=(), laplacian=L)
 
     @property
     def is_connected(self) -> bool:
@@ -131,7 +125,7 @@ def build_laplacian(
     point: L_il = -V_i V_l b_il cos(delta_i - delta_l) for i != l, diagonal
     from the neighbor sums (zero row sums by construction).
 
-    Edges with cos(.) <= 0 are allowed but flagged; a disconnected graph is
+    Edges with cos(.) < 0 are allowed (L shows them); a disconnected graph is
     an error because every criterion here needs exactly one zero eigenvalue.
     """
     if n < 1:
@@ -140,15 +134,12 @@ def build_laplacian(
     if len(op.angles_rad) != n:
         raise InvalidInputError("operating point has wrong bus count")
     L = np.zeros((n, n))
-    flags: list[str] = []
     for line in lines:
         i, l = line.from_bus, line.to_bus
         if not (0 <= i < n and 0 <= l < n):
             raise InvalidInputError(f"line endpoint out of range: {line}")
         dd = op.angles_rad[i] - op.angles_rad[l]
         w = line.from_voltage * line.to_voltage * line.susceptance_b * np.cos(dd)
-        if w <= 0 and line.susceptance_b > 0:
-            flags.append("nonpositive-edge-weight")
         L[i, l] -= w
         L[l, i] -= w
         L[i, i] += w
@@ -157,7 +148,6 @@ def build_laplacian(
         n=n,
         lines=tuple(lines),
         laplacian=L,
-        flags=tuple(sorted(set(flags))),
     )
     if not net.is_connected:
         raise ConnectivityError(
@@ -199,7 +189,6 @@ def kron_reduce(net: PowerNetwork, algebraic_buses: Sequence[int]) -> PowerNetwo
         n=len(keep),
         lines=(),
         laplacian=reduced,
-        flags=net.flags,
     )
 
 
@@ -241,9 +230,9 @@ def normalize(net: PowerNetwork) -> NormalizedNetwork:
     """Gamma-normalize: Gamma = 2 diag(L), L' = Gamma^-1/2 L Gamma^-1/2.
 
     Raises NormalizationError for isolated buses (zero diagonal) and
-    ConnectivityError when mu_2 is not strictly positive. For networks
-    flagged with nonpositive edge weights (``net.flags``) the [0, 1]
-    spectrum claim is not guaranteed, so it is not enforced.
+    ConnectivityError when mu_2 is not strictly positive. mu_1 = 0 and
+    mu_n <= 1 are enforced unless L has a positive off-diagonal entry (a
+    negative edge weight), which voids the [0, 1] spectrum bound.
     """
     L = net.laplacian
     diag = np.diag(L)
@@ -260,7 +249,7 @@ def normalize(net: PowerNetwork) -> NormalizedNetwork:
         mu = np.diag(U.T @ l_prime @ U).copy()
     order = np.argsort(mu)
     mu, U = mu[order], U[:, order]
-    if "nonpositive-edge-weight" not in net.flags:
+    if not (np.triu(L, 1) > 0).any():
         if abs(mu[0]) > ZERO_EIG_ATOL:
             raise NormalizationError(f"mu_1 = {mu[0]:.3g} is not zero")
         if mu[-1] > 1.0 + ZERO_EIG_ATOL:

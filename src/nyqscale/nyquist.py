@@ -171,12 +171,8 @@ class Contour:
         up = self.upper_points()
         return np.concatenate([up, np.conj(up[-2::-1])])
 
-    def node_roles(self, nodes=None) -> list[str]:
-        nodes = self.nodes if nodes is None else nodes
-        return [self.segments[seg].role for seg, _ in nodes]
-
-    def with_nodes(self, nodes) -> "Contour":
-        return replace(self, nodes=tuple(nodes))
+    def node_roles(self) -> list[str]:
+        return [self.segments[seg].role for seg, _ in self.nodes]
 
 
 def make_contour(
@@ -400,12 +396,12 @@ class LociSweep:
     in solver order; windings come from their summed argument, which needs
     no branch identity. ``branches_upper`` matches them into continuous
     curves (a bijection between consecutive samples) on first use, for
-    export and plots only, by ``_match_branches``.
-    ``flagged`` lists the samples whose determinant argument step still
-    reaches pi/2 when refinement stops.
+    export and plots only, by ``_match_branches``. ``roles`` holds each
+    upper sample's contour segment role, and ``flagged`` the samples whose
+    determinant argument step still reaches pi/2 when refinement stops.
     """
 
-    contour: Contour
+    roles: tuple[str, ...]
     s_upper: np.ndarray
     eigs_upper: np.ndarray  # (m, k)
     vertices_upper: np.ndarray  # (m, n)
@@ -430,22 +426,22 @@ class LociSweep:
     def vertices_full(self) -> np.ndarray:
         return self._mirror(self.vertices_upper)
 
-    def total_winding(self, point: complex = -1.0 + 0.0j) -> tuple[int, float]:
-        """(summed anticlockwise winding of all eigenloci about the point,
-        closest approach distance).
+    def total_winding(self) -> tuple[int, float]:
+        """(summed anticlockwise winding of all eigenloci about -1, closest
+        approach distance).
 
-        The summed winding equals that of det(Q(s) - point*I) about 0, so
-        it is taken from the unit phasor of sum_k arg(lambda_k - point) per
-        sample (MacFarlane & Postlethwaite 1977).
+        The summed winding equals that of det(I + Q(s)) about 0, so it is
+        taken from the unit phasor of sum_k arg(1 + lambda_k) per sample
+        (MacFarlane & Postlethwaite 1977).
         """
-        rel = self._mirror(self.eigs_upper) - point
-        closest = _checked_distance(rel, point)
+        rel = self._mirror(self.eigs_upper) + 1.0
+        closest = _checked_distance(rel, -1.0)
         phasor = np.exp(1j * np.angle(rel).sum(axis=1))
         return winding_number(phasor, 0.0), closest
 
-    def closest_approach(self, point: complex = -1.0 + 0.0j):
-        """(distance, s, locus value) of the eigenvalue nearest ``point``."""
-        rel = np.abs(self.eigs_upper - point)
+    def closest_approach(self):
+        """(distance, s, locus value) of the eigenvalue nearest -1."""
+        rel = np.abs(self.eigs_upper + 1.0)
         i, j = np.unravel_index(int(np.argmin(rel)), rel.shape)
         return float(rel[i, j]), complex(self.s_upper[i]), complex(
             self.eigs_upper[i, j]
@@ -597,7 +593,7 @@ def eigenloci_sweep(
         phase = np.insert(phase, at, new_phase)
 
     return LociSweep(
-        contour=contour.with_nodes(zip(seg.tolist(), t.tolist())),
+        roles=tuple(contour.segments[k].role for k in seg.tolist()),
         s_upper=pts,
         eigs_upper=eigs,
         vertices_upper=verts,
@@ -751,16 +747,16 @@ def _count_unstable_loop_poles(
 
 
 def _default_contour(gammas, agents, kind, r, R, density, pade_order, extra=()):
-    """The contour rule of every check: a closure radius R (when None) from
-    ``default_outer_radius``, at least 100*r; an RHP indentation around each
-    imaginary-axis agent pole; and an indentation radius of 1e-4*R, capped
-    at 1e-3 times the smallest nonzero agent pole or zero modulus so that the
-    origin indentation cannot exempt slow closed-loop poles. ``extra`` are
-    frequencies the axis samples exactly."""
+    """The contour rule of every check. ``extra`` are frequencies the axis
+    samples exactly. A closure radius R (when None) of the largest of
+    ``default_outer_radius``, 100*r and 4*w for every w in ``extra``; an RHP
+    indentation around each imaginary-axis agent pole; and an indentation
+    radius of 1e-4*R, capped at 1e-3 times the smallest nonzero agent pole
+    or zero modulus so that the origin indentation cannot exempt slow
+    closed-loop poles."""
     if R is None:
-        R = default_outer_radius(agents, gammas, pade_order)
-        if r:
-            R = max(R, 100.0 * r)
+        R = max(default_outer_radius(agents, gammas, pade_order), 100.0 * r,
+                *(4.0 * w for w in extra))
     rho, jw = 1e-4 * R, []
     for a in agents:
         g = _agent_rational(a, pade_order)
@@ -774,7 +770,6 @@ def theorem1_check(
     netN: NormalizedNetwork,
     agents: Sequence,
     contour: Contour | None = None,
-    density: int = 200,
     pade_order: int = 3,
 ) -> Verdict:
     """Exact asymptotic-synchronization test: the interarea eigenloci, taken
@@ -784,7 +779,7 @@ def theorem1_check(
     Necessary and sufficient (up to the marginal band); delayed agents are
     swept with exact exponentials but their N comes from the Pade form.
     """
-    return _winding_check(netN, agents, None, contour, density, pade_order)
+    return _winding_check(netN, agents, None, contour, pade_order)
 
 
 def lossy_exponential_check(
@@ -792,7 +787,6 @@ def lossy_exponential_check(
     agents: Sequence,
     epsilon: float,
     contour: Contour | None = None,
-    density: int = 200,
     pade_order: int = 3,
 ) -> Verdict:
     """Exponential-stability test for the lossy interconnection L' + eps*I
@@ -801,22 +795,23 @@ def lossy_exponential_check(
         raise InvalidInputError("lossy check needs a finite epsilon > 0; use "
                                 "theorem1_check for the lossless network")
     # the report's loci stay the interarea ones: the caller sweeps those
-    return replace(_winding_check(netN, agents, epsilon, contour, density, pade_order),
+    return replace(_winding_check(netN, agents, epsilon, contour, pade_order),
                    sweep=None)
 
 
-def _winding_check(netN, agents, epsilon, contour, density, pade_order) -> Verdict:
+def _winding_check(netN, agents, epsilon, contour, pade_order) -> Verdict:
     """The generalized Nyquist count of theorem 1 (``epsilon`` None: the loop
-    on Uhat) or of the lossy variant (on U, weighted by mu + epsilon). The
+    on Uhat) or of the lossy variant (on U, weighted by mu + epsilon), on a
+    default full-D contour of density 200 when ``contour`` is None. The
     verdict follows from the one violation found, if any: a winding other
     than N is unstable; zero loci, or loci through -1, are inconclusive."""
     if contour is None:
-        contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, density, pade_order)
+        contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, 200, pade_order)
     U = netN.U_hat if epsilon is None else netN.U
     N, notes = _count_unstable_loop_poles(agents, netN.gamma, U, pade_order,
                                           contour.inner_radius)
     sweep = eigenloci_sweep(netN, agents, contour, epsilon)
-    closure = np.array(sweep.contour.node_roles()) == "closure"
+    closure = np.array(sweep.roles) == "closure"
     closure_mag = float(np.abs(sweep.eigs_upper[closure]).max()) if closure.any() else 0.0
     if closure_mag >= CLOSURE_LOCI_BOUND:
         raise ContourError(
@@ -835,14 +830,14 @@ def _winding_check(netN, agents, epsilon, contour, density, pade_order) -> Verdi
     if max_loci < DEGENERATE_LOCI:
         violation = Violation("degenerate-loop", None, "all loci identically zero")
     else:
-        dist, s_at, val = sweep.closest_approach(-1.0)
+        dist, s_at, val = sweep.closest_approach()
         diagnostics["closest_approach"] = {
             "distance": dist,
             "s": complex(s_at),
             "value": complex(val),
         }
         try:
-            winding, _ = sweep.total_winding(-1.0)
+            winding, _ = sweep.total_winding()
         except MarginalStabilityError:
             violation = Violation("loci-touch-minus-one", abs(s_at.imag), dist)
         if winding is not None and winding != N:
@@ -870,12 +865,9 @@ def _hull_ray_min_x(points: np.ndarray):
     opposite-side pairs; the extremes are attained on hull edges, which are
     a subset of those pairs.
 
-    ``points`` is one point set (a float is returned) or an (m, n) array of
-    m sets (m values are returned); the pairs of all sets are taken in row
-    blocks of n x n arrays of at most ``_HULL_BLOCK_BYTES``."""
-    points = np.asarray(points)
-    if points.ndim == 1:
-        return float(_hull_ray_min_x(points[None, :])[0])
+    ``points`` is an (m, n) array of m sets, and m values are returned; the
+    pairs of all sets are taken in row blocks of n x n arrays of at most
+    ``_HULL_BLOCK_BYTES``."""
     m, n = points.shape
     re, im = points.real, points.imag
     tol = 1e-12 * (1.0 + np.abs(points).max(axis=1, keepdims=True))
@@ -1006,17 +998,13 @@ def decentralized_check(
     Every agent passing this against the same policy keeps the network free
     of unstable interarea modes faster than r.
 
-    The D_r contour follows ``_default_contour``, with an exact sample at
-    pi/(2 tau_max) and, when ``policy.R`` is None, R >= 2*pi/tau_max.
+    The D_r contour is ``_default_contour``'s, with closure radius
+    ``policy.R`` and an exact sample at pi/(2 tau_max).
     """
     if gamma_bound <= 0:
         raise InvalidInputError("gamma bound must be positive")
     w_delay = math.pi / (2 * policy.tau_max)
-    R = policy.R
-    if R is None:
-        R = max(default_outer_radius([agent], [gamma_bound], pade_order),
-                100.0 * policy.r, 4.0 * w_delay)
-    contour = _default_contour([gamma_bound], [agent], "D_r", policy.r, R, density,
+    contour = _default_contour([gamma_bound], [agent], "D_r", policy.r, policy.R, density,
                                pade_order, extra=(w_delay,))
     try:
         inside = rhp_poles_in_region(_agent_rational(agent, pade_order), policy.r)

@@ -107,7 +107,7 @@ def test_criterion_2_siso_reduction_exactness():
         g = random_stable_proper_tf(rng)
         contour = _default_contour(netN.gamma, [g, g], "full-D", 0.0, None, 200, 3)
         sweep = eigenloci_sweep(netN, [g, g], contour)
-        w_multi, _ = sweep.total_winding(-1.0)
+        w_multi, _ = sweep.total_winding()
         scalar_curve = netN.mu[1] * netN.gamma[0] * g(sweep.s_full)
         w_scalar = winding_number(scalar_curve, -1.0)
         if w_multi != w_scalar:

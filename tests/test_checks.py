@@ -160,7 +160,7 @@ def signed_triangle():
     """w12 = w13 = 1 and w23 = -0.3, so mu = (0, 0.286, 1.214), with agents
     7/(gamma_i (s + 1)^3). The closed loop has max Re +0.0204."""
     L = [[2.0, -1.0, -1.0], [-1.0, 0.7, 0.3], [-1.0, 0.3, 0.7]]
-    net = PowerNetwork.from_laplacian(L, flags=("nonpositive-edge-weight",))
+    net = PowerNetwork.from_laplacian(L)
     netN = normalize(net)
     return net, netN, [TF([7.0 / g], [1.0, 3.0, 3.0, 1.0]) for g in netN.gamma]
 
@@ -173,6 +173,34 @@ def test_theorem1_and_oracle_see_the_signed_triangle_unstable(extra):
     contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, 200, 3, extra=extra)
     v = theorem1_check(netN, agents, contour)
     assert (v.result, v.winding_count, v.n_required) == ("unstable", -2, 0)
+
+
+def shared_repeated_pole():
+    """One line, L = [[1, -1], [-1, 1]], with both agents
+    g = 2(s + 1)^2/((s - 1)^2 (s + 2)): the interarea loop is Q = 2g, and
+    1 + 2g has roots -3 and -0.5 +- 1.323j. The uniform mode keeps -2 and
+    the double pole at +1."""
+    net = PowerNetwork.from_laplacian([[1.0, -1.0], [-1.0, 1.0]])
+    return net, [TF([2.0, 4.0, 2.0], [2.0, -3.0, 0.0, 1.0])] * 2
+
+
+def test_shared_repeated_pole_oracle_and_lossy_count():
+    net, agents = shared_repeated_pole()
+    eig = np.sort_complex(realize_state_space(net, agents).eigenvalues)
+    want = np.sort_complex([-3.0, -2.0, -0.5 - 1.3228757j, -0.5 + 1.3228757j, 1.0, 1.0])
+    assert np.allclose(eig, want, atol=1e-6)
+    # U is full rank, so the lossy loop keeps both agents' double poles
+    v = lossy_exponential_check(normalize(net), agents, epsilon=0.01)
+    assert (v.result, v.winding_count, v.n_required) == ("unstable", 2, 4)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="a pole repeated within "
+                   "the agents and shared across them is counted with its raw multiplicity "
+                   "4, not its McMillan degree 2 in the projected loop")
+def test_theorem1_counts_a_shared_repeated_pole_by_its_projected_degree():
+    net, agents = shared_repeated_pole()
+    v = theorem1_check(normalize(net), agents)
+    assert (v.result, v.winding_count, v.n_required) == ("stable", 2, 2)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="fov_check tests only the "
@@ -361,7 +389,7 @@ def test_sweep_epsilon_selects_the_lossy_loop():
     assert eigenloci_sweep(netN, agents, contour).eigs_upper.shape[1] == netN.n - 1
     sweep = eigenloci_sweep(netN, agents, contour, 0.1)
     assert sweep.eigs_upper.shape[1] == netN.n
-    winding, _ = sweep.total_winding(-1.0)
+    winding, _ = sweep.total_winding()
     assert winding == lossy_exponential_check(netN, agents, 0.1, contour).winding_count
 
 

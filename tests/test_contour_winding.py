@@ -375,13 +375,13 @@ def test_hull_ray_min_x_equals_double_loop():
             pts[rng.integers(k)] = rng.normal()  # a point on the axis
         if trial % 5 == 0:
             pts.imag = np.abs(pts.imag)  # all on one side
-        assert _hull_ray_min_x(pts) == hull_ray_min_x_loops(pts)
+        assert _hull_ray_min_x(pts[None])[0] == hull_ray_min_x_loops(pts)
 
 
 def test_hull_ray_min_x_equals_double_loop_on_bundled_sweeps(bundled_sweeps):
     for key, sweep in bundled_sweeps.items():
         for verts in sweep.vertices_upper:
-            assert _hull_ray_min_x(verts) == hull_ray_min_x_loops(verts), key
+            assert _hull_ray_min_x(verts[None])[0] == hull_ray_min_x_loops(verts), key
 
 
 def _near_degenerate_pairs(rng, k: int, m: int = 60) -> np.ndarray:
@@ -580,7 +580,7 @@ def test_threaded_sweep_equals_inline(monkeypatch, tmp_path, cpus):
     for name in ("eigs_upper", "vertices_upper", "s_upper"):
         assert np.array_equal(getattr(threaded, name), getattr(inline, name)), name
     assert threaded.flagged == inline.flagged
-    assert threaded.contour == inline.contour
+    assert threaded.roles == inline.roles
 
 
 def test_threaded_sweep_reraises_a_chunk_exception(monkeypatch, tmp_path):

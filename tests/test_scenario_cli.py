@@ -250,6 +250,8 @@ def test_cli_policy_options_replace_the_scenario_policy(wind_path, tmp_path):
     (["--check", "theorem1", "--tau-max", "0.2"], "--tau-max"),
     (["--check", "fov", "--hyperplane=-5,0,1,0"], "--hyperplane"),
     (["--check", "decentralized", "--contour-kind", "full-D"], "--contour-kind full-D"),
+    (["--check", "theorem1", "--contour-kind", "full-D", "--contour-r", "1"], "--contour-r"),
+    (["--check", "theorem1", "--epsilon", "5"], "--epsilon"),
 ])
 def test_cli_analyze_refuses_an_option_its_check_does_not_read(wind_path, tmp_path, argv,
                                                                option):
@@ -257,6 +259,15 @@ def test_cli_analyze_refuses_an_option_its_check_does_not_read(wind_path, tmp_pa
     res = CliRunner().invoke(main, ["analyze", str(wind_path), *argv, "--out-dir", str(out)])
     assert res.exit_code == 3, res.output
     assert f"does not read {option}" in res.output
+    assert not out.exists()
+
+
+def test_cli_export_loci_refuses_contour_r_beside_full_d(wind_path, tmp_path):
+    out = tmp_path / "out"
+    res = CliRunner().invoke(main, ["export-loci", str(wind_path), "--contour-kind", "full-D",
+                                    "--contour-r", "1", "--out-dir", str(out)])
+    assert res.exit_code == 3, res.output
+    assert "--contour-kind full-D does not read --contour-r" in res.output
     assert not out.exists()
 
 

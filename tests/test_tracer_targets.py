@@ -66,7 +66,8 @@ def test_tracer_survives_a_threaded_sweep(monkeypatch):
     tracer = _spans_module().Tracer()
     tracer.install("nyqscale")
     try:
-        verdict = nyquist.theorem1_check(netN, agents, density=100)
+        contour = nyquist._default_contour(netN.gamma, agents, "full-D", 0.0, None, 100, 3)
+        verdict = nyquist.theorem1_check(netN, agents, contour)
     finally:
         tracer.uninstall()
     assert verdict.result == "stable"
