@@ -90,6 +90,9 @@ CLOSURE_LOCI_BOUND = 1e-3
 REFINE_JUMP = math.pi / 2
 MAX_REFINE_LEVELS = 12
 DEGENERATE_LOCI = 1e-12
+# region poles this close (relative) share one moment circle: a root of
+# multiplicity m is computed as m roots about eps^(1/m) apart
+CLUSTER_RTOL = 1e-3
 # bytes of each block of k x k distance matrices in the batched matching
 _MATCH_BLOCK_BYTES = 1 << 22
 # bytes of each block of n x n vertex-pair arrays in the hull-axis test
@@ -273,23 +276,20 @@ def default_outer_radius(agents: Sequence, gammas: Sequence[float],
     """Closure radius: at least 100x the largest agent pole/zero modulus,
     doubled until every vertex magnitude |gamma_i g_i(R)| falls below 1e-4
     (so the closure arc cannot contribute winding). Each agent is evaluated
-    once at all 60 doublings, and the first radius that passes is returned."""
-    moduli = [1.0]
-    for a in agents:
-        g = _agent_rational(a, pade_order)
-        moduli.extend(abs(p) for p in g.poles)
-        moduli.extend(abs(z) for z in g.zeros)
-    R0 = 100.0 * max(moduli)
+    once at all 60 doublings, and the first radius that passes is returned;
+    when none does, ContourError names the agent (1-based) with the largest
+    |gamma_i g_i| at the last radius."""
+    rational = [_agent_rational(a, pade_order) for a in agents]
+    R0 = 100.0 * max([1.0, *(abs(p) for g in rational for p in g.poles + g.zeros)])
     Rs = R0 * 2.0 ** np.arange(60)
-    worst = np.zeros(len(Rs))
     with np.errstate(all="ignore"):
-        for a, gi in zip(agents, gammas):
-            v = np.abs(gi * a(Rs.astype(complex)))
-            worst = np.where(v > worst, v, worst)  # max(worst, v), nan too
-    passed = np.flatnonzero(worst < 1e-4)
+        mags = np.abs([gi * a(Rs.astype(complex)) for a, gi in zip(agents, gammas)])
+    passed = np.flatnonzero(np.fmax.reduce(mags, axis=0, initial=0.0) < 1e-4)  # NaN ignored
     if passed.size:
         return float(Rs[passed[0]])
-    raise ContourError("could not find a closure radius with negligible loci")
+    i = int(np.nanargmax(mags[:, -1]))
+    raise ContourError(f"could not find a closure radius with negligible loci: agent {i + 1} "
+                       f"has |gamma*g| = {mags[i, -1]:.3g} at R = {Rs[-1]:.3g} rad/s")
 
 
 # ---------------------------------------------------------------------------
@@ -684,61 +684,54 @@ def _agent_rational(a, pade_order: int) -> TransferFunction:
 
 def _count_unstable_loop_poles(
     agents, gamma: np.ndarray, U: np.ndarray, pade_order: int, r: float
-) -> tuple[int, list[str]]:
-    """Smith-McMillan count of the projected loop U^T G' U X's poles inside
-    the contour's region: strict-RHP poles with modulus >= r (r = 0 for the
-    full D-contour).
+) -> tuple[int, int]:
+    """(N, P_open): the McMillan degree of the loop U^T G' U X at its poles
+    in the contour's region (strict RHP, modulus >= r), and the agents'
+    count of those poles. N sums the ranks of block Hankel matrices of
+    contour moments about clusters of those poles, each cut on its own
+    circle (Kravanja & Van Barel 2000; Beyn 2012); DECISIONS.md D11."""
+    rational = [_agent_rational(a, pade_order) for a in agents]
+    poles = np.array([p for g in rational for p in g.poles], dtype=complex)
+    owner = np.array([i for i, g in enumerate(rational) for _ in g.poles], dtype=int)
+    region = [set(rhp_poles_in_region(g, r)) for g in rational]
+    inside = np.array([p in region[i] for p, i in zip(poles, owner)], dtype=bool)
 
-    Per-agent distinct poles contribute their multiplicity; a simple pole
-    shared across agents contributes rank(sum res_i u_i u_i^T) (for
-    homogeneous networks this is n-1, not n). Shared poles that are
-    repeated inside an agent fall back to the conservative sum with a note.
-    """
-    notes: list[str] = []
-    per_agent: list[list[complex]] = []
-    for a in agents:
-        g = _agent_rational(a, pade_order)
-        per_agent.append(list(rhp_poles_in_region(g, r)))
-    clusters: list[list[tuple[int, complex]]] = []
-    for idx, poles in enumerate(per_agent):
-        for p in poles:
-            for cl in clusters:
-                if abs(cl[0][1] - p) <= 1e-6 * (1.0 + abs(p)):
-                    cl.append((idx, p))
-                    break
-            else:
-                clusters.append([(idx, p)])
+    def geometry(members):  # mean, spread, distances (members' inf), nearest
+        c = poles[members].mean()
+        dist = np.abs(poles - c)
+        dist[members] = np.inf
+        return c, float(np.abs(poles[members] - c).max()), dist, int(dist.argmin())
+
+    todo, done = [[i] for i in np.flatnonzero(inside).tolist()], []
+    while todo:
+        members = todo.pop()
+        c, spread, dist, j = geometry(members)
+        if spread < 0.5 * dist[j] and not (inside[j] and dist[j] <= CLUSTER_RTOL * (1 + abs(c))):
+            done.append(members)
+        elif not inside[j]:
+            raise ContourError(f"the region poles near {c:.6g} are not separated from "
+                               f"the agent pole {poles[j]:.6g} outside the region")
+        else:  # take in the cluster that holds pole j
+            pool = next(p for p in (todo, done) if any(j in o for o in p))
+            todo.append(members + pool.pop(next(k for k, o in enumerate(pool) if j in o)))
     N = 0
-    for cl in clusters:
-        agents_in = [i for i, _ in cl]
-        distinct_agents = set(agents_in)
-        if len(cl) == 1:
-            N += 1
-            continue
-        if len(distinct_agents) < len(agents_in):
-            # repeated within at least one agent: conservative count
-            N += len(cl)
-            notes.append(
-                f"shared repeated pole near {cl[0][1]:.4g}: counted with raw "
-                f"multiplicity {len(cl)}"
-            )
-            continue
-        p = np.mean([p for _, p in cl])
-        Rmat = np.zeros((U.shape[1], U.shape[1]), dtype=complex)
-        for i, pi in cl:
-            g = _agent_rational(agents[i], pade_order)
-            res = gamma[i] * g.num(pi) / g.den.derivative()(pi)
-            ui = U[i, :]
-            Rmat += res * np.outer(ui, ui)
-        scale = np.abs(Rmat).max()
-        rank = int(np.linalg.matrix_rank(Rmat, tol=1e-9 * max(scale, 1e-300)))
-        N += max(rank, 1)
-        if rank < len(cl):
-            notes.append(
-                f"pole near {p:.4g} shared by agents {sorted(distinct_agents)}: "
-                f"Smith-McMillan multiplicity {rank}"
-            )
-    return N, notes
+    for members in done:
+        c, spread, dist, j = geometry(members)
+        d = min(dist[j], max(1.0 + abs(c), 4.0 * spread))
+        rho_c = max(spread, d / 16.0)
+        S = sorted(set(owner[members].tolist()))
+        R = np.linalg.qr(U[S].T, mode="r")  # keeps the singular values
+        K = len(members) - R.shape[0] + 1  # bounds the controllability index
+        nodes = max(32, 2 * K + math.ceil(30.0 / math.log10(d / rho_c)))
+        z = np.exp(2j * math.pi * (np.arange(nodes) + 0.5) / nodes)
+        vals = np.array([gamma[i] * rational[i](c + math.sqrt(rho_c * d) * z) for i in S])
+        moments = vals @ z[:, None] ** np.arange(1, 2 * K) / nodes  # (|S|, 2K - 1)
+        blocks = np.einsum("ai,ik,bi->kab", R, moments, R)
+        H = blocks[np.add.outer(np.arange(K), np.arange(K))].transpose(0, 2, 1, 3)
+        sv = np.linalg.svd(H.reshape(K * R.shape[0], -1), compute_uv=False)
+        cut = max(1e-9 * sv[0], 64 * np.finfo(float).eps * np.abs(vals).max())
+        N += int((sv > cut).sum())
+    return N, int(inside.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -774,11 +767,14 @@ def theorem1_check(
 ) -> Verdict:
     """Exact asymptotic-synchronization test: the interarea eigenloci, taken
     together, must encircle -1 exactly N times anticlockwise, N being the
-    Smith-McMillan RHP pole count of the projected loop.
+    McMillan degree of the projected loop at its RHP poles.
 
-    Necessary and sufficient (up to the marginal band); delayed agents are
-    swept with exact exponentials but their N comes from the Pade form.
-    """
+    Necessary and sufficient (up to the marginal band) for the interarea
+    modes, all it judges (DECISIONS.md D11): with P_open the agents' RHP
+    pole count (``open_loop_poles``), P_open - winding is the network-wide
+    count, and the P_open - N modes at poles all agents share belong to the
+    uniform mode. Delayed agents are swept with exact exponentials but
+    their N comes from the Pade form."""
     return _winding_check(netN, agents, None, contour, pade_order)
 
 
@@ -808,8 +804,8 @@ def _winding_check(netN, agents, epsilon, contour, pade_order) -> Verdict:
     if contour is None:
         contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, 200, pade_order)
     U = netN.U_hat if epsilon is None else netN.U
-    N, notes = _count_unstable_loop_poles(agents, netN.gamma, U, pade_order,
-                                          contour.inner_radius)
+    N, p_open = _count_unstable_loop_poles(agents, netN.gamma, U, pade_order,
+                                           contour.inner_radius)
     sweep = eigenloci_sweep(netN, agents, contour, epsilon)
     closure = np.array(sweep.roles) == "closure"
     closure_mag = float(np.abs(sweep.eigs_upper[closure]).max()) if closure.any() else 0.0
@@ -824,7 +820,7 @@ def _winding_check(netN, agents, epsilon, contour, pade_order) -> Verdict:
         "max_loci_magnitude": max_loci,
         "closure_max_magnitude": closure_mag,
         "flagged_samples": list(sweep.flagged),
-        "notes": notes,
+        "open_loop_poles": p_open,
     }
     winding = violation = None
     if max_loci < DEGENERATE_LOCI:

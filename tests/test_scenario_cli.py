@@ -369,10 +369,13 @@ def test_sweep_too_small_to_thread_leaves_concurrent_futures_unloaded():
     assert res.stdout.splitlines() == ["True [False, False]", "False [True, True]"]
 
 
-def test_cli_analyze_and_export_loci_leave_scipy_linalg_unloaded(wind_path, tmp_path):
+def test_cli_analyze_and_export_loci_leave_scipy_linalg_unloaded(wind_path, d0_path, tmp_path):
     calls = [["analyze", str(wind_path), "--check", check, "--out-dir", str(tmp_path / check)]
              for check in ("theorem1", "fov", "decentralized", "lossy")]
     calls.append(["export-loci", str(wind_path), "--out-dir", str(tmp_path / "loci")])
+    # n5_hydro_d0's full-D count has RHP agent poles to take moments around
+    calls += [["analyze", str(d0_path), "--check", check,
+               "--out-dir", str(tmp_path / f"d0-{check}")] for check in ("theorem1", "lossy")]
     res = run_fresh_python(
         "import sys\n"
         "from nyqscale.cli import main\n"
@@ -385,6 +388,19 @@ def test_cli_analyze_and_export_loci_leave_scipy_linalg_unloaded(wind_path, tmp_
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "False"
     assert (tmp_path / "loci" / "loci.svg").exists()
+
+
+def test_cli_zero_inertia_bus_names_the_agent_without_a_closure_radius(wind_path, tmp_path):
+    # bus 1 with no inertia and D = 0 keeps |gamma*g| from decaying
+    doc = json.loads(Path(wind_path).read_text(encoding="utf-8"))
+    doc["agents"]["buses"][0].update(W_kin_GWs=0.0, D_MW_per_Hz=0.0)
+    path = tmp_path / "zero_inertia.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    res = CliRunner().invoke(main, ["analyze", str(path), "--check", "theorem1",
+                                    "--out-dir", str(tmp_path / "out")])
+    assert res.exit_code == 3, res.output
+    assert "could not find a closure radius" in res.output
+    assert re.search(r"agent 1 has \|gamma\*g\| = [0-9.e+]+ at R = ", res.output), res.output
 
 
 def test_cli_analyze_fov_paper_radius_passes(loads_path, tmp_path):
