@@ -112,9 +112,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial(npp.polyder(self.as_array()))
-
     def residual_scale(self, s) -> np.ndarray:
         """sum_k |c_k| max(1,|s|)^k -- the natural evaluation scale at s."""
         mags = np.maximum(1.0, np.abs(np.asarray(s)))

@@ -90,9 +90,9 @@ CLOSURE_LOCI_BOUND = 1e-3
 REFINE_JUMP = math.pi / 2
 MAX_REFINE_LEVELS = 12
 DEGENERATE_LOCI = 1e-12
-# region poles this close (relative) share one moment circle: a root of
-# multiplicity m is computed as m roots about eps^(1/m) apart
-CLUSTER_RTOL = 1e-3
+# region poles this close (relative) share one moment circle, so a pole that
+# several agents share counts once although each agent's root is computed apart
+CLUSTER_RTOL = 1e-6
 # bytes of each block of k x k distance matrices in the batched matching
 _MATCH_BLOCK_BYTES = 1 << 22
 # bytes of each block of n x n vertex-pair arrays in the hull-axis test
@@ -702,6 +702,10 @@ def _count_unstable_loop_poles(
         dist[members] = np.inf
         return c, float(np.abs(poles[members] - c).max()), dist, int(dist.argmin())
 
+    def factored(g, s):  # pole-zero form stays accurate about a multiple root
+        return (g.num.leading / g.den.leading * np.prod(s[:, None] - np.array(g.zeros), axis=1)
+                / np.prod(s[:, None] - np.array(g.poles), axis=1))
+
     todo, done = [[i] for i in np.flatnonzero(inside).tolist()], []
     while todo:
         members = todo.pop()
@@ -719,18 +723,26 @@ def _count_unstable_loop_poles(
         c, spread, dist, j = geometry(members)
         d = min(dist[j], max(1.0 + abs(c), 4.0 * spread))
         rho_c = max(spread, d / 16.0)
-        S = sorted(set(owner[members].tolist()))
+        S, counts = np.unique(owner[members], return_counts=True)
         R = np.linalg.qr(U[S].T, mode="r")  # keeps the singular values
-        K = len(members) - R.shape[0] + 1  # bounds the controllability index
-        nodes = max(32, 2 * K + math.ceil(30.0 / math.log10(d / rho_c)))
+        # K grows while the rank rises, from the largest agent's count (a
+        # Jordan block's leading sections are singular) to this bound
+        K_max = len(members) - R.shape[0] + 1  # on the controllability index
+        nodes = max(32, 2 * K_max + math.ceil(30.0 / math.log10(d / rho_c)))
         z = np.exp(2j * math.pi * (np.arange(nodes) + 0.5) / nodes)
-        vals = np.array([gamma[i] * rational[i](c + math.sqrt(rho_c * d) * z) for i in S])
-        moments = vals @ z[:, None] ** np.arange(1, 2 * K) / nodes  # (|S|, 2K - 1)
-        blocks = np.einsum("ai,ik,bi->kab", R, moments, R)
-        H = blocks[np.add.outer(np.arange(K), np.arange(K))].transpose(0, 2, 1, 3)
-        sv = np.linalg.svd(H.reshape(K * R.shape[0], -1), compute_uv=False)
-        cut = max(1e-9 * sv[0], 64 * np.finfo(float).eps * np.abs(vals).max())
-        N += int((sv > cut).sum())
+        vals = np.array([gamma[i] * factored(rational[i], c + math.sqrt(rho_c * d) * z)
+                         for i in S])
+        moments = vals @ z[:, None] ** np.arange(1, 2 * K_max) / nodes  # (|S|, 2K_max - 1)
+        cut = 64 * np.finfo(float).eps * np.abs(vals).max()
+        rank = -1
+        for K in range(int(counts.max()), K_max + 1):
+            blocks = (R * moments[:, :2 * K - 1].T[:, None, :]) @ R.T  # R M_k R^T
+            H = blocks[np.add.outer(np.arange(K), np.arange(K))].transpose(0, 2, 1, 3)
+            sv = np.linalg.svd(H.reshape(K * R.shape[0], -1), compute_uv=False)
+            before, rank = rank, int((sv > max(1e-9 * sv[0], cut)).sum())
+            if rank in (before, len(members)):  # settled, or all poles count
+                break
+        N += rank
     return N, int(inside.sum())
 
 
