@@ -6,12 +6,21 @@ in parallel. Frequency-domain sweeps always use the exact exponential for
 delays; state-space work and pole counts rationalize them through
 :meth:`TransferFunction.rational`, the package's only Pade substitution.
 
+Two array kernels do all evaluation and root finding, so a caller with many
+agents makes one call for all of them: :class:`RationalStack` evaluates
+many transfer functions and swing agents at the same points by one Horner
+pass per group of same-shaped coefficient rows, and :func:`roots_stack`
+roots many polynomials with one ``eigvals`` call per degree.
+:func:`tf_evaluate`, :func:`poly_roots` and ``Agent.g_value`` are their
+one-item cases, and each stacked value or root is bit-identical to its
+one-item case (DECISIONS.md D12).
+
 All values are immutable after construction and every operation is a pure
 function, so the same objects may be evaluated from many threads.
 
 Numerical contracts (module constants below):
 
-* root residuals: every root r returned by :func:`poly_roots` satisfies
+* root residuals: every root r returned by :func:`roots_stack` satisfies
   |p(r)| <= ROOT_RESIDUAL_RTOL * sum_k |c_k| max(1, |r|)^k,
 * right-half-plane pole/zero near-cancellations within RHP_CANCEL_BAND
   (relative) are rejected with an error instead of silently cancelled,
@@ -42,7 +51,10 @@ from .errors import (
 __all__ = [
     "Polynomial",
     "TransferFunction",
+    "RationalStack",
+    "roots_stack",
     "poly_roots",
+    "fill_roots",
     "tf_evaluate",
     "mp_mirror",
     "pade_delay",
@@ -54,6 +66,8 @@ ROOT_RESIDUAL_RTOL = 1e-8
 RHP_CANCEL_BAND = 1e-6
 BOUNDARY_BAND = 1e-6
 AXIS_RTOL = 1e-9
+# bytes of each block of points' values and temporaries in RationalStack
+_STACK_BLOCK_BYTES = 1 << 17
 
 
 def _trim_trailing_zeros(coeffs: Sequence[float]) -> tuple[float, ...]:
@@ -130,39 +144,97 @@ def as_polynomial(value) -> Polynomial:
     return Polynomial(value)
 
 
-def poly_roots(p: Polynomial) -> list[complex]:
-    """All ``deg(p)`` roots of p, with multiplicity.
+def _horner(C: np.ndarray, x) -> np.ndarray:
+    """``npp.polyval``'s recurrence, c_k + v*x from the top, for every row of
+    the coefficient stack C (rows, L) at once: x broadcasts against (rows, 1),
+    and every element sees the same operations as one ``polyval`` call."""
+    v = C[:, -1, None] + x * 0
+    for i in range(2, C.shape[1] + 1):
+        v = C[:, -i, None] + v * x
+    return v
 
-    Companion-matrix eigenvalues (LAPACK-balanced) on max-|coefficient|
-    normalized input, followed by up to two Newton polish steps per root.
-    Residual contract: |p(r)| <= 1e-8 * sum |c_k| max(1,|r|)^k.
+
+def roots_stack(polys: Sequence[Polynomial]) -> list[list[complex]]:
+    """All ``deg(p)`` roots of each p in ``polys``, with multiplicity.
+
+    Each p is scaled to max-|coefficient| 1. Those of one degree share one
+    ``eigvals`` call on their stacked companion matrices (LAPACK-balanced;
+    Edelman & Murakami 1995, Math. Comp. 64(210)), then up to two Newton
+    polish steps per root on the whole stack. A row is polished in real
+    arithmetic when all its eigenvalues are real, as ``npp.polyroots``
+    returns it, so every root is bit-identical to a one-polynomial call.
+    Residual contract: |p(r)| <= 1e-8 * sum |c_k| max(1,|r|)^k on the scaled
+    p; the first p in ``polys`` that breaks it raises NumericalError.
     """
-    p = as_polynomial(p)
-    if p.is_zero:
+    polys = [as_polynomial(p) for p in polys]
+    if any(p.is_zero for p in polys):
         raise InvalidInputError("zero polynomial has no well-defined roots")
-    if p.degree == 0:
-        return []
-    c = p.as_array()
-    c = c / np.abs(c).max()
-    roots = npp.polyroots(c)
-    dp = npp.polyder(c)
-    for _ in range(2):
-        val = npp.polyval(roots, c)
-        dval = npp.polyval(roots, dp)
-        step = np.where(dval != 0, val / np.where(dval == 0, 1.0, dval), 0.0)
-        cand = roots - step
-        better = np.abs(npp.polyval(cand, c)) < np.abs(val)
-        roots = np.where(better, cand, roots)
-    scaled = Polynomial(c)
-    residual = np.abs(npp.polyval(roots, c))
-    bound = ROOT_RESIDUAL_RTOL * scaled.residual_scale(roots)
-    if np.any(residual > bound):
-        worst = float((residual / bound).max())
+    groups: dict[int, list[int]] = {}
+    scaled = []
+    for k, p in enumerate(polys):
+        c = p.as_array()
+        c = np.trim_zeros(c / np.abs(c).max(), "b")
+        scaled.append(c)
+        groups.setdefault(len(c), []).append(k)
+    out: list[list[complex]] = [[] for _ in polys]
+    bad: dict[int, float] = {}
+    for L, members in groups.items():
+        if L < 2:
+            continue
+        C = np.array([scaled[k] for k in members])
+        n = L - 1
+        mats = np.zeros((len(members), n, n))
+        mats.reshape(len(members), -1)[:, n::n + 1] = 1
+        mats[:, :, -1] -= C[:, :-1] / C[:, -1:]
+        R = np.linalg.eigvals(mats)
+        real = (R.imag == 0).all(axis=1)
+        for idx, R in ((np.flatnonzero(real), np.sort(R.real[real], axis=1)),
+                       (np.flatnonzero(~real), np.sort(R[~real], axis=1))):
+            if not idx.size:
+                continue
+            Ci = C[idx]
+            dC = Ci[:, 1:] * np.arange(1, L)
+            for _ in range(2):
+                val = _horner(Ci, R)
+                dval = _horner(dC, R)
+                step = np.where(dval != 0, val / np.where(dval == 0, 1.0, dval), 0.0)
+                cand = R - step
+                better = np.abs(_horner(Ci, cand)) < np.abs(val)
+                R = np.where(better, cand, R)
+            residual = np.abs(_horner(Ci, R))
+            bound = ROOT_RESIDUAL_RTOL * _horner(np.abs(Ci), np.maximum(1.0, np.abs(R)))
+            for j, k in enumerate(np.asarray(members)[idx].tolist()):
+                out[k] = [complex(r) for r in R[j]]
+                if np.any(residual[j] > bound[j]):
+                    bad[k] = float((residual[j] / bound[j]).max())
+    if bad:
+        k = min(bad)
         raise NumericalError(
-            f"root residual exceeds contract by factor {worst:.3g} "
-            f"(degree {p.degree})"
+            f"root residual exceeds contract by factor {bad[k]:.3g} "
+            f"(degree {polys[k].degree})"
         )
-    return [complex(r) for r in roots]
+    return out
+
+
+def poly_roots(p: Polynomial) -> list[complex]:
+    """All ``deg(p)`` roots of p, with multiplicity: :func:`roots_stack` of
+    the one polynomial."""
+    return roots_stack([p])[0]
+
+
+def fill_roots(tfs: Sequence["TransferFunction"], poles: bool = True) -> None:
+    """Cache the ``zeros`` (and, with ``poles``, the ``poles``) of every
+    function in ``tfs`` that lacks them, from one :func:`roots_stack` call
+    over all their polynomials."""
+    todo = {}
+    for g in tfs:
+        if poles and "poles" not in vars(g):
+            todo[id(g), "poles"] = (g, g.den)
+        if "zeros" not in vars(g) and not g.num.is_zero:
+            todo[id(g), "zeros"] = (g, g.num)
+    found = roots_stack([p for _, p in todo.values()])
+    for ((_, name), (g, _)), roots in zip(todo.items(), found):
+        vars(g)[name] = tuple(roots)  # what the cached_property would store
 
 
 @dataclass(frozen=True)
@@ -210,6 +282,10 @@ class TransferFunction:
         if self.num.is_zero:
             return ()
         return tuple(poly_roots(self.num))
+
+    @cached_property
+    def _stack(self) -> "RationalStack":
+        return RationalStack([self])
 
     def inverse(self) -> "TransferFunction":
         """den/num. The result may be improper; callers requiring properness
@@ -272,23 +348,122 @@ class TransferFunction:
         )
 
 
-def tf_evaluate(g: TransferFunction, s):
-    """num(s)/den(s) * exp(-s*delay_s); vectorized over s.
+class RationalStack:
+    """Values of many functions at the same points, in one pass.
 
-    Raises :class:`PoleHitError` (carrying the offending point) when the
-    denominator vanishes to within 1e-12 of its natural scale at s.
+    An item is a :class:`TransferFunction`, num(s)/den(s) * exp(-s*delay_s),
+    or a swing agent with ``inertia`` M, ``load_damping`` D and transfer
+    function ``f_parts`` F_k (:class:`~nyqscale.powerplant.Agent`), whose
+    value is 1/chi(s) with chi(s) = s^2 M + s (sum_k F_k(s) + D). The
+    transfer functions, items and agents' parts alike, are grouped by
+    (numerator length, denominator length, delayed or not), and each group
+    is evaluated by one Horner pass over its coefficient rows; an agent
+    sums its parts in part order. Each value is bit-identical to the same
+    item's one-item evaluation (DECISIONS.md D12).
+
+    ``stack(s)`` returns an array of shape (items, *shape(s)). A denominator
+    or a chi that vanishes to within 1e-12 of its natural scale at a point
+    raises PoleHitError carrying that point: the first one of the first
+    item that has one, an agent's parts in order before its chi.
     """
-    s_arr = np.asarray(s, dtype=complex)
-    den_val = g.den(s_arr)
-    scale = g.den.residual_scale(s_arr)
-    hit = np.abs(den_val) <= 1e-12 * scale
-    if np.any(hit):
-        bad = s_arr[hit] if s_arr.ndim else s_arr
-        raise PoleHitError(complex(np.atleast_1d(bad)[0]))
-    value = g.num(s_arr) / den_val
-    if g.delay_s:
-        value = value * np.exp(-s_arr * g.delay_s)
-    return value if s_arr.ndim else complex(value)
+
+    def __init__(self, items: Iterable):
+        parts: list[TransferFunction] = []
+        plain, agents, order = [], [], []
+        for i, item in enumerate(items):
+            if isinstance(item, TransferFunction):
+                plain.append((i, len(parts)))
+                order.append(([len(parts)], None))
+                parts.append(item)
+            else:
+                rows = list(range(len(parts), len(parts) + len(item.f_parts)))
+                order.append((rows, len(agents)))
+                agents.append((i, item, rows))
+                parts += item.f_parts
+        P = len(parts)
+        # the hit mask's rows (parts, then agents' chi) in the order they raise
+        self._hit_order = [r for rows, a in order for r in rows + ([] if a is None else [P + a])]
+        groups: dict[tuple, list[int]] = {}
+        for row, f in enumerate(parts):
+            key = (len(f.num.coefficients), len(f.den.coefficients), f.delay_s > 0)
+            groups.setdefault(key, []).append(row)
+        self._groups = []  # (rows, numerators, denominators, |denominators|, delays)
+        for (_, _, delayed), rows in groups.items():
+            N = np.array([parts[r].num.coefficients for r in rows])
+            D = np.array([parts[r].den.coefficients for r in rows])
+            delays = np.array([[parts[r].delay_s] for r in rows]) if delayed else None
+            self._groups.append((_index(rows), N, D, np.abs(D).T, delays))
+        self._items, self._parts = len(order), P
+        self._plain = [_index([i for i, _ in plain]), _index([r for _, r in plain])]
+        self._agents = None
+        if agents:
+            width = max(len(rows) for *_, rows in agents)
+            # each part slot's row per agent; row P is a zero row for a part
+            # the agent does not have (x + 0 == x, since no sum is -0.0)
+            slots = [_index([rows[j] if j < len(rows) else P for *_, rows in agents])
+                     for j in range(width)]
+            self._agents = (_index([i for i, *_ in agents]), slots,
+                            np.array([[a.inertia] for _, a, _ in agents], dtype=float),
+                            np.array([[a.load_damping] for _, a, _ in agents], dtype=float))
+
+    def __call__(self, s) -> np.ndarray:
+        s_arr = np.asarray(s, dtype=complex)
+        x = s_arr.reshape(-1)
+        out = np.empty((self._items, x.size), dtype=complex)
+        hit = np.empty((len(self._hit_order), x.size), dtype=bool)
+        # points in blocks, so the temporaries stay within _STACK_BLOCK_BYTES
+        cols = max(1, _STACK_BLOCK_BYTES // (16 * (len(self._hit_order) + 1)))
+        with np.errstate(all="ignore"):  # pole hits raise below
+            for lo in range(0, x.size, cols):
+                self._fill(x[lo:lo + cols], out[:, lo:lo + cols], hit[:, lo:lo + cols])
+        if hit.any():
+            for r in self._hit_order:
+                if hit[r].any():
+                    raise PoleHitError(complex(x[hit[r].argmax()]))
+        return out.reshape((self._items,) + s_arr.shape)
+
+    def _fill(self, x: np.ndarray, out: np.ndarray, hit: np.ndarray) -> None:
+        """Values at the points x into ``out``, and the parts' and then the
+        agents' pole-hit masks into the rows of ``hit``."""
+        vals = np.zeros((self._parts + 1, x.size), dtype=complex)
+        t = np.maximum(1.0, np.abs(x))[:, None]
+        for rows, N, D, D_abs_T, delays in self._groups:
+            den = _horner(D, x)
+            scale = (t ** np.arange(len(D_abs_T)) @ D_abs_T).T  # sum |d_k| max(1,|s|)^k
+            hit[rows] = np.abs(den) <= 1e-12 * scale
+            value = _horner(N, x) / den
+            if delays is not None:
+                value = value * np.exp(-x * delays)
+            vals[rows] = value
+        out[self._plain[0]] = vals[self._plain[1]]
+        if self._agents is not None:
+            items, slots, M, D = self._agents
+            total = np.zeros((len(M), x.size), dtype=complex)
+            mag = np.zeros((len(M), x.size))
+            for slot in slots:
+                value = vals[slot]
+                total = total + value
+                mag = mag + np.abs(value)
+            chi = x * x * M + x * (total + D)
+            scale = np.abs(x) ** 2 * M + np.abs(x) * (mag + D)
+            hit[self._parts:] = np.abs(chi) <= 1e-12 * np.maximum(scale, 1e-300)
+            out[items] = 1.0 / chi
+
+
+def _index(rows: list[int]):
+    """``rows`` as an index: a slice when they are contiguous, since basic
+    indexing costs a fraction of fancy indexing on small arrays."""
+    lo = rows[0] if rows else 0
+    return slice(lo, lo + len(rows)) if rows == list(range(lo, lo + len(rows))) else rows
+
+
+def tf_evaluate(g: TransferFunction, s):
+    """num(s)/den(s) * exp(-s*delay_s); vectorized over s. The one-item case
+    of :class:`RationalStack`, whose pole-hit rule raises PoleHitError
+    (carrying the offending point) where the denominator vanishes to within
+    1e-12 of its natural scale."""
+    value = g._stack(s)[0]
+    return value if np.ndim(s) else complex(value)
 
 
 def mp_mirror(g: TransferFunction) -> TransferFunction:
@@ -302,7 +477,7 @@ def mp_mirror(g: TransferFunction) -> TransferFunction:
         raise UnsupportedStructureError("mp_mirror needs a rational function")
     if g.num.is_zero or g.num.degree == 0:
         return g
-    zeros = np.array(poly_roots(g.num))
+    zeros = np.array(g.zeros)
     scale = 1.0 + np.abs(zeros)
     on_axis = np.abs(zeros.real) <= AXIS_RTOL * scale
     if np.any(on_axis):

@@ -22,23 +22,27 @@ The FOV hull test takes every sample's vertex pairs in whole-array passes.
 The vertex's real-axis crossings are refined by vectorised Illinois regula
 falsi, one vertex evaluation per iteration for all brackets.
 
-All four checks build their contour with one rule (``_default_contour``)
-and evaluate vertices through ``_vertices``, which turns a pole hit into
-ContourError. Theorem 1 and its lossy variant are one winding count on two
-loops (``_winding_check``). The decentralized screening evaluates its
-contour once, not in ``eigenloci_sweep``, and brackets axis crossings on
-its own denser grid (DECISIONS.md D5). Each check builds one Verdict from
-the violations it found (D9); only a pole on the screening's D_r exits first.
+All four checks build their contour with one rule (``_default_contour``),
+which roots every agent's rational form in one batched pass, and evaluate
+vertices through ``_vertices``: one ``lti.RationalStack`` call for all
+agents per batch of points, which turns a pole hit into ContourError.
+Theorem 1 and its lossy variant are one winding count on two loops
+(``_winding_check``). The decentralized screening evaluates its contour
+once, not in ``eigenloci_sweep``, and brackets axis crossings on its own
+denser grid (DECISIONS.md D5). Each check builds one Verdict from the
+violations it found (D9); only a pole on the screening's D_r exits first.
 
 A sweep assembles each sample's loop matrix and takes its eigenvalues on
 every CPU the process may use (its affinity mask; ``taskset`` is the only
 control): each batch of samples is split into contiguous row chunks, one
 per CPU, run by the calling thread and a ``concurrent.futures`` thread
 pool, and each chunk fills its own rows of arrays the caller allocated.
-Each sample's matrix and solver call are those of a one-thread run, so the
-results are bit-identical whatever the chunking. Batches too small to pay
-for the hand-off run inline and never import ``concurrent.futures``; a
-forked child starts a pool of its own.
+A chunk assembles its matrices by batched ``np.matmul`` (one BLAS product
+per sample, in blocks of bounded size) and solves them by one ``eigvals``
+call. Each sample's matrix and solver call are those of a one-thread run,
+so the results are bit-identical whatever the chunking. Batches too small
+to pay for the hand-off run inline and never import ``concurrent.futures``;
+a forked child starts a pool of its own.
 """
 
 from __future__ import annotations
@@ -62,7 +66,13 @@ from .errors import (
     PoleHitError,
     UndersampledContourError,
 )
-from .lti import TransferFunction, jw_axis_poles, rhp_poles_in_region
+from .lti import (
+    RationalStack,
+    TransferFunction,
+    fill_roots,
+    jw_axis_poles,
+    rhp_poles_in_region,
+)
 from .network import NormalizedNetwork
 from .powerplant import Agent
 
@@ -97,6 +107,8 @@ CLUSTER_RTOL = 1e-6
 _MATCH_BLOCK_BYTES = 1 << 22
 # bytes of each block of n x n vertex-pair arrays in the hull-axis test
 _HULL_BLOCK_BYTES = 1 << 22
+# bytes of each block of k x n products diag(v) U^T in the loop assembly
+_ASSEMBLY_BLOCK_BYTES = 1 << 18
 # points per decade of vertex_axis_crossings' log grid. A delayed vertex runs
 # along the negative real axis at |v| << 1 and crosses it every pi/tau rad/s
 # (about 31 rad/s on n5_hydro_wind) up to R (about 5,260 rad/s); 400 per
@@ -275,15 +287,16 @@ def default_outer_radius(agents: Sequence, gammas: Sequence[float],
                          pade_order: int = 3) -> float:
     """Closure radius: at least 100x the largest agent pole/zero modulus,
     doubled until every vertex magnitude |gamma_i g_i(R)| falls below 1e-4
-    (so the closure arc cannot contribute winding). Each agent is evaluated
-    once at all 60 doublings, and the first radius that passes is returned;
-    when none does, ContourError names the agent (1-based) with the largest
-    |gamma_i g_i| at the last radius."""
-    rational = [_agent_rational(a, pade_order) for a in agents]
+    (so the closure arc cannot contribute winding). All agents are evaluated
+    in one stacked pass at all 60 doublings, and the first radius that
+    passes is returned; when none does, ContourError names the agent
+    (1-based) with the largest |gamma_i g_i| at the last radius."""
+    rational = _agent_rationals(agents, pade_order)
     R0 = 100.0 * max([1.0, *(abs(p) for g in rational for p in g.poles + g.zeros)])
     Rs = R0 * 2.0 ** np.arange(60)
     with np.errstate(all="ignore"):
-        mags = np.abs([gi * a(Rs.astype(complex)) for a, gi in zip(agents, gammas)])
+        values = RationalStack(agents)(Rs.astype(complex))
+        mags = np.abs(np.asarray(gammas, dtype=float)[:, None] * values)
     passed = np.flatnonzero(np.fmax.reduce(mags, axis=0, initial=0.0) < 1e-4)  # NaN ignored
     if passed.size:
         return float(Rs[passed[0]])
@@ -448,16 +461,19 @@ class LociSweep:
         )
 
 
-def _vertices(agents: Sequence, gamma: Sequence[float], s: np.ndarray) -> np.ndarray:
-    """Vertex values gamma_i g_i(s), one column per agent; a contour point
-    on an agent pole raises ContourError."""
+def _vertices(stack: RationalStack, gamma: Sequence[float], s: np.ndarray) -> np.ndarray:
+    """Vertex values gamma_i g_i(s) of the stacked agents, one column per
+    agent, from one stacked evaluation; a contour point on an agent pole
+    raises ContourError."""
     try:
-        return np.stack([g * a(s) for a, g in zip(agents, gamma)], axis=1)
+        values = stack(s)
     except PoleHitError as exc:
         raise ContourError(
             f"vertex evaluation hit a pole at s = {exc.s}; re-route the contour "
             "(add a jw-axis indentation there or adjust r)"
         ) from None
+    # C order: (samples, agents) rows, as the sweep slices and inserts them
+    return np.multiply(values.T, np.asarray(gamma, dtype=float), order="C")
 
 
 def _usable_cpus() -> int:
@@ -547,17 +563,23 @@ def eigenloci_sweep(
         U = netN.U
         weights = netN.mu + epsilon
 
+    stack = RationalStack(agents)
+    rows = max(1, _ASSEMBLY_BLOCK_BYTES // (16 * U.size))
+
     def evaluate(points: np.ndarray):
-        verts = _vertices(agents, netN.gamma, points)
+        verts = _vertices(stack, netN.gamma, points)
         m, k = len(points), U.shape[1]
         mats = np.empty((m, k, k), dtype=complex)
         eigs = np.empty((m, k), dtype=complex)
 
         def solve(lo: int, hi: int) -> None:
-            # Uhat^T diag(v) Uhat of rows lo:hi, columns scaled by mu
+            # (U^T diag(v)) U of rows lo:hi, a batched matmul per block of
+            # ``rows`` samples, then columns scaled by mu
             block = mats[lo:hi]
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                np.einsum("ji,mj,jl->mil", U, verts[lo:hi], U, out=block)
+                for a in range(lo, hi, rows):
+                    b = min(a + rows, hi)
+                    np.matmul(U.T * verts[a:b, None, :], U, out=mats[a:b])
                 block *= weights
             finite = np.isfinite(block).all(axis=(1, 2))
             if not finite.all():
@@ -682,6 +704,14 @@ def _agent_rational(a, pade_order: int) -> TransferFunction:
     return a.g_rational(pade_order) if isinstance(a, Agent) else a
 
 
+def _agent_rationals(agents, pade_order: int) -> list[TransferFunction]:
+    """Every agent's ``_agent_rational``, with the poles and zeros not yet
+    cached rooted in one batched pass (``fill_roots``)."""
+    rational = [_agent_rational(a, pade_order) for a in agents]
+    fill_roots(rational)
+    return rational
+
+
 def _count_unstable_loop_poles(
     agents, gamma: np.ndarray, U: np.ndarray, pade_order: int, r: float
 ) -> tuple[int, int]:
@@ -690,7 +720,7 @@ def _count_unstable_loop_poles(
     count of those poles. N sums the ranks of block Hankel matrices of
     contour moments about clusters of those poles, each cut on its own
     circle (Kravanja & Van Barel 2000; Beyn 2012); DECISIONS.md D11."""
-    rational = [_agent_rational(a, pade_order) for a in agents]
+    rational = _agent_rationals(agents, pade_order)
     poles = np.array([p for g in rational for p in g.poles], dtype=complex)
     owner = np.array([i for i, g in enumerate(rational) for _ in g.poles], dtype=int)
     region = [set(rhp_poles_in_region(g, r)) for g in rational]
@@ -753,18 +783,19 @@ def _count_unstable_loop_poles(
 
 def _default_contour(gammas, agents, kind, r, R, density, pade_order, extra=()):
     """The contour rule of every check. ``extra`` are frequencies the axis
-    samples exactly. A closure radius R (when None) of the largest of
+    samples exactly. Every agent's rational form is rooted first, in one
+    batched pass. A closure radius R (when None) of the largest of
     ``default_outer_radius``, 100*r and 4*w for every w in ``extra``; an RHP
     indentation around each imaginary-axis agent pole; and an indentation
     radius of 1e-4*R, capped at 1e-3 times the smallest nonzero agent pole
     or zero modulus so that the origin indentation cannot exempt slow
     closed-loop poles."""
+    rational = _agent_rationals(agents, pade_order)
     if R is None:
         R = max(default_outer_radius(agents, gammas, pade_order), 100.0 * r,
                 *(4.0 * w for w in extra))
     rho, jw = 1e-4 * R, []
-    for a in agents:
-        g = _agent_rational(a, pade_order)
+    for g in rational:
         rho = min([rho, *(1e-3 * abs(p) for p in g.poles + g.zeros if abs(p) > 1e-9)])
         jw += jw_axis_poles(g)
     return make_contour(kind, r, R, density=density, jw_pole_list=jw,
@@ -919,7 +950,7 @@ def fov_check(
     pole moduli.
     """
     r_gate = contour.inner_radius
-    gated = [rhp_poles_in_region(_agent_rational(a, pade_order), r_gate) for a in agents]
+    gated = [rhp_poles_in_region(g, r_gate) for g in _agent_rationals(agents, pade_order)]
     violations = [
         Violation("pole-gate", None, {"agent": idx, "pole_moduli_rad_s": [abs(p) for p in poles]})
         for idx, poles in enumerate(gated) if poles
@@ -1036,7 +1067,7 @@ def decentralized_check(
     roles = np.array(contour.node_roles())
     keep = roles != "closure"
     pts = contour.upper_points()[keep]
-    v = _vertices([agent], [gamma_bound], pts)[:, 0]
+    v = _vertices(RationalStack([agent]), [gamma_bound], pts)[:, 0]
     scale_tol = 1e-12 * (1.0 + np.abs(v))
     in_bad_region = (v.real <= -1.0) & (v.imag > scale_tol)
     if in_bad_region.any():

@@ -2,6 +2,11 @@
 the FCR design target, hydro turbine + model-matching FCR controller, wind
 turbine + FFR controller, and per-bus agent assembly.
 
+An agent is evaluated as one item of ``lti.RationalStack``: its own
+one-item stack for ``g_value``, and the stack of all agents in a network
+sweep. The scenario roots all hydro turbines' NMP zeros in one batched pass
+(``lti.fill_roots``) before the FCR designs read them.
+
 Units at every boundary: power MW, frequency Hz, inertia MW*s/Hz
 (M = 2*W_kin/f0 with f0 = 50 Hz, so a kinetic energy given in GWs converts
 as M = 2*W_GWs*1000/50). Angle signals are in Hz*s; see the scenario
@@ -11,6 +16,7 @@ module's docstring.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -19,11 +25,10 @@ from .errors import (
     AssemblyError,
     InvalidInputError,
     ModelMatchingError,
-    PoleHitError,
     PropernessError,
     UnstableTurbineModelError,
 )
-from .lti import Polynomial, TransferFunction, mp_mirror
+from .lti import Polynomial, RationalStack, TransferFunction, mp_mirror
 
 __all__ = [
     "C_ROTOR_FLOOR_08",
@@ -230,7 +235,9 @@ class Agent:
     Frequency-actuator parts are kept as separate transfer functions so a
     delayed branch coexists exactly with delay-free ones. An agent is
     callable like a :class:`TransferFunction`: ``agent(s)`` is the exact
-    ``g_value(s)``, delays through their exponentials. ``g_rational``
+    ``g_value(s)``, delays through their exponentials, evaluated by
+    :class:`~nyqscale.lti.RationalStack` as any stack of agents is, so a
+    multi-agent caller evaluates all of them in one call. ``g_rational``
     substitutes diagonal Pade approximants for realization and pole gates;
     it is built once per agent and Pade order (once in all for a delay-free
     agent), so its poles and zeros are rooted once.
@@ -275,24 +282,15 @@ class Agent:
 
     def g_value(self, s):
         """Exact evaluation of g(s); vectorized over s. Delays enter through
-        the exact exponential."""
-        s_arr = np.asarray(s, dtype=complex)
-        total_f = np.zeros_like(s_arr)
-        scale = np.zeros(s_arr.shape, dtype=float)
-        for f in self.f_parts:
-            val = f(s_arr)
-            total_f = total_f + val
-            scale = scale + np.abs(val)
-        chi = s_arr * s_arr * self.inertia + s_arr * (total_f + self.load_damping)
-        scale = np.abs(s_arr) ** 2 * self.inertia + np.abs(s_arr) * (
-            scale + self.load_damping
-        )
-        hit = np.abs(chi) <= 1e-12 * np.maximum(scale, 1e-300)
-        if np.any(hit):
-            bad = s_arr[hit] if s_arr.ndim else s_arr
-            raise PoleHitError(complex(np.atleast_1d(bad)[0]))
-        out = 1.0 / chi
-        return out if s_arr.ndim else complex(out)
+        the exact exponential. The one-item case of
+        :class:`~nyqscale.lti.RationalStack` (this agent's, built on first
+        use): a pole hit raises PoleHitError."""
+        value = self._stack(s)[0]
+        return value if np.ndim(s) else complex(value)
+
+    @cached_property
+    def _stack(self) -> RationalStack:
+        return RationalStack([self])
 
     def g_rational(self, pade_order: int | None = 3) -> TransferFunction:
         """g as a single rational function (delays Pade-rationalized at the

@@ -23,6 +23,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ScenarioError
+from .lti import fill_roots
 from .network import Line, OperatingPoint, PowerNetwork, build_laplacian, kron_reduce
 from .nyquist import DecentralizedPolicy
 from .powerplant import (
@@ -350,6 +351,12 @@ def loads_scenario(doc: dict) -> Scenario:
 
     agents: list[Agent | None] = [None] * len(bus_ids)
     rate_limits: dict[int, float] = {}
+    # every hydro turbine's NMP zero, rooted in one pass for the FCR designs
+    hydro = {b: a["hydro"] for b, a in per_bus.items() if "hydro" in a}
+    turbines = {b: make_hydro_turbine(HydroParams(
+        servo_time_s=h["T_y"], water_time_s=h["T_w"], initial_gate_pu=h["g0"]))
+        for b, h in hydro.items()}
+    fill_roots(list(turbines.values()), poles=False)
     for bus_id, spec_a in per_bus.items():
         i = index[bus_id]
         if "M_MW_s_per_Hz" in spec_a:
@@ -361,9 +368,7 @@ def loads_scenario(doc: dict) -> Scenario:
         parts, names = [], []
         if "hydro" in spec_a:
             h = spec_a["hydro"]
-            turbine = make_hydro_turbine(HydroParams(
-                servo_time_s=h["T_y"], water_time_s=h["T_w"], initial_gate_pu=h["g0"]))
-            parts.append(make_fcr_controller(h["fcr_share"], f_des, turbine).actuator)
+            parts.append(make_fcr_controller(h["fcr_share"], f_des, turbines[bus_id]).actuator)
             names.append("hydro")
             if "P_gen_MW" in h:
                 # the servo's rate bound, 0.1 pu/s unless the file gives one

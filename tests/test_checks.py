@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import time
 
 import numpy as np
@@ -10,7 +11,7 @@ from numpy.polynomial import polynomial as npp
 from scipy.optimize import brentq
 
 from nyqscale import cli
-from nyqscale.errors import BoundaryAmbiguityError, InvalidInputError
+from nyqscale.errors import BoundaryAmbiguityError, ContourError, InvalidInputError
 from nyqscale.lti import TransferFunction, poly_roots
 from nyqscale.network import PowerNetwork, normalize
 from nyqscale.nyquist import (
@@ -482,14 +483,14 @@ def test_default_contour_and_checks_root_each_agent_once(name, monkeypatch):
 
     scn, netN, agents = _n5(name)
     calls = []
-    roots = lti.poly_roots
-    monkeypatch.setattr(lti, "poly_roots", lambda p: calls.append(p) or roots(p))
+    roots = lti.roots_stack
+    monkeypatch.setattr(lti, "roots_stack", lambda ps: calls.extend(ps) or roots(ps))
     kind = scn.contour_kind
     r = 0.0 if kind == "full-D" else scn.policy.r
     contour = _default_contour(netN.gamma, agents, kind, r, None, scn.contour_density, 3)
     theorem1_check(netN, agents, contour)
     fov_check(netN, agents, contour)
-    # one denominator and one numerator per agent
+    # one denominator and one numerator per agent, through the batched pass
     assert 0 < len(calls) <= 2 * len(agents)
 
 
@@ -810,3 +811,42 @@ def test_n5_wind_agents_pass_decentralized():
         agent = assemble_agent(2 * W[i] * 1000 / 50, parts, part_names=names)
         verdict = decentralized_check(agent, float(gam[i]), POLICY, density=120)
         assert verdict.result == "stable", (i, verdict.violated_conditions)
+
+
+# ---------------------------------------------- a contour node on an agent pole
+def _named_point(message: str) -> complex:
+    return complex(re.search(r"hit a pole at s = (\S+);", message).group(1))
+
+
+@pytest.mark.parametrize("kind", ["raw", "swing", "part"])
+def test_sweep_through_an_agent_pole_names_the_node(kind):
+    # poles at +-2j: of a raw function, of an agent's chi = s^2 + 4, or of
+    # an agent's part
+    pole = {"raw": TF([1.0], [4.0, 0.0, 1.0]),
+            "swing": assemble_agent(1.0, (TF([4.0], [0.0, 1.0]),)),
+            "part": assemble_agent(1.0, (TF([1.0], [4.0, 0.0, 1.0]),), 1.0)}[kind]
+    rng = np.random.default_rng(11)
+    netN = normalize(network_from_laplacian(random_connected_laplacian(rng, 3)))
+    agents = [random_stable_proper_tf(rng), pole, random_stable_proper_tf(rng)]
+    # no indentation at 2 rad/s, and a node placed on it
+    contour = make_contour("full-D", 0.0, 1e3, density=100, extra_axis_omegas=(2.0,))
+    nodes = contour.upper_points()
+    with pytest.raises(ContourError, match="hit a pole") as exc:
+        eigenloci_sweep(netN, agents, contour)
+    assert _named_point(str(exc.value)) == nodes[np.flatnonzero(np.abs(nodes - 2j) <= 1e-12)[0]]
+
+
+@pytest.mark.parametrize("kind", ["raw", "swing"])
+def test_decentralized_check_through_an_agent_pole_names_the_node(kind):
+    # poles at +-0.75j, on the D_r contour where its origin arc meets the
+    # axis: outside the swept axis range, so nothing indents them
+    agent = {"raw": TF([1.0], [0.5625, 0.0, 1.0]),
+             "swing": assemble_agent(1.0, (TF([0.5625], [0.0, 1.0]),))}[kind]
+    policy = DecentralizedPolicy(r=0.75, hyperplane_point=-0.9 + 0j,
+                                 hyperplane_normal=1.0 + 0j, tau_max=0.1)
+    with pytest.raises(ContourError, match="hit a pole") as exc:
+        decentralized_check(agent, 1.0, policy)
+    contour = _default_contour([1.0], [agent], "D_r", 0.75, None, 200, 3,
+                               extra=(np.pi / (2 * policy.tau_max),))
+    nodes = contour.upper_points()
+    assert _named_point(str(exc.value)) == nodes[np.flatnonzero(np.abs(nodes - 0.75j) <= 1e-12)[0]]
