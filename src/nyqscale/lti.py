@@ -173,9 +173,12 @@ def roots_stack(polys: Sequence[Polynomial]) -> list[list[complex]]:
     scaled = []
     for k, p in enumerate(polys):
         c = p.as_array()
-        c = np.trim_zeros(c / np.abs(c).max(), "b")
-        scaled.append(c)
-        groups.setdefault(len(c), []).append(k)
+        c = c / np.abs(c).max()
+        L = len(c)
+        while L > 1 and c[L - 1] == 0.0:  # a leading coefficient that underflowed
+            L -= 1
+        scaled.append(c[:L])
+        groups.setdefault(L, []).append(k)
     out: list[list[complex]] = [[] for _ in polys]
     bad: dict[int, float] = {}
     for L, members in groups.items():
@@ -204,7 +207,7 @@ def roots_stack(polys: Sequence[Polynomial]) -> list[list[complex]]:
             residual = np.abs(_horner(Ci, R))
             bound = ROOT_RESIDUAL_RTOL * _horner(np.abs(Ci), np.maximum(1.0, np.abs(R)))
             for j, k in enumerate(np.asarray(members)[idx].tolist()):
-                out[k] = [complex(r) for r in R[j]]
+                out[k] = R[j].astype(complex).tolist()
                 if np.any(residual[j] > bound[j]):
                     bad[k] = float((residual[j] / bound[j]).max())
     if bad:
