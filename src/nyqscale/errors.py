@@ -77,10 +77,6 @@ class ModelMatchingError(NyqscaleError):
     """Composed controller/actuator failed to reproduce the design target."""
 
 
-class UnstableTurbineModelError(NyqscaleError):
-    """Wind linearization with k_stab <= z would itself be unstable."""
-
-
 class AssemblyError(NyqscaleError):
     """Agent assembly failed (algebraic node with no dynamics)."""
 

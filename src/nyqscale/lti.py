@@ -117,11 +117,15 @@ class Polynomial:
 
     # -- arithmetic (exact, coefficient level) ------------------------------
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(npp.polyadd(self.as_array(), other.as_array()))
+        # npp.polyadd's sum, without its input checks
+        short, long = sorted((self.coefficients, other.coefficients), key=len)
+        total = np.array(long)
+        total[:len(short)] += short
+        return Polynomial(total)
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            return Polynomial(npp.polymul(self.as_array(), other.as_array()))
+        if isinstance(other, Polynomial):  # npp.polymul's product, without its input checks
+            return Polynomial(np.convolve(self.coefficients, other.coefficients))
         return Polynomial(self.as_array() * float(other))
 
     __rmul__ = __mul__
@@ -160,9 +164,8 @@ def roots_stack(polys: Sequence[Polynomial]) -> list[list[complex]]:
     Each p is scaled to max-|coefficient| 1. Those of one degree share one
     ``eigvals`` call on their stacked companion matrices (LAPACK-balanced;
     Edelman & Murakami 1995, Math. Comp. 64(210)), then up to two Newton
-    polish steps per root on the whole stack. A row is polished in real
-    arithmetic when all its eigenvalues are real, as ``npp.polyroots``
-    returns it, so every root is bit-identical to a one-polynomial call.
+    polish steps per root on the whole stack, in complex arithmetic, so
+    every root is bit-identical to a one-polynomial call.
     Residual contract: |p(r)| <= 1e-8 * sum |c_k| max(1,|r|)^k on the scaled
     p; the first p in ``polys`` that breaks it raises NumericalError.
     """
@@ -189,27 +192,21 @@ def roots_stack(polys: Sequence[Polynomial]) -> list[list[complex]]:
         mats = np.zeros((len(members), n, n))
         mats.reshape(len(members), -1)[:, n::n + 1] = 1
         mats[:, :, -1] -= C[:, :-1] / C[:, -1:]
-        R = np.linalg.eigvals(mats)
-        real = (R.imag == 0).all(axis=1)
-        for idx, R in ((np.flatnonzero(real), np.sort(R.real[real], axis=1)),
-                       (np.flatnonzero(~real), np.sort(R[~real], axis=1))):
-            if not idx.size:
-                continue
-            Ci = C[idx]
-            dC = Ci[:, 1:] * np.arange(1, L)
-            for _ in range(2):
-                val = _horner(Ci, R)
-                dval = _horner(dC, R)
-                step = np.where(dval != 0, val / np.where(dval == 0, 1.0, dval), 0.0)
-                cand = R - step
-                better = np.abs(_horner(Ci, cand)) < np.abs(val)
-                R = np.where(better, cand, R)
-            residual = np.abs(_horner(Ci, R))
-            bound = ROOT_RESIDUAL_RTOL * _horner(np.abs(Ci), np.maximum(1.0, np.abs(R)))
-            for j, k in enumerate(np.asarray(members)[idx].tolist()):
-                out[k] = R[j].astype(complex).tolist()
-                if np.any(residual[j] > bound[j]):
-                    bad[k] = float((residual[j] / bound[j]).max())
+        R = np.sort(np.linalg.eigvals(mats).astype(complex), axis=1)
+        dC = C[:, 1:] * np.arange(1, L)
+        for _ in range(2):
+            val = _horner(C, R)
+            dval = _horner(dC, R)
+            step = np.where(dval != 0, val / np.where(dval == 0, 1.0, dval), 0.0)
+            cand = R - step
+            better = np.abs(_horner(C, cand)) < np.abs(val)
+            R = np.where(better, cand, R)
+        residual = np.abs(_horner(C, R))
+        bound = ROOT_RESIDUAL_RTOL * _horner(np.abs(C), np.maximum(1.0, np.abs(R)))
+        for j, k in enumerate(members):
+            out[k] = R[j].tolist()
+            if np.any(residual[j] > bound[j]):
+                bad[k] = float((residual[j] / bound[j]).max())
     if bad:
         k = min(bad)
         raise NumericalError(

@@ -50,10 +50,8 @@ from __future__ import annotations
 import cmath
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from itertools import groupby
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -119,6 +117,8 @@ CROSSING_DENSITY = 400
 CROSSING_XTOL = 1e-12
 CROSSING_RTOL = 1e-12
 CROSSING_MAX_ITER = 100
+# a contour node: the index of its segment and its parameter t on it
+_NODE = np.dtype([("seg", np.intp), ("t", float)])
 # fewest samples a sweep's evaluation hands to one thread, so a batch of
 # under twice this runs inline. On a shared 2-CPU VM, two threads beat
 # inline from 256 samples on for 4x4 loops (not at 192) and from 128 on
@@ -157,14 +157,15 @@ class _Segment:
         return [1j * (a * ratio ** t) for t in ts]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Contour:
     """Sampled Nyquist contour (full-D or D_r).
 
-    ``nodes`` hold the upper chain from +r through +jR to +R as
-    (segment_index, parameter) pairs; ``samples`` expands them to the full
-    clockwise closed loop with the lower half conjugate-mirrored (the first
-    sample is repeated at the end, closing the curve).
+    ``nodes`` hold the upper chain from +r through +jR to +R, one read-only
+    ``_NODE`` record (segment index, parameter) each; ``samples`` expands
+    them to the full clockwise closed loop with the lower half
+    conjugate-mirrored (the first sample is repeated at the end, closing
+    the curve).
     """
 
     kind: str
@@ -172,22 +173,32 @@ class Contour:
     outer_radius: float
     indent_radius: float
     segments: tuple[_Segment, ...]
-    nodes: tuple[tuple[int, float], ...]
+    nodes: np.ndarray
+
+    def __eq__(self, other) -> bool:  # field by field, the nodes by value
+        return isinstance(other, Contour) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
     def upper_points(self, nodes=None) -> np.ndarray:
+        """The points of ``nodes`` (default: the contour's own), each run of
+        one segment's nodes by that segment's scalar formula."""
         nodes = self.nodes if nodes is None else nodes
-        pts: list[complex] = []
-        for seg, run in groupby(nodes, key=itemgetter(0)):
-            pts += self.segments[seg].points([t for _, t in run])
-        return np.array(pts, dtype=complex)
+        seg, t = nodes["seg"], nodes["t"]
+        pts = np.empty(len(nodes), dtype=complex)
+        starts = np.flatnonzero(np.diff(seg, prepend=-1)).tolist()
+        for lo, hi in zip(starts, starts[1:] + [len(seg)]):
+            pts[lo:hi] = self.segments[seg[lo]].points(t[lo:hi].tolist())
+        return pts
 
     @property
     def samples(self) -> np.ndarray:
         up = self.upper_points()
         return np.concatenate([up, np.conj(up[-2::-1])])
 
-    def node_roles(self) -> list[str]:
-        return [self.segments[seg].role for seg, _ in self.nodes]
+    def node_roles(self, nodes=None) -> np.ndarray:
+        """The segment role of each of ``nodes`` (default: the contour's own)."""
+        nodes = self.nodes if nodes is None else nodes
+        return np.array([sg.role for sg in self.segments])[nodes["seg"]]
 
 
 def make_contour(
@@ -259,27 +270,28 @@ def make_contour(
 
     n_arc = max(49, density // 2 + 1)
     n_indent = 33
-    nodes: list[tuple[int, float]] = []
-    for k, seg in enumerate(segments):
+    runs = []
+    for seg in segments:
         if seg.kind == "axis":
             decades = math.log10(seg.b / seg.a)
             n = max(2, int(math.ceil(density * decades)) + 1)
-            ts = list(np.linspace(0.0, 1.0, n))
-            for w in marks:
-                if seg.a < w < seg.b:
-                    ts.append(math.log(w / seg.a) / math.log(seg.b / seg.a))
-            ts.sort()
+            marked = [math.log(w / seg.a) / math.log(seg.b / seg.a)
+                      for w in marks if seg.a < w < seg.b]
+            runs.append(np.sort(np.concatenate([np.linspace(0.0, 1.0, n), marked])))
         else:
             n = n_arc if seg.role in ("origin-arc", "closure") else n_indent
-            ts = list(np.linspace(0.0, 1.0, n))
-        nodes.extend((k, t) for t in ts)
+            runs.append(np.linspace(0.0, 1.0, n))
+    nodes = np.empty(sum(map(len, runs)), dtype=_NODE)
+    nodes["seg"] = np.repeat(np.arange(len(segments)), list(map(len, runs)))
+    nodes["t"] = np.concatenate(runs)
+    nodes.flags.writeable = False
     return Contour(
         kind=kind,
         inner_radius=r_eff if kind == "D_r" else 0.0,
         outer_radius=float(R),
         indent_radius=rho,
         segments=tuple(segments),
-        nodes=tuple(nodes),
+        nodes=nodes,
     )
 
 
@@ -409,12 +421,13 @@ class LociSweep:
     in solver order; windings come from their summed argument, which needs
     no branch identity. ``branches_upper`` matches them into continuous
     curves (a bijection between consecutive samples) on first use, for
-    export and plots only, by ``_match_branches``. ``roles`` holds each
-    upper sample's contour segment role, and ``flagged`` the samples whose
-    determinant argument step still reaches pi/2 when refinement stops.
+    export and plots only, by ``_match_branches``. ``roles`` is the array
+    of the upper samples' contour segment roles, and ``flagged`` lists the
+    samples whose determinant argument step still reaches pi/2 when
+    refinement stops.
     """
 
-    roles: tuple[str, ...]
+    roles: np.ndarray
     s_upper: np.ndarray
     eigs_upper: np.ndarray  # (m, k)
     vertices_upper: np.ndarray  # (m, n)
@@ -592,30 +605,30 @@ def eigenloci_sweep(
         _in_row_chunks(solve, m)
         return eigs, verts, np.angle(eigs + 1.0).sum(axis=1)
 
-    seg = np.array([k for k, _ in contour.nodes])
-    t = np.array([t for _, t in contour.nodes])
+    nodes = contour.nodes
     pts = contour.upper_points()
     eigs, verts, phase = evaluate(pts)
     for level in range(MAX_REFINE_LEVELS + 1):
         jumps = np.abs(np.angle(np.exp(1j * np.diff(phase))))
+        seg, t = nodes["seg"], nodes["t"]
         split = np.flatnonzero(
             (jumps >= REFINE_JUMP) & (seg[1:] == seg[:-1]) & (np.abs(np.diff(t)) > 1e-12)
         )
         if not split.size or level == MAX_REFINE_LEVELS:
             break
-        new_t = 0.5 * (t[split] + t[split + 1])
-        new_pts = contour.upper_points(zip(seg[split].tolist(), new_t.tolist()))
+        new = nodes[split]  # each split's segment, at its midpoint
+        new["t"] = 0.5 * (t[split] + t[split + 1])
+        new_pts = contour.upper_points(new)
         new_eigs, new_verts, new_phase = evaluate(new_pts)
         at = split + 1
-        seg = np.insert(seg, at, seg[split])
-        t = np.insert(t, at, new_t)
+        nodes = np.insert(nodes, at, new)
         pts = np.insert(pts, at, new_pts)
         eigs = np.insert(eigs, at, new_eigs, axis=0)
         verts = np.insert(verts, at, new_verts, axis=0)
         phase = np.insert(phase, at, new_phase)
 
     return LociSweep(
-        roles=tuple(contour.segments[k].role for k in seg.tolist()),
+        roles=contour.node_roles(nodes),
         s_upper=pts,
         eigs_upper=eigs,
         vertices_upper=verts,
@@ -850,7 +863,7 @@ def _winding_check(netN, agents, epsilon, contour, pade_order) -> Verdict:
     N, p_open = _count_unstable_loop_poles(agents, netN.gamma, U, pade_order,
                                            contour.inner_radius)
     sweep = eigenloci_sweep(netN, agents, contour, epsilon)
-    closure = np.array(sweep.roles) == "closure"
+    closure = sweep.roles == "closure"
     closure_mag = float(np.abs(sweep.eigs_upper[closure]).max()) if closure.any() else 0.0
     if closure_mag >= CLOSURE_LOCI_BOUND:
         raise ContourError(
@@ -1064,7 +1077,7 @@ def decentralized_check(
         )
 
     # vertex along the positive-imaginary chain (everything but the closure)
-    roles = np.array(contour.node_roles())
+    roles = contour.node_roles()
     keep = roles != "closure"
     pts = contour.upper_points()[keep]
     v = _vertices(RationalStack([agent]), [gamma_bound], pts)[:, 0]

@@ -26,7 +26,6 @@ from .errors import (
     InvalidInputError,
     ModelMatchingError,
     PropernessError,
-    UnstableTurbineModelError,
 )
 from .lti import Polynomial, RationalStack, TransferFunction, mp_mirror
 
@@ -80,13 +79,11 @@ class WindParams:
 
     ``c_omega`` is the power sensitivity to rotor-speed deviation; it may
     not exceed the conservative bound C_ROTOR_FLOOR_08 that holds while the
-    rotor stays above 80% of its MPP speed. ``k_stab`` defaults to the
-    conservative 2*v*c_omega.
+    rotor stays above 80% of its MPP speed.
     """
 
     wind_speed_m_s: float
     c_omega: float = C_ROTOR_FLOOR_08
-    k_stab: float | None = None
 
     def __post_init__(self):
         if self.wind_speed_m_s <= 0:
@@ -102,10 +99,6 @@ class WindParams:
     @property
     def z(self) -> float:
         return self.wind_speed_m_s * self.c_omega
-
-    @property
-    def k_stab_effective(self) -> float:
-        return 2.0 * self.z if self.k_stab is None else self.k_stab
 
 
 def make_fdes(k_mw_per_hz: float) -> TransferFunction:
@@ -186,19 +179,12 @@ def make_fcr_controller(
 
 
 def make_wind_turbine(p: WindParams) -> TransferFunction:
-    """Wind turbine linearization (s-z)/(s + k_stab - z), z = v*c_omega.
-
-    With the conservative k_stab = 2*v*c_omega this is the all-pass
-    (s-z)/(s+z): DC gain -1, high-frequency gain +1, overestimating the
-    negative phase shift.
+    """Wind turbine linearization with the conservative stabilizing gain
+    2*v*c_omega: the all-pass (s-z)/(s+z), z = v*c_omega, with DC gain -1
+    and high-frequency gain +1, overestimating the negative phase shift.
     """
     z = p.z
-    k_stab = p.k_stab_effective
-    if k_stab <= z:
-        raise UnstableTurbineModelError(
-            f"k_stab = {k_stab} must exceed z = {z} for a stable turbine model"
-        )
-    return TransferFunction(Polynomial([-z, 1.0]), Polynomial([k_stab - z, 1.0]))
+    return TransferFunction(Polynomial([-z, 1.0]), Polynomial([z, 1.0]))
 
 
 def make_ffr_controller(

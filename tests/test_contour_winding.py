@@ -59,7 +59,7 @@ def test_contour_dr_first_axis_sample():
     c = make_contour("D_r", 0.75, 1e3)
     roles = c.node_roles()
     pts = c.upper_points()
-    first_axis = pts[roles.index("axis")]
+    first_axis = pts[np.flatnonzero(roles == "axis")[0]]
     assert first_axis == pytest.approx(0.75j)
 
 
@@ -68,7 +68,7 @@ def test_contour_dr_paper_interarea_radius():
     c = make_contour("D_r", r, 1e3)
     roles = c.node_roles()
     pts = c.upper_points()
-    first_axis = pts[roles.index("axis")]
+    first_axis = pts[np.flatnonzero(roles == "axis")[0]]
     assert first_axis.imag == pytest.approx(2.32478, abs=1e-5)
 
 
@@ -259,6 +259,37 @@ def test_sweep_conjugate_symmetry_against_direct_lower_half():
         eig_direct = np.sort_complex(np.linalg.eigvals(mats))
         eig_mirror = np.sort_complex(np.conj(sweep.branches_upper[i]))
         assert np.allclose(eig_direct, eig_mirror, rtol=1e-10, atol=1e-10)
+
+
+def _scalar_point(sg, t: float) -> complex:
+    """The contour point at parameter t of segment sg, by Python scalars."""
+    if sg.kind == "arc":
+        th = sg.a + (sg.b - sg.a) * t
+        return sg.center + sg.radius * complex(math.cos(th), math.sin(th))
+    return 1j * (sg.a * (sg.b / sg.a) ** t)
+
+
+def test_refined_nodes_points_equal_a_fresh_per_point_evaluation(monkeypatch):
+    # every node the sweep evaluates, refined midpoints included, lies where
+    # its segment's scalar formula puts it, one point at a time, and the
+    # sweep's samples and roles are those of all its nodes in contour order
+    scn = load_scenario(bundled_scenario_path("n5_hydro_d0"))
+    netN, agents = normalize(scn.network), list(scn.agents)
+    contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, 100, 3)
+    asked = []
+    upper_points = nyquist.Contour.upper_points
+
+    def recording(self, nodes=None):
+        asked.append(self.nodes if nodes is None else nodes.copy())
+        return upper_points(self, nodes)
+
+    monkeypatch.setattr(nyquist.Contour, "upper_points", recording)
+    sweep = eigenloci_sweep(netN, agents, contour)
+    assert len(asked) > 1 and len(sweep.s_upper) > len(contour.nodes)  # it refined
+    nodes = np.sort(np.concatenate(asked), order=("seg", "t"))
+    fresh = np.array([_scalar_point(contour.segments[k], t) for k, t in nodes.tolist()])
+    assert np.array_equal(sweep.s_upper.view(float), fresh.view(float))
+    assert np.array_equal(sweep.roles, contour.node_roles(nodes))
 
 
 def test_sweep_loci_inside_scaled_vertex_hull():
@@ -580,7 +611,7 @@ def test_threaded_sweep_equals_inline(monkeypatch, tmp_path, cpus):
     for name in ("eigs_upper", "vertices_upper", "s_upper"):
         assert np.array_equal(getattr(threaded, name), getattr(inline, name)), name
     assert threaded.flagged == inline.flagged
-    assert threaded.roles == inline.roles
+    assert np.array_equal(threaded.roles, inline.roles)
 
 
 def test_threaded_sweep_reraises_a_chunk_exception(monkeypatch, tmp_path):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +41,30 @@ def test_polynomial_trims_trailing_zeros():
     assert p.degree == 1
     z = Polynomial([0.0, 0.0])
     assert z.is_zero and z.degree == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_polynomial_sum_and_product_equal_numpy_polynomial_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    # fixed pairs first: a sum trimmed by one degree, one that cancels to
+    # zero, and a product with zero
+    pairs = [([1.0, 2.0, 3.0], [4.0, 5.0, -3.0]), ([1.0, 2.0, 3.0], [-1.0, -2.0, -3.0]),
+             ([1.0, 2.0, 3.0], [0.0])]
+    for _ in range(200):
+        p = rng.normal(size=int(rng.integers(1, 8))) * rng.uniform(0.1, 10.0)
+        q = rng.normal(size=int(rng.integers(1, 8))) * rng.uniform(0.1, 10.0)
+        if rng.random() < 0.3:  # the top coefficients cancel: a trimmed sum
+            n = int(rng.integers(1, len(p) + 1))
+            q = np.concatenate([rng.normal(size=len(p) - n), -p[len(p) - n:]])
+        pairs.append((p, q))
+    for p, q in pairs:
+        P, Q = Polynomial(p), Polynomial(q)
+        for got, ref in ((P + Q, npp.polyadd(P.as_array(), Q.as_array())),
+                         (Q + P, npp.polyadd(Q.as_array(), P.as_array())),
+                         (P * Q, npp.polymul(P.as_array(), Q.as_array()))):
+            want = Polynomial(ref).as_array()
+            assert np.array_equal(got.as_array().view(np.int64), want.view(np.int64))
+    assert (Polynomial(pairs[0][0]) + Polynomial(pairs[0][1])).coefficients == (5.0, 7.0)
 
 
 def test_poly_roots_factored_fdes_denominator():

@@ -9,7 +9,6 @@ from nyqscale.errors import (
     AssemblyError,
     InvalidInputError,
     PoleHitError,
-    UnstableTurbineModelError,
 )
 from nyqscale.lti import TransferFunction, rhp_poles_in_region
 from nyqscale.powerplant import (
@@ -139,11 +138,6 @@ def test_wind_floor_bound_enforced():
     with pytest.raises(InvalidInputError):
         WindParams(10.0, c_omega=2 * C_ROTOR_FLOOR_08)
     assert WindParams(10.0, c_omega=C_ROTOR_FLOOR_08).c_omega == C_ROTOR_FLOOR_08
-
-
-def test_wind_unstable_model_rejected():
-    with pytest.raises(UnstableTurbineModelError):
-        make_wind_turbine(WindParams(10.0, k_stab=0.058 / 2))
 
 
 # ---------------------------------------------------------------- FFR

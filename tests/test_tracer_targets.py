@@ -74,3 +74,6 @@ def test_tracer_survives_a_threaded_sweep(monkeypatch):
     assert tracer.stack == []
     names = [sp.name for sp in tracer.spans]
     assert "nyquist.eig" in names and "nyquist.sweep" in names
+    # the sweep span's first count, len(contour.nodes), is the upper chain's
+    info = next(sp.info for sp in tracer.spans if sp.name == "nyquist.sweep")
+    assert info[0] == len(contour.nodes) == len(contour.upper_points())
