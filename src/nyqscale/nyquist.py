@@ -32,24 +32,16 @@ once, not in ``eigenloci_sweep``, and brackets axis crossings on its own
 denser grid (DECISIONS.md D5). Each check builds one Verdict from the
 violations it found (D9); only a pole on the screening's D_r exits first.
 
-A sweep assembles each sample's loop matrix and takes its eigenvalues on
-every CPU the process may use (its affinity mask; ``taskset`` is the only
-control): each batch of samples is split into contiguous row chunks, one
-per CPU, run by the calling thread and a ``concurrent.futures`` thread
-pool, and each chunk fills its own rows of arrays the caller allocated.
-A chunk assembles its matrices by batched ``np.matmul`` (one BLAS product
-per sample, in blocks of bounded size) and solves them by one ``eigvals``
-call. Each sample's matrix and solver call are those of a one-thread run,
-so the results are bit-identical whatever the chunking. Batches too small
-to pay for the hand-off run inline and never import ``concurrent.futures``;
-a forked child starts a pool of its own.
+A sweep runs in the calling thread (DECISIONS.md D3). It assembles each
+block of samples' loop matrices by batched ``np.matmul`` (one BLAS product
+per sample) and solves the block by one ``eigvals`` call as soon as it is
+assembled, so no batch-sized stack of matrices is ever held.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Sequence
@@ -105,7 +97,8 @@ CLUSTER_RTOL = 1e-6
 _MATCH_BLOCK_BYTES = 1 << 22
 # bytes of each block of n x n vertex-pair arrays in the hull-axis test
 _HULL_BLOCK_BYTES = 1 << 22
-# bytes of each block of k x n products diag(v) U^T in the loop assembly
+# bytes of each block of k x n products U^T diag(v) in the loop assembly; a
+# block's loop matrices are assembled and solved together
 _ASSEMBLY_BLOCK_BYTES = 1 << 18
 # points per decade of vertex_axis_crossings' log grid. A delayed vertex runs
 # along the negative real axis at |v| << 1 and crosses it every pi/tau rad/s
@@ -119,11 +112,6 @@ CROSSING_RTOL = 1e-12
 CROSSING_MAX_ITER = 100
 # a contour node: the index of its segment and its parameter t on it
 _NODE = np.dtype([("seg", np.intp), ("t", float)])
-# fewest samples a sweep's evaluation hands to one thread, so a batch of
-# under twice this runs inline. On a shared 2-CPU VM, two threads beat
-# inline from 256 samples on for 4x4 loops (not at 192) and from 128 on
-# for 15x15 loops (not at 64)
-_MIN_CHUNK_SAMPLES = 128
 
 
 # ---------------------------------------------------------------------------
@@ -489,58 +477,6 @@ def _vertices(stack: RationalStack, gamma: Sequence[float], s: np.ndarray) -> np
     return np.multiply(values.T, np.asarray(gamma, dtype=float), order="C")
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, where the platform
-    has one, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-# the sweep chunks' pool, made by the first batch that threads (two at once
-# leave a spare that drains and is dropped); a forked child makes its own
-_POOL = None
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=lambda: globals().update(_POOL=None))
-
-
-def _in_row_chunks(task, m: int) -> None:
-    """Call ``task(lo, hi)`` on contiguous chunks that cover rows 0..m, one
-    per usable CPU but none under ``_MIN_CHUNK_SAMPLES`` rows; a batch too
-    small for two chunks runs inline. Chunks 1 up go to the pool; the
-    calling thread runs chunk 0 and then, last first, every chunk that no
-    pool thread has started yet (its future cancels), so a slow pool never
-    leaves it waiting on work it could do itself. When all chunks are done,
-    the exception of the lowest chunk that raised one, if any, re-raises
-    here."""
-    global _POOL
-    chunks = min(_usable_cpus(), m // _MIN_CHUNK_SAMPLES)
-    if chunks < 2:
-        task(0, m)
-        return
-    if _POOL is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _POOL = ThreadPoolExecutor(os.cpu_count() or 1, thread_name_prefix="nyqscale-sweep")
-    spans = [(m * c // chunks, m * (c + 1) // chunks) for c in range(chunks)]
-    futures = [_POOL.submit(task, *span) for span in spans[1:]]
-    errors: list[BaseException | None] = [None] * chunks
-    for c in (0, *range(chunks - 1, 0, -1)):  # the pool takes chunks from 1 up
-        if c and not futures[c - 1].cancel():
-            continue  # a pool thread has it
-        try:
-            task(*spans[c])
-        except BaseException as exc:
-            errors[c] = exc
-    for c, future in enumerate(futures, 1):
-        if not future.cancelled():
-            errors[c] = future.exception()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-
-
 def eigenloci_sweep(
     netN: NormalizedNetwork,
     agents: Sequence,
@@ -560,12 +496,10 @@ def eigenloci_sweep(
     the contour's own geometry, up to 12 levels; each level evaluates only
     the inserted samples and inserts only their arguments.
 
-    Each evaluated batch is assembled and solved in contiguous row chunks
-    on the usable CPUs, by the caller and the module's thread pool
-    (``_in_row_chunks``), with results bit-identical to a one-thread run.
     A loop matrix that is not finite (a vertex value or the lossy weight
-    mu + epsilon overflows it) raises ContourError before its chunk reaches
-    ``eigvals``; so does a pole hit on the contour.
+    mu + epsilon overflows it) raises ContourError, naming the first such
+    sample, before its block reaches ``eigvals``; so does a pole hit on the
+    contour.
     """
     if len(agents) != netN.n:
         raise InvalidInputError("agent count must match network size")
@@ -581,18 +515,12 @@ def eigenloci_sweep(
 
     def evaluate(points: np.ndarray):
         verts = _vertices(stack, netN.gamma, points)
-        m, k = len(points), U.shape[1]
-        mats = np.empty((m, k, k), dtype=complex)
-        eigs = np.empty((m, k), dtype=complex)
-
-        def solve(lo: int, hi: int) -> None:
-            # (U^T diag(v)) U of rows lo:hi, a batched matmul per block of
-            # ``rows`` samples, then columns scaled by mu
-            block = mats[lo:hi]
+        eigs = np.empty((len(points), U.shape[1]), dtype=complex)
+        for lo in range(0, len(points), rows):
+            # (U^T diag(v)) U of ``rows`` samples by one batched matmul, then
+            # columns scaled by the weights
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                for a in range(lo, hi, rows):
-                    b = min(a + rows, hi)
-                    np.matmul(U.T * verts[a:b, None, :], U, out=mats[a:b])
+                block = np.matmul(U.T * verts[lo:lo + rows, None, :], U)
                 block *= weights
             finite = np.isfinite(block).all(axis=(1, 2))
             if not finite.all():
@@ -600,9 +528,7 @@ def eigenloci_sweep(
                     f"loop matrix is not finite at s = {points[lo + finite.argmin()]}; "
                     "a vertex value or a Laplacian weight overflows"
                 )
-            eigs[lo:hi] = np.linalg.eigvals(block)
-
-        _in_row_chunks(solve, m)
+            eigs[lo:lo + rows] = np.linalg.eigvals(block)
         return eigs, verts, np.angle(eigs + 1.0).sum(axis=1)
 
     nodes = contour.nodes
@@ -1053,8 +979,8 @@ def decentralized_check(
     The D_r contour is ``_default_contour``'s, with closure radius
     ``policy.R`` and an exact sample at pi/(2 tau_max).
     """
-    if gamma_bound <= 0:
-        raise InvalidInputError("gamma bound must be positive")
+    if not 0 < gamma_bound < math.inf:
+        raise InvalidInputError("gamma bound must be positive and finite")
     w_delay = math.pi / (2 * policy.tau_max)
     contour = _default_contour([gamma_bound], [agent], "D_r", policy.r, policy.R, density,
                                pade_order, extra=(w_delay,))

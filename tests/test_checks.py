@@ -703,6 +703,15 @@ def test_decentralized_pole_on_the_radius_is_inconclusive():
     assert [viol.condition for viol in v.violated_conditions] == ["pole-on-contour"]
 
 
+@pytest.mark.parametrize("bound", [0.0, -1.0, math.nan, math.inf])
+def test_decentralized_rejects_a_gamma_bound_that_is_not_positive_and_finite(bound):
+    # a NaN bound fails every comparison, so it would screen as stable with a
+    # NaN margin; an infinite one would fail the closure-radius search
+    scn = load_scenario(bundled_scenario_path("n5_hydro_wind"))
+    with pytest.raises(InvalidInputError, match="gamma bound must be positive"):
+        decentralized_check(scn.agents[0], bound, scn.policy)
+
+
 @pytest.mark.parametrize("check", [theorem1_check, fov_check], ids=["theorem1", "fov"])
 def test_network_check_with_a_pole_on_the_radius_raises(check):
     # the network checks cannot form the count N, so they raise; the CLI exits 3

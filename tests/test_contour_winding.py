@@ -2,13 +2,8 @@
 
 import importlib.util
 import math
-import os
 import random
-import sys
-import threading
-import time
 import tracemalloc
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -559,7 +554,7 @@ def test_default_outer_radius_equals_doubling_loop(tmp_path, monkeypatch):
     assert batched < loop / 2
 
 
-# ------------------------------------------------- threaded evaluation
+# ------------------------------------------------- loop assembly
 def _ring16_sweep_inputs(tmp_path):
     gen = _perfbench_gen()
     doc = gen.synthetic_scenario(Path(nyqscale.__file__).parent / "data", "ring16", 16,
@@ -571,174 +566,43 @@ def _ring16_sweep_inputs(tmp_path):
     return netN, agents, contour
 
 
-def _threaded(monkeypatch, cpus=3):
-    """Every evaluation batch of at least ``cpus`` samples in ``cpus`` chunks."""
-    monkeypatch.setattr(nyquist, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(nyquist, "_MIN_CHUNK_SAMPLES", 1)
-
-
-def _recorded_eigvals(monkeypatch):
-    """The batch size of every np.linalg.eigvals call."""
-    calls = []
-    original = np.linalg.eigvals
-
-    def recorded(a):
-        calls.append(len(a))
-        return original(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", recorded)
-    return calls
-
-
-@pytest.mark.parametrize("cpus", [3, 8])
-def test_threaded_sweep_equals_inline(monkeypatch, tmp_path, cpus):
-    # more chunks than cores, switching threads every microsecond: rows
-    # written by the wrong chunk, or not at all, would differ from inline
-    netN, agents, contour = _ring16_sweep_inputs(tmp_path)
-    monkeypatch.setattr(nyquist, "_usable_cpus", lambda: 1)
-    inline = eigenloci_sweep(netN, agents, contour)
-    _threaded(monkeypatch, cpus)
-    calls = _recorded_eigvals(monkeypatch)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = eigenloci_sweep(netN, agents, contour)
-    finally:
-        sys.setswitchinterval(interval)
-    m = len(contour.nodes)
-    first = sorted(calls[:cpus])  # the first batch, in even chunks
-    assert sum(first) == m and first[-1] - first[0] <= 1
-    for name in ("eigs_upper", "vertices_upper", "s_upper"):
-        assert np.array_equal(getattr(threaded, name), getattr(inline, name)), name
-    assert threaded.flagged == inline.flagged
-    assert np.array_equal(threaded.roles, inline.roles)
-
-
-def test_threaded_sweep_reraises_a_chunk_exception(monkeypatch, tmp_path):
-    netN, agents, contour = _ring16_sweep_inputs(tmp_path)
-    _threaded(monkeypatch)
-    original = np.linalg.eigvals
-    fail = [True]
-
-    def failing(a):
-        if fail[0] and len(a) < len(contour.nodes) // 2:  # every chunk fails
-            raise RuntimeError("chunk failed")
-        return original(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", failing)
-    with pytest.raises(RuntimeError, match="chunk failed"):
-        eigenloci_sweep(netN, agents, contour)
-    fail[0] = False  # the pool still runs the next sweep
-    assert eigenloci_sweep(netN, agents, contour).eigs_upper.shape[0] >= len(contour.nodes)
-
-
-def _chunk_1_runs_on_another_thread(timeout=30.0) -> bool:
-    """Two chunks whose first, the caller's, waits until another thread has
-    started the second; the caller would run it itself only after that."""
-    caller = threading.current_thread()
-    started = threading.Event()
-    seen = []
-
-    def task(lo, hi):
-        if lo == 0:
-            seen.append(started.wait(timeout=timeout))
-        else:
-            seen.append(threading.current_thread() is not caller)
-            started.set()
-
-    nyquist._in_row_chunks(task, 2 * nyquist._MIN_CHUNK_SAMPLES)
-    return seen == [True, True]
-
-
-def test_row_chunks_run_on_a_pool_thread(monkeypatch):
-    monkeypatch.setattr(nyquist, "_usable_cpus", lambda: 2)
-    assert _chunk_1_runs_on_another_thread()
-
-
-def test_row_chunks_run_by_the_caller_when_the_pool_stalls(monkeypatch):
-    monkeypatch.setattr(nyquist, "_usable_cpus", lambda: 3)
-    held = []  # the futures of a pool that has not started any of its tasks yet
-
-    class Stalled:
-        def submit(self, fn, *args):
-            held.append(Future())
-            return held[-1]
-
-    monkeypatch.setattr(nyquist, "_POOL", Stalled())
-    ran = []
-    m = 3 * nyquist._MIN_CHUNK_SAMPLES
-    caller = threading.Thread(target=nyquist._in_row_chunks, daemon=True, args=(
-        lambda lo, hi: ran.append((lo, hi, threading.current_thread())), m))
-    caller.start()
-    caller.join(timeout=30.0)
-    assert not caller.is_alive(), "the caller waited on chunks no thread had started"
-    assert len(held) == 2
-    assert sorted((lo, hi) for lo, hi, _ in ran) == [(0, m // 3), (m // 3, 2 * m // 3),
-                                                      (2 * m // 3, m)]
-    assert {th for _, _, th in ran} == {caller}
-    for future in held:  # the late pool tasks find their chunks taken
-        assert not future.set_running_or_notify_cancel()
-    assert len(ran) == 3
-
-
-def test_row_chunks_reraise_a_pool_thread_exception(monkeypatch):
-    monkeypatch.setattr(nyquist, "_usable_cpus", lambda: 2)
-    started = threading.Event()
-
-    def task(lo, hi):
-        if lo == 0:
-            started.wait(timeout=30.0)
-        else:
-            started.set()
-            raise RuntimeError(f"chunk at row {lo} failed")
-
-    with pytest.raises(RuntimeError, match="chunk at row"):
-        nyquist._in_row_chunks(task, 2 * nyquist._MIN_CHUNK_SAMPLES)
-
-
-def test_row_chunks_reraise_the_lowest_chunk_exception(monkeypatch):
-    monkeypatch.setattr(nyquist, "_usable_cpus", lambda: 3)
-
-    def task(lo, hi):
-        raise RuntimeError(f"chunk at row {lo} failed")
-
-    with pytest.raises(RuntimeError, match="chunk at row 0 failed"):
-        nyquist._in_row_chunks(task, 3 * nyquist._MIN_CHUNK_SAMPLES)
-
-
-@pytest.mark.parametrize("cpus", [1, 3])
-def test_sweep_rejects_a_loop_matrix_that_is_not_finite(monkeypatch, tmp_path, cpus):
+def test_sweep_rejects_a_loop_matrix_that_is_not_finite(tmp_path):
     # mu + epsilon is finite, the loop matrix overflows; once a LinAlgError
     netN, agents, contour = _ring16_sweep_inputs(tmp_path)
-    _threaded(monkeypatch, cpus)
     with pytest.raises(ContourError, match="not finite at s = \\(0.75\\+0j\\)"):
         eigenloci_sweep(netN, agents, contour, 1e308)
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="fork after threads: Linux only")
-def test_child_forked_after_a_threaded_sweep_runs_one(monkeypatch):
+def test_sweep_names_the_first_loop_matrix_that_is_not_finite_in_a_later_block(monkeypatch):
+    # |g| peaks at 1000 near 1 rad/s, so only samples near the resonance
+    # overflow the lossy loop; four samples per assembly block
     netN = two_bus()
-    g = TF([1.0], [1.0, 1.0, 1.0])
+    g = TF([1.0], [1.0, 1e-3, 1.0])
     contour = make_contour("full-D", 0.0, 50.0)
-    _threaded(monkeypatch)
-    expected = eigenloci_sweep(netN, [g, g], contour).eigs_upper
-    pid = os.fork()
-    if pid == 0:  # child: exit code 0 only for an equal sweep on its own pool
-        code = 1
-        try:
-            got = eigenloci_sweep(netN, [g, g], contour).eigs_upper
-            code = 2 if not np.array_equal(got, expected) else (
-                0 if _chunk_1_runs_on_another_thread(timeout=10.0) else 3)
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 60.0
-    while True:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            break
-        if time.monotonic() > deadline:
-            os.kill(pid, 9)
-            os.waitpid(pid, 0)
-            pytest.fail("forked child did not finish its sweep within 60 s")
-        time.sleep(0.01)
-    assert os.waitstatus_to_exitcode(status) == 0
+    eps, rows = 1e306, 4
+    monkeypatch.setattr(nyquist, "_ASSEMBLY_BLOCK_BYTES", rows * 16 * netN.U.size)
+    s = contour.upper_points()
+    v = np.asarray(netN.gamma)[None, :] * g(s)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        loops = np.einsum("ji,mj,jl->mil", netN.U, v, netN.U) * (netN.mu + eps)
+    first = int(np.argmin(np.isfinite(loops).all(axis=(1, 2))))
+    assert first >= 2 * rows and not np.isfinite(loops[first]).all()
+    with pytest.raises(ContourError) as exc:
+        eigenloci_sweep(netN, [g, g], contour, eps)
+    assert f"not finite at s = {s[first]};" in str(exc.value)
+
+
+def test_sweep_holds_no_batch_sized_stack_of_loop_matrices(tmp_path):
+    # each block's matrices are solved as soon as they are assembled, so the
+    # sweep's peak stays under one (samples, k, k) complex array
+    netN, agents, contour = _ring16_sweep_inputs(tmp_path)
+    eigenloci_sweep(netN, agents, contour)  # warms up lazy allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        eigenloci_sweep(netN, agents, contour)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    k = netN.U_hat.shape[1]
+    assert peak < len(contour.nodes) * k * k * 16

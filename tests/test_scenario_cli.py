@@ -339,8 +339,7 @@ def run_fresh_python(code: str) -> subprocess.CompletedProcess:
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # no SciPy module at all: importing scipy.linalg alone costs about 0.3 s;
     # no jsonschema either: scenario files are checked without it; and no
-    # concurrent.futures, which pulls in logging: the sweep pool is made by
-    # the first sweep that threads
+    # concurrent.futures, which pulls in logging: nothing in nyqscale uses it
     res = run_fresh_python(
         "import sys, nyqscale.cli; "
         "print(sorted(m for m in sys.modules "
@@ -349,24 +348,23 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert res.stdout.strip() == "[]"
 
 
-def test_sweep_too_small_to_thread_leaves_concurrent_futures_unloaded():
-    # a batch under two chunks runs inline and imports no pool (about 10 ms,
-    # most of it logging); a second sweep split in two chunks does
+def test_sweeps_run_in_the_calling_thread_and_load_no_thread_pool():
+    # a small sweep and one of at least 256 samples: neither starts a thread
+    # or imports concurrent.futures (and with it logging)
     res = run_fresh_python(
-        "import sys, nyqscale.cli\n"
+        "import sys, threading, nyqscale.cli\n"
         "from nyqscale import nyquist\n"
         "from nyqscale.network import normalize\n"
         "from nyqscale.scenario import bundled_scenario_path, load_scenario\n"
         "scn = load_scenario(bundled_scenario_path('n5_hydro_wind'))\n"
         "netN, agents = normalize(scn.network), list(scn.agents)\n"
-        "nyquist._usable_cpus = lambda: 2\n"
         "for R in (5.0, 50.0):\n"
         "    contour = nyquist.make_contour('D_r', 0.5, R, density=100)\n"
         "    m = len(nyquist.eigenloci_sweep(netN, agents, contour).s_upper)\n"
-        "    print(m < 2 * nyquist._MIN_CHUNK_SAMPLES,\n"
-        "          [name in sys.modules for name in ('concurrent.futures', 'logging')])\n")
+        "    print(m >= 256, [name in sys.modules for name in ('concurrent.futures', 'logging')],\n"
+        "          threading.active_count())\n")
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == ["True [False, False]", "False [True, True]"]
+    assert res.stdout.splitlines() == ["False [False, False] 1", "True [False, False] 1"]
 
 
 def test_cli_analyze_and_export_loci_leave_scipy_linalg_unloaded(wind_path, d0_path, tmp_path):

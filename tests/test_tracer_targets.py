@@ -56,13 +56,11 @@ def test_transfer_function_calls_go_through_tf_evaluate(monkeypatch):
     assert len(calls) == 1
 
 
-def test_tracer_survives_a_threaded_sweep(monkeypatch):
-    # the tracer keeps one span stack for all threads; the sweep's pool
-    # threads push and pop their eigvals spans on it concurrently
+def test_tracer_nests_every_eig_span_in_its_sweep():
+    # sweeps run in the calling thread, so the tracer's one span stack puts
+    # each eigvals span under the sweep that made it
     scn = load_scenario(bundled_scenario_path("n5_hydro_wind"))
     netN, agents = normalize(scn.network), list(scn.agents)
-    monkeypatch.setattr(nyquist, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(nyquist, "_MIN_CHUNK_SAMPLES", 1)
     tracer = _spans_module().Tracer()
     tracer.install("nyqscale")
     try:
@@ -72,8 +70,13 @@ def test_tracer_survives_a_threaded_sweep(monkeypatch):
         tracer.uninstall()
     assert verdict.result == "stable"
     assert tracer.stack == []
-    names = [sp.name for sp in tracer.spans]
-    assert "nyquist.eig" in names and "nyquist.sweep" in names
+    spans = tracer.spans
+    eig = [sp for sp in spans if sp.name == "nyquist.eig"]
+    assert eig and all(sp.parent >= 0 and spans[sp.parent].name == "nyquist.sweep" for sp in eig)
+    for i, sweep in enumerate(spans):
+        if sweep.name == "nyquist.sweep":
+            inner = sum(sp.end - sp.start for sp in eig if sp.parent == i)
+            assert 0.0 < inner <= sweep.end - sweep.start
     # the sweep span's first count, len(contour.nodes), is the upper chain's
-    info = next(sp.info for sp in tracer.spans if sp.name == "nyquist.sweep")
+    info = next(sp.info for sp in spans if sp.name == "nyquist.sweep")
     assert info[0] == len(contour.nodes) == len(contour.upper_points())
