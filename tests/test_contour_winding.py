@@ -566,9 +566,12 @@ def _ring16_sweep_inputs(tmp_path):
     return netN, agents, contour
 
 
-def test_sweep_rejects_a_loop_matrix_that_is_not_finite(tmp_path):
-    # mu + epsilon is finite, the loop matrix overflows; once a LinAlgError
+@pytest.mark.parametrize("rows", [1, 3])
+def test_sweep_rejects_a_loop_matrix_that_is_not_finite(monkeypatch, tmp_path, rows):
+    # mu + epsilon is finite, the loop matrix overflows; once a LinAlgError.
+    # The sample named must not depend on how many rows each block assembles
     netN, agents, contour = _ring16_sweep_inputs(tmp_path)
+    monkeypatch.setattr(nyquist, "_ASSEMBLY_BLOCK_BYTES", rows * 16 * netN.U.size)
     with pytest.raises(ContourError, match="not finite at s = \\(0.75\\+0j\\)"):
         eigenloci_sweep(netN, agents, contour, 1e308)
 
