@@ -20,6 +20,7 @@ import click
 import numpy as np
 
 from .errors import DivergenceError, NyqscaleError
+from .lti import PADE_ORDER
 from .network import normalize
 # default_outer_radius and make_contour are unused here but stay module
 # attributes: perfbench/spans.py wraps cli's copies of them by name
@@ -330,7 +331,7 @@ def _load(path):
     return scn, normalize(scn.network), list(scn.agents), markers
 
 
-def _resolve_contour(scn, netN, agents, kind, r, R, density, pade_order, markers):
+def _resolve_contour(scn, netN, agents, kind, r, R, density, markers):
     """The contour of the options: an explicit ``r`` means D_r (refused beside
     full-D), unset options fall back to the scenario; full-D means r = 0."""
     if r is not None:
@@ -341,7 +342,7 @@ def _resolve_contour(scn, netN, agents, kind, r, R, density, pade_order, markers
     r = scn.policy.r if r is None else r
     R = scn.policy.R if R is None else R
     return _default_contour(netN.gamma, agents, kind, 0.0 if kind == "full-D" else r, R,
-                            density, pade_order, extra=[w for _, w in markers])
+                            density, extra=[w for _, w in markers])
 
 
 @click.group(cls=_Cli)
@@ -361,12 +362,11 @@ def main():
 @click.option("--density", type=int, default=None, help="samples per decade")
 @click.option("--tau-max", type=float, default=None, help="--check decentralized only")
 @click.option("--hyperplane", type=_Hyperplane(), default=None, help="--check decentralized only")
-@click.option("--pade-order", type=click.IntRange(1, 5), default=3, show_default=True)
 @click.option("--epsilon", type=float, default=None,
               help=f"Laplacian shift for --check lossy  [default: {_LOSSY_EPSILON}]")
 @click.option("--out-dir", type=str, default="out", show_default=True)
 def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
-            density, tau_max, hyperplane, pade_order, epsilon, out_dir):
+            density, tau_max, hyperplane, epsilon, out_dir):
     """Run a stability check on a scenario and emit report + loci CSV."""
     # options the check would not read are refused, not dropped
     unread = [o for o, v, reader in (("--tau-max", tau_max, "decentralized"),
@@ -389,8 +389,7 @@ def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
                 given["hyperplane_point"], given["hyperplane_normal"] = hyperplane
             policy = replace(scn.policy, **{k: v for k, v in given.items() if v is not None})
             per_agent = [
-                decentralized_check(a, float(g), policy, density=dens,
-                                    pade_order=pade_order)
+                decentralized_check(a, float(g), policy, density=dens)
                 for a, g in zip(agents, netN.gamma)
             ]
             results = [v.result for v in per_agent]
@@ -407,20 +406,17 @@ def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
                              "per_agent": [v.result for v in per_agent]},
             )
             contour = _resolve_contour(scn, netN, agents, "D_r", policy.r,
-                                       policy.R, dens, pade_order, markers)
+                                       policy.R, dens, markers)
         else:
             contour = _resolve_contour(scn, netN, agents, contour_kind,
-                                       contour_r, contour_R, dens, pade_order,
-                                       markers)
+                                       contour_r, contour_R, dens, markers)
             if check_name == "theorem1":
-                verdict = theorem1_check(netN, agents, contour,
-                                         pade_order=pade_order)
+                verdict = theorem1_check(netN, agents, contour)
             elif check_name == "lossy":
                 verdict = lossy_exponential_check(
-                    netN, agents, _LOSSY_EPSILON if epsilon is None else epsilon,
-                    contour, pade_order=pade_order)
+                    netN, agents, _LOSSY_EPSILON if epsilon is None else epsilon, contour)
             else:
-                verdict = fov_check(netN, agents, contour, pade_order=pade_order)
+                verdict = fov_check(netN, agents, contour)
 
         sweep = verdict.sweep or eigenloci_sweep(netN, agents, contour)
         out = Path(out_dir)
@@ -434,7 +430,7 @@ def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
                 "contour_r_rad_s": contour.inner_radius,
                 "contour_R_rad_s": contour.outer_radius,
                 "density": dens,
-                "pade_order": pade_order,
+                "pade_order": PADE_ORDER,
             },
             **verdict.to_json_dict(),
         }
@@ -456,7 +452,7 @@ def analyze(scenario_path, check_name, contour_kind, contour_r, contour_R,
                    "record_decimation steps. It is the integration step "
                    "only with --rate-limiter.")
 @click.option("--t-end", type=float, default=None)
-@click.option("--pade-order", type=click.IntRange(1, 5), default=3, show_default=True)
+@click.option("--pade-order", type=click.IntRange(1, 5), default=PADE_ORDER, show_default=True)
 @click.option("--rate-limiter/--no-rate-limiter", default=False,
               help="clamp each hydro servo's power rate to its scenario "
                    "bound: rate_limit_pu_s (default 0.1) x P_gen_MW, in MW/s "
@@ -516,17 +512,14 @@ def simulate(scenario_path, dt, t_end, pade_order, rate_limiter,
               help="accepts 0.75 or 0.37*2pi")
 @click.option("--contour-R", "contour_R", type=float, default=None)
 @click.option("--density", type=int, default=None)
-@click.option("--pade-order", type=click.IntRange(1, 5), default=3, show_default=True)
 @click.option("--out-dir", type=str, default="out", show_default=True)
-def export_loci(scenario_path, contour_kind, contour_r, contour_R, density,
-                pade_order, out_dir):
+def export_loci(scenario_path, contour_kind, contour_r, contour_R, density, out_dir):
     """Emit vertex/eigenloci trajectories as CSV and an SVG quick-look."""
     with _input_errors():
         scn, netN, agents, markers = _load(scenario_path)
         contour = _resolve_contour(
             scn, netN, agents, contour_kind, contour_r, contour_R,
-            scn.contour_density if density is None else density, pade_order,
-            markers,
+            scn.contour_density if density is None else density, markers,
         )
         sweep = eigenloci_sweep(netN, agents, contour)
         out = Path(out_dir)

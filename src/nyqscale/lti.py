@@ -57,6 +57,7 @@ __all__ = [
     "fill_roots",
     "tf_evaluate",
     "mp_mirror",
+    "PADE_ORDER",
     "pade_delay",
     "rhp_poles_in_region",
     "jw_axis_poles",
@@ -66,6 +67,9 @@ ROOT_RESIDUAL_RTOL = 1e-8
 RHP_CANCEL_BAND = 1e-6
 BOUNDARY_BAND = 1e-6
 AXIS_RTOL = 1e-9
+# the order of pade_delay wherever the frequency-domain analysis counts the
+# poles of a delayed agent; only the state-space oracle takes another order
+PADE_ORDER = 3
 # bytes of each block of points' values and temporaries in RationalStack
 _STACK_BLOCK_BYTES = 1 << 17
 
@@ -326,18 +330,12 @@ class TransferFunction:
         num = self.num * other.den + other.num * self.den
         return TransferFunction(num, self.den * other.den, self.delay_s)
 
-    def rational(self, pade_order: int | None) -> "TransferFunction":
+    def rational(self, pade_order: int = PADE_ORDER) -> "TransferFunction":
         """This function with its delay replaced by the diagonal Pade
         approximant of order ``pade_order`` (see :func:`pade_delay`).
-
-        Returns ``self`` when there is no delay, whatever the order. A
-        delayed function has no rational form without an order, so ``None``
-        raises InvalidInputError.
-        """
+        Returns ``self`` when there is no delay, whatever the order."""
         if not self.delay_s:
             return self
-        if pade_order is None:
-            raise InvalidInputError("a delay is rational only at a pade_order")
         return TransferFunction(self.num, self.den) * pade_delay(self.delay_s, pade_order)
 
     def __repr__(self) -> str:

@@ -94,6 +94,8 @@ class PowerNetwork:
         L = np.asarray(self.laplacian, dtype=float)
         if L.shape != (self.n, self.n):
             raise InvalidInputError("laplacian shape mismatch")
+        if not np.isfinite(L).all():
+            raise InvalidInputError("laplacian entries must be finite")
         if not np.allclose(L, L.T, atol=1e-9 * max(1.0, np.abs(L).max())):
             raise InvalidInputError("laplacian must be symmetric")
         row = np.abs(L.sum(axis=1))

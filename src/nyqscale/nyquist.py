@@ -8,7 +8,8 @@ anticlockwise encirclements count positive. The upper half of a contour is
 sampled and conjugate-mirrored to the lower half (loop values at conjugate
 points are conjugates for real-coefficient systems). Frequency-domain
 evaluation of delays is exact; only pole *counting* for delayed agents goes
-through the Pade-rationalized form, at the caller-visible ``pade_order``.
+through the Pade-rationalized form, at the one order ``lti.PADE_ORDER``
+(DECISIONS.md D13).
 
 The eigenloci taken together encircle -1 as often as the scalar curve
 det(I + Q(s)) = prod_k (1 + lambda_k(s)) encircles 0, so the theorem-1 and
@@ -123,10 +124,9 @@ _NODE = np.dtype([("seg", np.intp), ("t", float)])
 class _Segment:
     """One smooth piece of the upper contour chain, parameterized t in [0,1].
 
-    roles: origin-arc | axis | indent | closure.
+    roles: origin-arc | axis | indent | closure; every role but axis is an arc.
     """
 
-    kind: str  # "arc" | "axis"
     role: str
     a: float  # arc: theta0 [rad]; axis: omega0
     b: float  # arc: theta1 [rad]; axis: omega1
@@ -136,7 +136,7 @@ class _Segment:
     def points(self, ts) -> list[complex]:
         """The points at parameters ``ts``, one scalar evaluation each."""
         a = self.a
-        if self.kind == "arc":
+        if self.role != "axis":
             step, c, rad = self.b - a, self.center, self.radius
             return [c + rad * complex(math.cos(th), math.sin(th))
                     for th in [a + step * t for t in ts]]
@@ -245,22 +245,22 @@ def make_contour(
             )
 
     segments: list[_Segment] = [
-        _Segment("arc", "origin-arc", 0.0, math.pi / 2, 0.0j, r_eff)
+        _Segment("origin-arc", 0.0, math.pi / 2, 0.0j, r_eff)
     ]
     marks = sorted(w for w in extra_axis_omegas if r_eff < w < R)
     lo = r_eff
     for w in omegas:
-        segments.append(_Segment("axis", "axis", lo, w - rho))
-        segments.append(_Segment("arc", "indent", -math.pi / 2, math.pi / 2, 1j * w, rho))
+        segments.append(_Segment("axis", lo, w - rho))
+        segments.append(_Segment("indent", -math.pi / 2, math.pi / 2, 1j * w, rho))
         lo = w + rho
-    segments.append(_Segment("axis", "axis", lo, R))
-    segments.append(_Segment("arc", "closure", math.pi / 2, 0.0, 0.0j, R))
+    segments.append(_Segment("axis", lo, R))
+    segments.append(_Segment("closure", math.pi / 2, 0.0, 0.0j, R))
 
     n_arc = max(49, density // 2 + 1)
     n_indent = 33
     runs = []
     for seg in segments:
-        if seg.kind == "axis":
+        if seg.role == "axis":
             decades = math.log10(seg.b / seg.a)
             n = max(2, int(math.ceil(density * decades)) + 1)
             marked = [math.log(w / seg.a) / math.log(seg.b / seg.a)
@@ -283,15 +283,14 @@ def make_contour(
     )
 
 
-def default_outer_radius(agents: Sequence, gammas: Sequence[float],
-                         pade_order: int = 3) -> float:
+def default_outer_radius(agents: Sequence, gammas: Sequence[float]) -> float:
     """Closure radius: at least 100x the largest agent pole/zero modulus,
     doubled until every vertex magnitude |gamma_i g_i(R)| falls below 1e-4
     (so the closure arc cannot contribute winding). All agents are evaluated
     in one stacked pass at all 60 doublings, and the first radius that
     passes is returned; when none does, ContourError names the agent
     (1-based) with the largest |gamma_i g_i| at the last radius."""
-    rational = _agent_rationals(agents, pade_order)
+    rational = _agent_rationals(agents)
     R0 = 100.0 * max([1.0, *(abs(p) for g in rational for p in g.poles + g.zeros)])
     Rs = R0 * 2.0 ** np.arange(60)
     with np.errstate(all="ignore"):
@@ -637,29 +636,29 @@ def _jsonable(v):
 # ---------------------------------------------------------------------------
 
 
-def _agent_rational(a, pade_order: int) -> TransferFunction:
+def _agent_rational(a) -> TransferFunction:
     """The rational form whose poles and zeros are counted: an Agent's
     (memoised) Pade form, or a TransferFunction agent itself."""
-    return a.g_rational(pade_order) if isinstance(a, Agent) else a
+    return a.g_rational if isinstance(a, Agent) else a
 
 
-def _agent_rationals(agents, pade_order: int) -> list[TransferFunction]:
+def _agent_rationals(agents) -> list[TransferFunction]:
     """Every agent's ``_agent_rational``, with the poles and zeros not yet
     cached rooted in one batched pass (``fill_roots``)."""
-    rational = [_agent_rational(a, pade_order) for a in agents]
+    rational = [_agent_rational(a) for a in agents]
     fill_roots(rational)
     return rational
 
 
 def _count_unstable_loop_poles(
-    agents, gamma: np.ndarray, U: np.ndarray, pade_order: int, r: float
+    agents, gamma: np.ndarray, U: np.ndarray, r: float
 ) -> tuple[int, int]:
     """(N, P_open): the McMillan degree of the loop U^T G' U X at its poles
     in the contour's region (strict RHP, modulus >= r), and the agents'
     count of those poles. N sums the ranks of block Hankel matrices of
     contour moments about clusters of those poles, each cut on its own
     circle (Kravanja & Van Barel 2000; Beyn 2012); DECISIONS.md D11."""
-    rational = _agent_rationals(agents, pade_order)
+    rational = _agent_rationals(agents)
     poles = np.array([p for g in rational for p in g.poles], dtype=complex)
     owner = np.array([i for i, g in enumerate(rational) for _ in g.poles], dtype=int)
     region = [set(rhp_poles_in_region(g, r)) for g in rational]
@@ -720,7 +719,7 @@ def _count_unstable_loop_poles(
 # ---------------------------------------------------------------------------
 
 
-def _default_contour(gammas, agents, kind, r, R, density, pade_order, extra=()):
+def _default_contour(gammas, agents, kind, r, R, density, extra=()):
     """The contour rule of every check. ``extra`` are frequencies the axis
     samples exactly. Every agent's rational form is rooted first, in one
     batched pass. A closure radius R (when None) of the largest of
@@ -729,9 +728,9 @@ def _default_contour(gammas, agents, kind, r, R, density, pade_order, extra=()):
     radius of 1e-4*R, capped at 1e-3 times the smallest nonzero agent pole
     or zero modulus so that the origin indentation cannot exempt slow
     closed-loop poles."""
-    rational = _agent_rationals(agents, pade_order)
+    rational = _agent_rationals(agents)
     if R is None:
-        R = max(default_outer_radius(agents, gammas, pade_order), 100.0 * r,
+        R = max(default_outer_radius(agents, gammas), 100.0 * r,
                 *(4.0 * w for w in extra))
     rho, jw = 1e-4 * R, []
     for g in rational:
@@ -745,7 +744,6 @@ def theorem1_check(
     netN: NormalizedNetwork,
     agents: Sequence,
     contour: Contour | None = None,
-    pade_order: int = 3,
 ) -> Verdict:
     """Exact asymptotic-synchronization test: the interarea eigenloci, taken
     together, must encircle -1 exactly N times anticlockwise, N being the
@@ -757,7 +755,7 @@ def theorem1_check(
     count, and the P_open - N modes at poles all agents share belong to the
     uniform mode. Delayed agents are swept with exact exponentials but
     their N comes from the Pade form."""
-    return _winding_check(netN, agents, None, contour, pade_order)
+    return _winding_check(netN, agents, None, contour)
 
 
 def lossy_exponential_check(
@@ -765,7 +763,6 @@ def lossy_exponential_check(
     agents: Sequence,
     epsilon: float,
     contour: Contour | None = None,
-    pade_order: int = 3,
 ) -> Verdict:
     """Exponential-stability test for the lossy interconnection L' + eps*I
     (full rank): all n eigenloci must encircle -1 N times anticlockwise."""
@@ -773,21 +770,19 @@ def lossy_exponential_check(
         raise InvalidInputError("lossy check needs a finite epsilon > 0; use "
                                 "theorem1_check for the lossless network")
     # the report's loci stay the interarea ones: the caller sweeps those
-    return replace(_winding_check(netN, agents, epsilon, contour, pade_order),
-                   sweep=None)
+    return replace(_winding_check(netN, agents, epsilon, contour), sweep=None)
 
 
-def _winding_check(netN, agents, epsilon, contour, pade_order) -> Verdict:
+def _winding_check(netN, agents, epsilon, contour) -> Verdict:
     """The generalized Nyquist count of theorem 1 (``epsilon`` None: the loop
     on Uhat) or of the lossy variant (on U, weighted by mu + epsilon), on a
     default full-D contour of density 200 when ``contour`` is None. The
     verdict follows from the one violation found, if any: a winding other
     than N is unstable; zero loci, or loci through -1, are inconclusive."""
     if contour is None:
-        contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, 200, pade_order)
+        contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, 200)
     U = netN.U_hat if epsilon is None else netN.U
-    N, p_open = _count_unstable_loop_poles(agents, netN.gamma, U, pade_order,
-                                           contour.inner_radius)
+    N, p_open = _count_unstable_loop_poles(agents, netN.gamma, U, contour.inner_radius)
     sweep = eigenloci_sweep(netN, agents, contour, epsilon)
     closure = sweep.roles == "closure"
     closure_mag = float(np.abs(sweep.eigs_upper[closure]).max()) if closure.any() else 0.0
@@ -875,7 +870,6 @@ def fov_check(
     netN: NormalizedNetwork,
     agents: Sequence,
     contour: Contour,
-    pade_order: int = 3,
 ) -> Verdict:
     """Sufficient scalable criterion: at every contour sample the convex
     hull of the vertices gamma_i g_i(s) (the field of values of the diagonal
@@ -889,7 +883,7 @@ def fov_check(
     pole moduli.
     """
     r_gate = contour.inner_radius
-    gated = [rhp_poles_in_region(g, r_gate) for g in _agent_rationals(agents, pade_order)]
+    gated = [rhp_poles_in_region(g, r_gate) for g in _agent_rationals(agents)]
     violations = [
         Violation("pole-gate", None, {"agent": idx, "pole_moduli_rad_s": [abs(p) for p in poles]})
         for idx, poles in enumerate(gated) if poles
@@ -961,7 +955,6 @@ def decentralized_check(
     gamma_bound: float,
     policy: DecentralizedPolicy,
     density: int = 200,
-    pade_order: int = 3,
 ) -> Verdict:
     """Per-agent, network-independent screening (the decentralized
     blueprint): with gamma_bound an upper bound on the agent's network
@@ -983,9 +976,9 @@ def decentralized_check(
         raise InvalidInputError("gamma bound must be positive and finite")
     w_delay = math.pi / (2 * policy.tau_max)
     contour = _default_contour([gamma_bound], [agent], "D_r", policy.r, policy.R, density,
-                               pade_order, extra=(w_delay,))
+                               extra=(w_delay,))
     try:
-        inside = rhp_poles_in_region(_agent_rational(agent, pade_order), policy.r)
+        inside = rhp_poles_in_region(_agent_rational(agent), policy.r)
     except BoundaryAmbiguityError as exc:
         return Verdict(
             result="inconclusive",
@@ -1040,7 +1033,7 @@ def decentralized_check(
         "min_hyperplane_margin": float(side.min()) if side.size else None,
         # per axis segment, so no bracket straddles an indented jw-axis pole
         "vertex_axis_crossings": [
-            c for sg in contour.segments if sg.kind == "axis"
+            c for sg in contour.segments if sg.role == "axis"
             for c in vertex_axis_crossings(agent, gamma_bound, sg.a, sg.b)
         ],
     }

@@ -15,7 +15,8 @@ module's docstring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -224,21 +225,19 @@ class Agent:
     ``g_value(s)``, delays through their exponentials, evaluated by
     :class:`~nyqscale.lti.RationalStack` as any stack of agents is, so a
     multi-agent caller evaluates all of them in one call. ``g_rational``
-    substitutes diagonal Pade approximants for realization and pole gates;
-    it is built once per agent and Pade order (once in all for a delay-free
-    agent), so its poles and zeros are rooted once.
+    substitutes diagonal Pade approximants of order ``lti.PADE_ORDER`` for
+    the pole counts; it is built once per agent, so its poles and zeros are
+    rooted once.
     """
 
     inertia: float
     f_parts: tuple[TransferFunction, ...]
     load_damping: float = 0.0
     f_part_names: tuple[str, ...] = ()
-    # g_rational's memo: Pade order (None without delay) -> TransferFunction
-    _rational: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.inertia < 0 or self.load_damping < 0:
-            raise InvalidInputError("inertia and load damping must be >= 0")
+        if not (0 <= self.inertia < math.inf and 0 <= self.load_damping < math.inf):
+            raise InvalidInputError("inertia and load damping must be finite and >= 0")
         if self.f_part_names and len(self.f_part_names) != len(self.f_parts):
             raise InvalidInputError("part names must match parts")
         if not self.f_part_names:
@@ -247,20 +246,6 @@ class Agent:
                 "f_part_names",
                 tuple(f"F{k + 1}" for k in range(len(self.f_parts))),
             )
-
-    # -- structure ----------------------------------------------------------
-    @property
-    def has_delay(self) -> bool:
-        return any(f.delay_s > 0 for f in self.f_parts)
-
-    def freq_actuator_rational(self, pade_order: int | None = None) -> TransferFunction:
-        """Sum of the F parts as one rational function, each part through
-        :meth:`TransferFunction.rational`: a delayed part needs a
-        ``pade_order``, and ``None`` raises InvalidInputError for it."""
-        if not self.f_parts:
-            return _ZERO_TF
-        parts = [f.rational(pade_order) for f in self.f_parts]
-        return sum(parts[1:], parts[0])
 
     # -- the agent transfer function -----------------------------------------
     def __call__(self, s):
@@ -278,24 +263,20 @@ class Agent:
     def _stack(self) -> RationalStack:
         return RationalStack([self])
 
-    def g_rational(self, pade_order: int | None = 3) -> TransferFunction:
-        """g as a single rational function (delays Pade-rationalized at the
-        given order). Exact whenever the agent carries no delay. The same
-        object is returned for the same order (for any order when there is
-        no delay). A delayed agent needs an order: ``None`` raises
-        InvalidInputError."""
-        key = pade_order if self.has_delay else None
-        if key in self._rational:
-            return self._rational[key]
-        F = self.freq_actuator_rational(key)
+    @cached_property
+    def g_rational(self) -> TransferFunction:
+        """g as a single rational function, the sum of the F parts each
+        through :meth:`TransferFunction.rational` (delays Pade-rationalized
+        at ``lti.PADE_ORDER``). Exact whenever the agent carries no delay."""
+        parts = [f.rational() for f in self.f_parts] or [_ZERO_TF]
+        F = sum(parts[1:], parts[0])
         if self.load_damping:
             F = F + self.load_damping
         nF, dF = F.num, F.den
         den = Polynomial([0.0, 0.0, self.inertia]) * dF + _S * nF
         if den.is_zero:
             raise AssemblyError("agent has no dynamics (algebraic node)")
-        g = self._rational[key] = TransferFunction(dF, den)
-        return g
+        return TransferFunction(dF, den)
 
 
 def assemble_agent(

@@ -41,7 +41,7 @@ from .errors import (
     InvalidInputError,
     RealizationError,
 )
-from .lti import TransferFunction
+from .lti import PADE_ORDER, TransferFunction
 from .network import PowerNetwork
 from .powerplant import Agent
 
@@ -147,7 +147,7 @@ class StateSpaceModel:
 def realize_state_space(
     net: PowerNetwork,
     agents: Sequence,
-    pade_order: int = 3,
+    pade_order: int = PADE_ORDER,
 ) -> StateSpaceModel:
     """Realize the closed loop delta = G(s)(d - L*delta) as one state-space
     system: per-agent canonical blocks coupled through -L on the angle
@@ -763,7 +763,7 @@ def _aggregate(freq: np.ndarray, inertia: np.ndarray):
 def pade_sensitivity(
     net: PowerNetwork,
     agents: Sequence,
-    orders: tuple[int, int] = (3, 5),
+    orders: tuple[int, int] = (PADE_ORDER, 5),
     re_floor: float = -2.0,
     mod_ceiling: float = 20.0,
 ) -> dict:

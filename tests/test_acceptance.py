@@ -105,7 +105,7 @@ def test_criterion_2_siso_reduction_exactness():
         w = rng.uniform(0.2, 3.0)
         netN = normalize(network_from_laplacian([[w, -w], [-w, w]]))
         g = random_stable_proper_tf(rng)
-        contour = _default_contour(netN.gamma, [g, g], "full-D", 0.0, None, 200, 3)
+        contour = _default_contour(netN.gamma, [g, g], "full-D", 0.0, None, 200)
         sweep = eigenloci_sweep(netN, [g, g], contour)
         w_multi, _ = sweep.total_winding()
         scalar_curve = netN.mu[1] * netN.gamma[0] * g(sweep.s_full)
@@ -158,7 +158,7 @@ def test_criterion_3_d0_pole_band_and_fov_failure(n5_d0):
     for row in fcr_rows:
         ref = _fcr_agent_rhp_roots(row, k)
         pattern.append(len(ref))
-        g = n5_d0.agents[index[row["bus"]]].g_rational()
+        g = n5_d0.agents[index[row["bus"]]].g_rational
         got = sorted(rhp_poles_in_region(g, 0.0), key=lambda p: p.imag)
         match = len(got) == len(ref) and all(
             abs(p - q) <= 1e-6 * abs(q) for p, q in zip(got, ref)
@@ -171,7 +171,7 @@ def test_criterion_3_d0_pole_band_and_fov_failure(n5_d0):
         poles_ok = poles_ok and match and inside_disc
     expected_pattern = [0, 2, 2]  # RHP poles at buses 1-3
     netN = normalize(n5_d0.network)
-    contour = _default_contour(netN.gamma, list(n5_d0.agents), "full-D", 0.0, None, 200, 3)
+    contour = _default_contour(netN.gamma, list(n5_d0.agents), "full-D", 0.0, None, 200)
     verdict = fov_check(netN, list(n5_d0.agents), contour)
     fov_fails = verdict.result == "unstable"
     elapsed = time.time() - t0
@@ -198,7 +198,7 @@ def test_criterion_4_loads_pole_gate_and_minimal_r(n5_loads):
     t0 = time.time()
     agents = list(n5_loads.agents)
     gate_ok = all(
-        rhp_poles_in_region(a.g_rational(), 0.75) == [] for a in agents
+        rhp_poles_in_region(a.g_rational, 0.75) == [] for a in agents
     )
     netN = normalize(n5_loads.network)
 

@@ -156,7 +156,7 @@ def test_lightly_damped_pair_is_oracle_unstable():
 def test_sampled_checks_see_a_lightly_damped_unstable_mode(check):
     net, agents = lightly_damped_pair()
     netN = normalize(net)
-    contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, 200, 3)
+    contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, 200)
     run = fov_check if check == "fov" else theorem1_check
     assert run(netN, agents, contour).result == "unstable"
 
@@ -175,7 +175,7 @@ def test_theorem1_and_oracle_see_the_signed_triangle_unstable(extra):
     net, netN, agents = signed_triangle()
     assert realize_state_space(net, agents).eigenvalues.real.max() == pytest.approx(
         0.0204, abs=1e-4)
-    contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, 200, 3, extra=extra)
+    contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, 200, extra=extra)
     v = theorem1_check(netN, agents, contour)
     assert (v.result, v.winding_count, v.n_required) == ("unstable", -2, 0)
 
@@ -224,8 +224,7 @@ def test_theorem1_leaves_the_uniform_mode_to_the_network_count():
 
 
 def count_loop_poles(agents, netN, lossy=False):
-    return _count_unstable_loop_poles(agents, netN.gamma, netN.U if lossy else netN.U_hat,
-                                      3, 0.0)
+    return _count_unstable_loop_poles(agents, netN.gamma, netN.U if lossy else netN.U_hat, 0.0)
 
 
 def with_rhp_poles(rng, roots, gain=1.0):
@@ -351,7 +350,7 @@ def test_theorem1_network_count_matches_the_oracle_on_the_seeded_suite():
 @pytest.mark.parametrize("extra", [(), (math.sqrt(3),)], ids=["default", "sqrt3-node"])
 def test_fov_is_not_stable_on_the_signed_triangle(extra):
     _, netN, agents = signed_triangle()
-    contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, 200, 3, extra=extra)
+    contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, 200, extra=extra)
     assert fov_check(netN, agents, contour).result != "stable"
 
 
@@ -412,7 +411,7 @@ def test_every_verdict_branch_on_a_cubic_lag(K, theorem1, fov, lossy):
     netN = two_bus_norm(1.0)
     assert np.allclose(netN.gamma, 2.0) and np.allclose(netN.mu, [0.0, 1.0])
     g = TF([K / 2.0], [1.0, 3.0, 3.0, 1.0])
-    contour = _default_contour(netN.gamma, [g, g], "full-D", 0.0, None, 200, 3,
+    contour = _default_contour(netN.gamma, [g, g], "full-D", 0.0, None, 200,
                                extra=(math.sqrt(3.0),))
     verdicts = {
         "theorem1": (theorem1_check(netN, [g, g], contour), theorem1),
@@ -487,7 +486,7 @@ def test_default_contour_and_checks_root_each_agent_once(name, monkeypatch):
     monkeypatch.setattr(lti, "roots_stack", lambda ps: calls.extend(ps) or roots(ps))
     kind = scn.contour_kind
     r = 0.0 if kind == "full-D" else scn.policy.r
-    contour = _default_contour(netN.gamma, agents, kind, r, None, scn.contour_density, 3)
+    contour = _default_contour(netN.gamma, agents, kind, r, None, scn.contour_density)
     theorem1_check(netN, agents, contour)
     fov_check(netN, agents, contour)
     # one denominator and one numerator per agent, through the batched pass
@@ -495,13 +494,13 @@ def test_default_contour_and_checks_root_each_agent_once(name, monkeypatch):
 
 
 def test_checks_agree_on_agents_and_their_rational_forms():
-    # delay-free agents: g_rational() is g itself, so the TransferFunction
+    # delay-free agents: g_rational is g itself, so the TransferFunction
     # route through every check must give the same accounting
     _, netN, agents = _n5("n5_hydro_loads")
-    assert not any(a.has_delay for a in agents)
-    tfs = [a.g_rational() for a in agents]
-    c_agents = _default_contour(netN.gamma, agents, "D_r", 0.75, None, 200, 3)
-    c_tfs = _default_contour(netN.gamma, tfs, "D_r", 0.75, None, 200, 3)
+    assert not any(f.delay_s for a in agents for f in a.f_parts)
+    tfs = [a.g_rational for a in agents]
+    c_agents = _default_contour(netN.gamma, agents, "D_r", 0.75, None, 200)
+    c_tfs = _default_contour(netN.gamma, tfs, "D_r", 0.75, None, 200)
     assert c_tfs == c_agents
     checks = [
         lambda ags: theorem1_check(netN, ags, c_agents),
@@ -528,7 +527,7 @@ def test_sweep_epsilon_selects_the_lossy_loop():
     # epsilon None sweeps the n-1 interarea loci; a number sweeps all n loci
     # of U^T G' U diag(mu + epsilon), whose summed winding is the lossy check's
     _, netN, agents = _n5("n5_hydro_d0")
-    contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, 200, 3)
+    contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, 200)
     assert eigenloci_sweep(netN, agents, contour).eigs_upper.shape[1] == netN.n - 1
     sweep = eigenloci_sweep(netN, agents, contour, 0.1)
     assert sweep.eigs_upper.shape[1] == netN.n
@@ -541,7 +540,7 @@ def test_theorem1_d0_dr_counts_poles_in_contour_region(r):
     # N and Z both count only poles with |p| >= r: the d0 agents' RHP poles
     # sit at modulus 0.35, inside every one of these discs
     scn, netN, agents = _n5("n5_hydro_d0")
-    contour = _default_contour(netN.gamma, agents, "D_r", r, None, 200, 3)
+    contour = _default_contour(netN.gamma, agents, "D_r", r, None, 200)
     v = theorem1_check(netN, agents, contour)
     Z = _oracle_unstable_count(scn, r=r)
     assert v.n_required == 0
@@ -717,7 +716,7 @@ def test_network_check_with_a_pole_on_the_radius_raises(check):
     # the network checks cannot form the count N, so they raise; the CLI exits 3
     netN = two_bus_norm(1.0)
     agents = [ON_RADIUS, ON_RADIUS]
-    contour = _default_contour(netN.gamma, agents, "D_r", 0.75, None, 200, 3)
+    contour = _default_contour(netN.gamma, agents, "D_r", 0.75, None, 200)
     with pytest.raises(BoundaryAmbiguityError):
         check(netN, agents, contour)
     with pytest.raises(SystemExit) as exit_:
@@ -855,7 +854,7 @@ def test_decentralized_check_through_an_agent_pole_names_the_node(kind):
                                  hyperplane_normal=1.0 + 0j, tau_max=0.1)
     with pytest.raises(ContourError, match="hit a pole") as exc:
         decentralized_check(agent, 1.0, policy)
-    contour = _default_contour([1.0], [agent], "D_r", 0.75, None, 200, 3,
+    contour = _default_contour([1.0], [agent], "D_r", 0.75, None, 200,
                                extra=(np.pi / (2 * policy.tau_max),))
     nodes = contour.upper_points()
     assert _named_point(str(exc.value)) == nodes[np.flatnonzero(np.abs(nodes - 0.75j) <= 1e-12)[0]]

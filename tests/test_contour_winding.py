@@ -168,7 +168,7 @@ def test_winding_tolerance_is_local_to_the_point():
     scn = load_scenario(bundled_scenario_path("n5_hydro_wind"))
     netN = normalize(scn.network)
     agents = list(scn.agents)
-    s = _default_contour(netN.gamma, agents, "full-D", 0.0, None, scn.contour_density, 3).samples
+    s = _default_contour(netN.gamma, agents, "full-D", 0.0, None, scn.contour_density).samples
     for i in (3, 4):
         damped = assemble_agent(agents[i].inertia, load_damping_mw_per_hz=0.01)
         curve = netN.gamma[i] * damped.g_value(s)
@@ -258,7 +258,7 @@ def test_sweep_conjugate_symmetry_against_direct_lower_half():
 
 def _scalar_point(sg, t: float) -> complex:
     """The contour point at parameter t of segment sg, by Python scalars."""
-    if sg.kind == "arc":
+    if sg.role != "axis":
         th = sg.a + (sg.b - sg.a) * t
         return sg.center + sg.radius * complex(math.cos(th), math.sin(th))
     return 1j * (sg.a * (sg.b / sg.a) ** t)
@@ -270,7 +270,7 @@ def test_refined_nodes_points_equal_a_fresh_per_point_evaluation(monkeypatch):
     # sweep's samples and roles are those of all its nodes in contour order
     scn = load_scenario(bundled_scenario_path("n5_hydro_d0"))
     netN, agents = normalize(scn.network), list(scn.agents)
-    contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, 100, 3)
+    contour = _default_contour(netN.gamma, agents, "full-D", 0.0, None, 100)
     asked = []
     upper_points = nyquist.Contour.upper_points
 
@@ -338,7 +338,7 @@ def bundled_sweeps():
         for kind in (scn.contour_kind, "full-D"):
             r = 0.0 if kind == "full-D" else scn.policy.r
             contour = _default_contour(netN.gamma, agents, kind, r, scn.policy.R,
-                                       scn.contour_density, 3)
+                                       scn.contour_density)
             sweeps[name, kind] = eigenloci_sweep(netN, agents, contour)
     return sweeps
 
@@ -363,7 +363,7 @@ def test_branches_equal_sequential_matching_ring16():
         L[[i, j], [i, j]] += 1e4
     netN = normalize(network_from_laplacian(L))
     agents = [scn.agents[i % 5] for i in range(n)]
-    contour = _default_contour(netN.gamma, agents, "D_r", 0.75, None, 100, 3)
+    contour = _default_contour(netN.gamma, agents, "D_r", 0.75, None, 100)
     sweep = eigenloci_sweep(netN, agents, contour)
     eigs = sweep.eigs_upper
     D = np.abs(eigs[:-1, :, None] - eigs[1:, None, :])
@@ -562,7 +562,7 @@ def _ring16_sweep_inputs(tmp_path):
     scn = load_scenario(gen.write(tmp_path / "ring16.json", doc))
     netN, agents = normalize(scn.network), list(scn.agents)
     contour = _default_contour(netN.gamma, agents, scn.contour_kind, scn.policy.r,
-                               scn.policy.R, scn.contour_density, 3)
+                               scn.policy.R, scn.contour_density)
     return netN, agents, contour
 
 

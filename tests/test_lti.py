@@ -17,6 +17,7 @@ from nyqscale.errors import (
     UnsupportedStructureError,
 )
 from nyqscale.lti import (
+    PADE_ORDER,
     Polynomial,
     TransferFunction,
     jw_axis_poles,
@@ -172,10 +173,9 @@ def test_combine_parallel_unequal_delays_rejected():
 def test_rational_substitutes_pade_for_the_delay():
     bare = TF([1.0, 2.0], [1.0, 3.0, 1.0])
     assert bare.rational(3) is bare
-    assert bare.rational(None) is bare
+    assert bare.rational() is bare
     g = TF([1.0, 2.0], [1.0, 3.0, 1.0], delay_s=0.25)
-    with pytest.raises(InvalidInputError):
-        g.rational(None)
+    assert g.rational().den.coefficients == (bare * pade_delay(0.25, PADE_ORDER)).den.coefficients
     for q in range(1, 6):
         r = g.rational(q)
         want = bare * pade_delay(0.25, q)

@@ -164,7 +164,7 @@ def test_ffr_delay_phase_contribution():
 # ---------------------------------------------------------------- agents
 def test_assemble_pure_inertia():
     a = assemble_agent(1.0)
-    g = a.g_rational()
+    g = a.g_rational
     assert np.allclose(g.num.as_array(), [1.0])
     assert np.allclose(g.den.as_array(), [0.0, 0.0, 1.0])
     assert a.g_value(2j) == pytest.approx(1.0 / (2j) ** 2)
@@ -174,7 +174,7 @@ def test_assemble_n5_bus4_machine_only():
     # M_4 = 2*33 GWs/50 = 1.32 GW s/Hz = 1320 MW s/Hz
     a = assemble_agent(2 * 33.0 * 1000 / 50)
     assert a.inertia == pytest.approx(1320.0)
-    g = a.g_rational()
+    g = a.g_rational
     assert np.allclose(g.den.as_array(), [0.0, 0.0, 1320.0])
 
 
@@ -189,28 +189,20 @@ def test_agent_exact_vs_rational_no_delay():
     act = make_fcr_controller(0.6, f_des, h).actuator
     a = assemble_agent(1360.0, [act], load_damping_mw_per_hz=150.0)
     s = np.array([0.3j, 2j, 1.0 + 0.5j])
-    g = a.g_rational()
+    g = a.g_rational
     assert np.allclose(a.g_value(s), g(s), rtol=1e-12)
 
 
 def test_agent_rational_form_is_built_once():
+    # one order, lti.PADE_ORDER = 3: the wind turbine's 1, the washout's 1,
+    # the delay's 3 and the swing's 2 make degree 7
     h = make_wind_turbine(WindParams(10.0))
     delayed = assemble_agent(1360.0, [make_ffr_controller(0.6, 1000.0, 0.1, h)])
-    assert delayed.g_rational(3) is delayed.g_rational(3)
-    assert delayed.g_rational(5) is not delayed.g_rational(3)
-    assert delayed.g_rational(5).den.degree == delayed.g_rational(3).den.degree + 2
+    assert delayed.g_rational is delayed.g_rational
+    assert delayed.g_rational.den.degree == 7
     plain = assemble_agent(1.0, [TF([1.0], [1.0, 1.0])], load_damping_mw_per_hz=0.5)
-    assert plain.g_rational(3) is plain.g_rational(5) is plain.g_rational()
-    assert plain.g_rational(3).poles is plain.g_rational(5).poles
-
-
-def test_agent_rational_form_of_a_delayed_agent_needs_an_order():
-    h = make_wind_turbine(WindParams(10.0))
-    delayed = assemble_agent(1360.0, [make_ffr_controller(0.6, 1000.0, 0.1, h)])
-    with pytest.raises(InvalidInputError):
-        delayed.g_rational(None)
-    plain = assemble_agent(1.0, [TF([1.0], [1.0, 1.0])], load_damping_mw_per_hz=0.5)
-    assert plain.g_rational(None) is plain.g_rational(3)
+    assert plain.g_rational is plain.g_rational
+    assert plain.g_rational.poles is plain.g_rational.poles
 
 
 def test_agent_call_is_exact_g_value():
@@ -253,11 +245,11 @@ def test_agent_pole_gate_hydro_d0():
         h = make_hydro_turbine(HydroParams(row["T_y"], row["T_w"], row["g0"]))
         act = make_fcr_controller(row["share"], f_des, h).actuator
         agents.append(assemble_agent(M, [act]))
-    rhp1 = rhp_poles_in_region(agents[0].g_rational(), 0.0)
+    rhp1 = rhp_poles_in_region(agents[0].g_rational, 0.0)
     assert rhp1 == []
     for a in agents[1:]:
-        rhp = rhp_poles_in_region(a.g_rational(), 0.0)
+        rhp = rhp_poles_in_region(a.g_rational, 0.0)
         assert len(rhp) == 2
         assert np.allclose(sorted(abs(p) for p in rhp), [0.3456273, 0.3456273], atol=1e-6)
         # inside the 0.75 rad/s exclusion disc
-        assert rhp_poles_in_region(a.g_rational(), 0.75) == []
+        assert rhp_poles_in_region(a.g_rational, 0.75) == []

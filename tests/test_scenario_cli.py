@@ -17,6 +17,7 @@ from click.testing import CliRunner
 from nyqscale import cli
 from nyqscale.cli import _svg_line, _svg_polyline, _write_loci_csv, _write_traces_csv, main
 from nyqscale.errors import ScenarioError
+from nyqscale.lti import PADE_ORDER
 from nyqscale.scenario import bundled_scenario_path, load_scenario, loads_scenario
 from nyqscale.simkit import SimulationResult
 
@@ -542,7 +543,6 @@ def test_cli_export_loci_empty_agents_exit_3(loads_path, tmp_path):
         ("simulate", "--t-end", "0"),
         ("simulate", "--pade-order", "x"),
         ("simulate", "--pade-order", "0"),
-        ("analyze", "--pade-order", "x"),
         ("analyze", "--contour-r", "abc"),
         ("analyze", "--contour-r", "0.5*tau"),
         ("analyze", "--contour-r", "-1"),
@@ -589,10 +589,11 @@ def test_cli_malformed_option_exit_3(wind_path, tmp_path, command, option, value
          ["analyze", "--check", "decentralized", "--hyperplane", "-0.9,0,inf,0"]),
         ("n5_hydro_wind", ("policy", "hyperplane", "point", ["a", 0]),
          ["analyze", "--check", "decentralized"]),
-        ("n5_hydro_loads", None, ["analyze", "--pade-order", "-1"]),
-        ("n5_hydro_loads", None, ["analyze", "--pade-order", "0"]),
-        ("n5_hydro_loads", None, ["analyze", "--pade-order", "6"]),
-        ("n5_hydro_loads", None, ["export-loci", "--pade-order", "0"]),
+        # finite numbers that overflow to inf once scaled: 2000*pi*b, 2*W/f0
+        ("n5_hydro_loads", ("network", "lines", 0, "b", 1e306), ["analyze"]),
+        ("n5_hydro_loads", ("network", "lines", 0, "b", 1e306), ["simulate"]),
+        ("n5_hydro_loads", ("agents", "buses", 0, "W_kin_GWs", 1e308), ["analyze"]),
+        ("n5_hydro_loads", ("agents", "buses", 0, "W_kin_GWs", 1e308), ["simulate"]),
         ("n5_hydro_loads", None, ["simulate", "--pade-order", "-1"]),
         # hyperplanes that admit part of the ray (-inf, -1]
         ("n5_hydro_wind", None,
@@ -629,6 +630,19 @@ def test_cli_malformed_value_exit_3(tmp_path, name, patch, argv):
         argv += ["--t-end", "2"]
     res = CliRunner().invoke(main, argv)
     assert res.exit_code == 3, res.output
+
+
+@pytest.mark.parametrize("command", ["analyze --check theorem1", "export-loci"])
+def test_analysis_commands_have_no_pade_order(wind_path, tmp_path, command):
+    # the analysis counts poles at lti.PADE_ORDER alone; simulate keeps the option
+    command, *extra = command.split()
+    argv = [command, str(wind_path), *extra, "--out-dir", str(tmp_path)]
+    res = CliRunner().invoke(main, argv + ["--pade-order", "3"])
+    assert res.exit_code == 3 and "--pade-order" in res.output, res.output
+    assert CliRunner().invoke(main, argv).exit_code == 0
+    if command == "analyze":
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["parameters"]["pade_order"] == PADE_ORDER
 
 
 def test_cli_unknown_option_and_command_exit_3(wind_path):

@@ -159,6 +159,16 @@ def test_realize_actuator_rows_equal_minus_part_times_frequency():
             assert err <= 1e-9 * np.abs(want).max(), (s, k)
 
 
+def test_analysis_and_oracle_rationalize_delays_at_one_order():
+    # the pole counts read each agent's g_rational; the oracle's default order
+    # must realize the same Pade form, one state per denominator degree
+    scn = load_scenario(bundled_scenario_path("n5_hydro_wind"))
+    agents = list(scn.agents)
+    assert any(f.delay_s for a in agents for f in a.f_parts)
+    model = realize_state_space(scn.network, agents)
+    assert sum(a.g_rational.den.degree for a in agents) == model.n_states == 34
+
+
 def test_realize_n5_hydro_d0_has_unstable_eigen():
     # paper's instability claim for the load-free hydro-FCR system
     model = n5_model(include_loads=False)

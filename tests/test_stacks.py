@@ -106,7 +106,7 @@ def test_rational_stack_keeps_the_shape_of_s():
 def test_rational_stack_of_bundled_agents_matches_one_agent_at_a_time():
     agents = [a for name in ("n5_hydro_wind", "n5_hydro_d0", "n5_hydro_loads")
               for a in load_scenario(bundled_scenario_path(name)).agents]
-    assert any(a.has_delay for a in agents)
+    assert any(f.delay_s for a in agents for f in a.f_parts)
     s = contour_like_points(np.random.default_rng(5))
     got = RationalStack(agents)(s)
     for row, a in zip(got, agents):
@@ -199,7 +199,7 @@ def test_ring16_sweep_makes_no_per_agent_or_per_polynomial_call(tmp_path, monkey
     monkeypatch.setattr(lti, "poly_roots", count("poly_roots", one_root))
     monkeypatch.setattr(lti, "roots_stack", count("stacked_polys", stacked, len))
     for kind, r in (("full-D", 0.0), ("D_r", scn.policy.r)):
-        contour = _default_contour(netN.gamma, agents, kind, r, None, scn.contour_density, 3)
+        contour = _default_contour(netN.gamma, agents, kind, r, None, scn.contour_density)
         theorem1_check(netN, agents, contour)
         fov_check(netN, agents, contour)
     assert calls["g_value"] == 0 and calls["poly_roots"] == 0

@@ -64,7 +64,7 @@ def test_tracer_nests_every_eig_span_in_its_sweep():
     tracer = _spans_module().Tracer()
     tracer.install("nyqscale")
     try:
-        contour = nyquist._default_contour(netN.gamma, agents, "full-D", 0.0, None, 100, 3)
+        contour = nyquist._default_contour(netN.gamma, agents, "full-D", 0.0, None, 100)
         verdict = nyquist.theorem1_check(netN, agents, contour)
     finally:
         tracer.uninstall()

@@ -179,13 +179,13 @@ def hull_ray_min_x_loops(points) -> float:
     return best
 
 
-def outer_radius_doubling(agents, gammas, pade_order: int = 3) -> float:
+def outer_radius_doubling(agents, gammas) -> float:
     """Reference closure radius: 100x the largest agent pole/zero modulus,
     doubled one scalar vertex evaluation per agent at a time until every
     |gamma_i g_i(R)| is below 1e-4."""
     moduli = [1.0]
     for a in agents:
-        g = _agent_rational(a, pade_order)
+        g = _agent_rational(a)
         moduli.extend(abs(p) for p in g.poles)
         moduli.extend(abs(z) for z in g.zeros)
     R = 100.0 * max(moduli)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write every output of a fixed set of 41 CLI calls, for a byte comparison
+"""Write every output of a fixed set of 42 CLI calls, for a byte comparison
 of two source trees.
 
     python3 tools/compare_outputs.py <tree> <out-dir>
@@ -12,7 +12,9 @@ of two source trees.
 The calls run in one process through ``<tree>``'s own ``perfbench/run.py``
 (its ``setup`` and ``invoke``), so each tree runs its own program. They are
 every op of the three perfbench mixes at seed 7, then for each bundled
-scenario its four checks, ``export-loci`` and ``simulate --t-end 5``. Call
+scenario its four checks, ``export-loci`` and ``simulate --t-end 5``, and
+last ``simulate n5_hydro_wind.json --t-end 5 --pade-order 5``, whose traces
+differ from the order-3 run's, so it shows the option reaches the model. Call
 k writes into ``<out-dir>/calls/<kk>``; the perfbench inputs go to
 ``<out-dir>/inputs``. ``<out-dir>/log.txt`` holds each call's argv, exit
 code (``crash`` for an uncaught exception) and output, with ``<out-dir>``
@@ -42,6 +44,8 @@ def main() -> None:
     for name in sorted((tree / "src" / "nyqscale" / "data").glob("*.json")):
         calls += [("analyze", str(name), "--check", check) for check in CHECKS]
         calls += [("export-loci", str(name)), ("simulate", str(name), "--t-end", "5")]
+    wind = tree / "src" / "nyqscale" / "data" / "n5_hydro_wind.json"
+    calls.append(("simulate", str(wind), "--t-end", "5", "--pade-order", "5"))
 
     log = []
     for k, argv in enumerate(calls):
