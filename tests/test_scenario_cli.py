@@ -543,6 +543,8 @@ def test_cli_export_loci_empty_agents_exit_3(loads_path, tmp_path):
         ("simulate", "--t-end", "0"),
         ("simulate", "--pade-order", "x"),
         ("simulate", "--pade-order", "0"),
+        # analyze has no --pade-order: any value is refused as an unknown option
+        ("analyze", "--pade-order", "x"),
         ("analyze", "--contour-r", "abc"),
         ("analyze", "--contour-r", "0.5*tau"),
         ("analyze", "--contour-r", "-1"),
@@ -589,11 +591,11 @@ def test_cli_malformed_option_exit_3(wind_path, tmp_path, command, option, value
          ["analyze", "--check", "decentralized", "--hyperplane", "-0.9,0,inf,0"]),
         ("n5_hydro_wind", ("policy", "hyperplane", "point", ["a", 0]),
          ["analyze", "--check", "decentralized"]),
-        # finite numbers that overflow to inf once scaled: 2000*pi*b, 2*W/f0
-        ("n5_hydro_loads", ("network", "lines", 0, "b", 1e306), ["analyze"]),
-        ("n5_hydro_loads", ("network", "lines", 0, "b", 1e306), ["simulate"]),
-        ("n5_hydro_loads", ("agents", "buses", 0, "W_kin_GWs", 1e308), ["analyze"]),
-        ("n5_hydro_loads", ("agents", "buses", 0, "W_kin_GWs", 1e308), ["simulate"]),
+        # the analysis commands have no --pade-order, so each value is refused
+        ("n5_hydro_loads", None, ["analyze", "--pade-order", "-1"]),
+        ("n5_hydro_loads", None, ["analyze", "--pade-order", "0"]),
+        ("n5_hydro_loads", None, ["analyze", "--pade-order", "6"]),
+        ("n5_hydro_loads", None, ["export-loci", "--pade-order", "0"]),
         ("n5_hydro_loads", None, ["simulate", "--pade-order", "-1"]),
         # hyperplanes that admit part of the ray (-inf, -1]
         ("n5_hydro_wind", None,
@@ -611,6 +613,11 @@ def test_cli_malformed_option_exit_3(wind_path, tmp_path, command, option, value
         # a Kron-reduced bus that the network does not have
         ("n5_hydro_loads", ("network", "algebraic_buses", [999]), ["analyze"]),
         ("n5_hydro_loads", ("network", "algebraic_buses", [999]), ["simulate"]),
+        # finite numbers that overflow to inf once scaled: 2000*pi*b, 2*W/f0
+        ("n5_hydro_loads", ("network", "lines", 0, "b", 1e306), ["analyze"]),
+        ("n5_hydro_loads", ("network", "lines", 0, "b", 1e306), ["simulate"]),
+        ("n5_hydro_loads", ("agents", "buses", 0, "W_kin_GWs", 1e308), ["analyze"]),
+        ("n5_hydro_loads", ("agents", "buses", 0, "W_kin_GWs", 1e308), ["simulate"]),
     ],
 )
 def test_cli_malformed_value_exit_3(tmp_path, name, patch, argv):
