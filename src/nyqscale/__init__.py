@@ -56,7 +56,6 @@ from .simkit import (
     Pulse,
     SimulationResult,
     StateSpaceModel,
-    pade_sensitivity,
     realize_state_space,
     simulate,
 )

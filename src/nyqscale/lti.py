@@ -134,12 +134,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def residual_scale(self, s) -> np.ndarray:
-        """sum_k |c_k| max(1,|s|)^k -- the natural evaluation scale at s."""
-        mags = np.maximum(1.0, np.abs(np.asarray(s)))
-        powers = mags[..., None] ** np.arange(len(self.coefficients))
-        return powers @ np.abs(self.as_array())
-
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coefficients)})"
 

@@ -113,6 +113,8 @@ CROSSING_RTOL = 1e-12
 CROSSING_MAX_ITER = 100
 # a contour node: the index of its segment and its parameter t on it
 _NODE = np.dtype([("seg", np.intp), ("t", float)])
+# contour nodes numpy can size, with room for the float runs they are built from
+_MAX_NODES = np.iinfo(np.intp).max // (2 * _NODE.itemsize)
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +152,9 @@ class Contour:
     """Sampled Nyquist contour (full-D or D_r).
 
     ``nodes`` hold the upper chain from +r through +jR to +R, one read-only
-    ``_NODE`` record (segment index, parameter) each; ``samples`` expands
-    them to the full clockwise closed loop with the lower half
-    conjugate-mirrored (the first sample is repeated at the end, closing
-    the curve).
+    ``_NODE`` record (segment index, parameter) each. The full clockwise
+    closed loop is their points followed by the lower half's conjugate
+    mirror, ending at the first point again (``LociSweep.s_full``).
     """
 
     kind: str
@@ -177,11 +178,6 @@ class Contour:
         for lo, hi in zip(starts, starts[1:] + [len(seg)]):
             pts[lo:hi] = self.segments[seg[lo]].points(t[lo:hi].tolist())
         return pts
-
-    @property
-    def samples(self) -> np.ndarray:
-        up = self.upper_points()
-        return np.concatenate([up, np.conj(up[-2::-1])])
 
     def node_roles(self, nodes=None) -> np.ndarray:
         """The segment role of each of ``nodes`` (default: the contour's own)."""
@@ -223,6 +219,12 @@ def make_contour(
         raise InvalidInputError(f"unknown contour kind: {kind!r}")
     if not (R > r_eff >= 0):
         raise InvalidInputError("need R > r >= 0")
+    if not r_eff > 0 or math.isinf(R / r_eff):
+        raise InvalidInputError(f"contour radius {r_eff:.3g} rad/s is too small for "
+                                f"R = {R:.3g} rad/s: R/r is not finite")
+    most = _MAX_NODES / (math.log10(R / r_eff) + 1)  # nodes: about density * (decades + 1)
+    if density > most:
+        raise InvalidInputError(f"density must be at most {most:.3g} per decade on this contour")
 
     omegas = []
     for p in jw_pole_list:

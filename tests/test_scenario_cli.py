@@ -618,6 +618,18 @@ def test_cli_malformed_option_exit_3(wind_path, tmp_path, command, option, value
         ("n5_hydro_loads", ("network", "lines", 0, "b", 1e306), ["simulate"]),
         ("n5_hydro_loads", ("agents", "buses", 0, "W_kin_GWs", 1e308), ["analyze"]),
         ("n5_hydro_loads", ("agents", "buses", 0, "W_kin_GWs", 1e308), ["simulate"]),
+        # counts that overflow or that numpy cannot size: R/r, nodes, steps
+        ("n5_hydro_wind", None, ["analyze", "--check", "theorem1", "--contour-r", "1e-320"]),
+        ("n5_hydro_wind", None, ["export-loci", "--contour-r", "1e-320"]),
+        ("n5_hydro_wind", ("policy", "contour", "r_rad_s", 5e-324),
+         ["analyze", "--check", "theorem1"]),
+        ("n5_hydro_wind", ("policy", "contour", "r_rad_s", 5e-324),
+         ["analyze", "--check", "decentralized"]),
+        ("n5_hydro_wind", ("policy", "contour", "density", 1e300),
+         ["analyze", "--check", "theorem1"]),
+        ("n5_hydro_wind", ("policy", "contour", "density", 1e300),
+         ["analyze", "--check", "decentralized"]),
+        ("n5_hydro_wind", None, ["simulate", "--dt", "1e-300", "--t-end", "1"]),
     ],
 )
 def test_cli_malformed_value_exit_3(tmp_path, name, patch, argv):
@@ -633,10 +645,15 @@ def test_cli_malformed_value_exit_3(tmp_path, name, patch, argv):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
     argv = [argv[0], str(path), *argv[1:], "--out-dir", str(tmp_path)]
-    if argv[0] == "simulate":
+    if argv[0] == "simulate" and "--t-end" not in argv:
         argv += ["--t-end", "2"]
     res = CliRunner().invoke(main, argv)
     assert res.exit_code == 3, res.output
+    assert "Traceback" not in res.output
+    # the count rows name the input that makes the count
+    named = {"1e-320": "radius", "5e-324": "radius", "1e+300": "density", "1e-300": "dt"}
+    for value in map(str, (*argv, *(patch or ()))):
+        assert named.get(value, "") in res.output, res.output
 
 
 @pytest.mark.parametrize("command", ["analyze --check theorem1", "export-loci"])

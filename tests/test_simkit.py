@@ -24,7 +24,6 @@ from nyqscale.scenario import bundled_scenario_path, load_scenario, loads_scenar
 from nyqscale import simkit
 from nyqscale.simkit import (
     Pulse,
-    pade_sensitivity,
     realize_state_space,
     simulate,
 )
@@ -727,7 +726,7 @@ def test_aggregates_zero_inertia_rejected():
 
 
 # ---------------------------------------------------------------- pade
-def test_pade_sensitivity_n5_wind_small():
+def test_pade_orders_3_and_5_agree_on_n5_wind_slow_modes():
     from nyqscale.powerplant import WindParams, make_ffr_controller, make_wind_turbine
 
     f_des = make_fdes(3100.0)
@@ -744,6 +743,10 @@ def test_pade_sensitivity_n5_wind_small():
             parts.append(make_ffr_controller(wind_rows[i][0], 1000.0, 0.1, hw))
             names.append("wind")
         agents.append(assemble_agent(2 * N5_W[i] * 1000 / 50, parts, part_names=names))
-    report = pade_sensitivity(n5_network(), agents, orders=(3, 5))
-    assert report["max_rel_change"] < 1e-3
-    assert not report["flagged"]
+    base, other = (realize_state_space(n5_network(), agents, pade_order=q).eigenvalues
+                   for q in (3, 5))
+    # the near-axis, in-band modes; the fast Pade artefacts move with the order
+    slow = base[(base.real >= -2.0) & (np.abs(base) <= 20.0)]
+    assert slow.size
+    moved = [np.abs(other - lam).min() / max(abs(lam), 1e-6) for lam in slow]
+    assert max(moved) < 1e-3

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write every output of a fixed set of 42 CLI calls, for a byte comparison
+"""Write every output of a fixed set of 45 CLI calls, for a byte comparison
 of two source trees.
 
     python3 tools/compare_outputs.py <tree> <out-dir>
@@ -14,11 +14,14 @@ The calls run in one process through ``<tree>``'s own ``perfbench/run.py``
 every op of the three perfbench mixes at seed 7, then for each bundled
 scenario its four checks, ``export-loci`` and ``simulate --t-end 5``, and
 last ``simulate n5_hydro_wind.json --t-end 5 --pade-order 5``, whose traces
-differ from the order-3 run's, so it shows the option reaches the model. Call
-k writes into ``<out-dir>/calls/<kk>``; the perfbench inputs go to
-``<out-dir>/inputs``. ``<out-dir>/log.txt`` holds each call's argv, exit
-code (``crash`` for an uncaught exception) and output, with ``<out-dir>``
-and ``<tree>`` replaced by placeholders.
+differ from the order-3 run's, so it shows the option reaches the model. The
+three calls after it are refused inputs whose counts would overflow: a D_r
+radius of 1e-320 under ``analyze --check theorem1`` and ``export-loci``, and
+``simulate --dt 1e-300 --t-end 1``. New calls go at the end, so every earlier
+call keeps its directory. Call k writes into ``<out-dir>/calls/<kk>``; the
+perfbench inputs go to ``<out-dir>/inputs``. ``<out-dir>/log.txt`` holds
+each call's argv, exit code (``crash`` for an uncaught exception) and
+output, with ``<out-dir>`` and ``<tree>`` replaced by placeholders.
 """
 
 import sys
@@ -46,6 +49,9 @@ def main() -> None:
         calls += [("export-loci", str(name)), ("simulate", str(name), "--t-end", "5")]
     wind = tree / "src" / "nyqscale" / "data" / "n5_hydro_wind.json"
     calls.append(("simulate", str(wind), "--t-end", "5", "--pade-order", "5"))
+    calls += [("analyze", str(wind), "--check", "theorem1", "--contour-r", "1e-320"),
+              ("export-loci", str(wind), "--contour-r", "1e-320"),
+              ("simulate", str(wind), "--dt", "1e-300", "--t-end", "1")]
 
     log = []
     for k, argv in enumerate(calls):
